@@ -111,49 +111,36 @@ def log_mvgamma(a: float, p: int) -> float:
 
 def _cox_loglik_derivs(
     beta: np.ndarray,
-    time: np.ndarray,
-    status: np.ndarray,
     X: np.ndarray,
+    events: np.ndarray,
+    ends: np.ndarray,
     want_derivs: bool = True,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Breslow partial log-likelihood with gradient and Hessian.
 
-    Rows must be sorted by descending time so risk sets accumulate as
-    prefixes; tied times share one risk-set term per event.
+    Rows must be sorted by descending time, so the risk set of event row
+    ``events[j]`` is the prefix of rows ``0..ends[j]``, where ``ends[j]``
+    is the last row of its tie group: tied rows, events or censored, are
+    all in each other's risk sets (Breslow ties). With ``w = exp(X beta)``,
+    ``S0`` and ``S1`` are cumulative sums of ``w`` and ``X w`` read at
+    ``ends``, and ``ll = sum_events (eta - log S0)``. Let ``a[r]`` be the
+    sum of ``1 / S0`` over the events whose risk set holds row ``r`` (a
+    reverse cumulative sum) and ``m = S1 / S0`` per event; then
+    ``grad = sum_events x - X' (w a)`` and
+    ``hess = sum_events m m' - X' diag(w a) X``. One pass costs O(n k^2)
+    time, in BLAS, and O(n k) memory.
     """
-    n, k = X.shape
-    eta = X @ beta
-    eta = np.clip(eta, -700, 700)
+    eta = np.clip(X @ beta, -700, 700)
     w = np.exp(eta)
-
-    ll = 0.0
-    grad = np.zeros(k) if want_derivs else None
-    hess = np.zeros((k, k)) if want_derivs else None
-
-    s0 = 0.0
-    s1 = np.zeros(k)
-    s2 = np.zeros((k, k))
-    i = 0
-    while i < n:
-        j = i
-        while j < n and time[j] == time[i]:
-            j += 1
-        # everyone with this time enters the risk set before its events score
-        for r in range(i, j):
-            s0 += w[r]
-            xw = X[r] * w[r]
-            s1 += xw
-            if want_derivs:
-                s2 += np.outer(X[r], xw)
-        log_s0 = math.log(s0)
-        mean = s1 / s0
-        for r in range(i, j):
-            if status[r] == 1:
-                ll += eta[r] - log_s0
-                if want_derivs:
-                    grad += X[r] - mean
-                    hess -= s2 / s0 - np.outer(mean, mean)
-        i = j
+    s0 = np.cumsum(w)[ends]
+    ll = float(np.sum(eta[events] - np.log(s0)))
+    if not want_derivs:
+        return ll, None, None
+    mean = np.cumsum(X * w[:, None], axis=0)[ends] / s0[:, None]
+    a = np.cumsum(np.bincount(ends, weights=1.0 / s0, minlength=len(w))[::-1])[::-1]
+    wa = w * a
+    grad = X[events].sum(axis=0) - X.T @ wa
+    hess = mean.T @ mean - (X * wa[:, None]).T @ X
     return ll, grad, hess
 
 
@@ -170,6 +157,10 @@ def cox_fit(
     Steps are halved when the likelihood would decrease; diverging
     coefficients raise :class:`SeparationError` and hitting the iteration
     budget raises :class:`ConvergenceError` with the last iterate.
+    Non-finite times or covariates, non-positive times and status values
+    outside {0, 1} raise :class:`NumericError`. The rows are sorted by
+    descending time and the tie-group end of each event is found once per
+    fit; each likelihood evaluation then costs O(n k^2).
     """
     time = np.asarray(time, dtype=float)
     status = np.asarray(status, dtype=float)
@@ -179,16 +170,22 @@ def cox_fit(
     n = time.shape[0]
     if status.shape[0] != n or X.shape[0] != n:
         raise NumericError("time, status and design rows must agree")
+    if not (np.all(np.isfinite(time)) and np.all(np.isfinite(X))):
+        raise NumericError("survival times and design must be finite")
     if np.any(time <= 0):
         raise NumericError("survival times must be positive")
+    if not np.all((status == 0) | (status == 1)):
+        raise NumericError("status must be 0 (censored) or 1 (event)")
     if not np.any(status == 1):
         raise NumericError("at least one event (status = 1) is required")
 
     order = np.argsort(-time, kind="stable")
-    time, status, X = time[order], status[order], X[order]
+    time, X = time[order], X[order]
+    events = np.flatnonzero(status[order])
+    ends = np.searchsorted(-time, -time[events], side="right") - 1
     k = X.shape[1]
 
-    ll0, _, _ = _cox_loglik_derivs(np.zeros(k), time, status, X, want_derivs=False)
+    ll0, _, _ = _cox_loglik_derivs(np.zeros(k), X, events, ends, want_derivs=False)
     if k == 0:
         return FitResult(
             coefficients=np.zeros(0),
@@ -200,7 +197,7 @@ def cox_fit(
     beta = np.zeros(k)
     ll = ll0
     for it in range(1, max_iter + 1):
-        _, grad, hess = _cox_loglik_derivs(beta, time, status, X)
+        _, grad, hess = _cox_loglik_derivs(beta, X, events, ends)
         info = -hess
         try:
             step = np.linalg.solve(info, grad)
@@ -211,7 +208,7 @@ def cox_fit(
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            ll_new, _, _ = _cox_loglik_derivs(candidate, time, status, X, want_derivs=False)
+            ll_new, _, _ = _cox_loglik_derivs(candidate, X, events, ends, want_derivs=False)
             if ll_new >= ll - 1e-12:
                 break
             scale *= 0.5

@@ -18,6 +18,7 @@ from bndp.engine import (
     recover_networks,
 )
 from bndp.scoring import LocalScoreTable, ScoreConfig, compute_local_scores
+from bndp.simulate import simulate_survival
 
 PAPER_PP = ([1, 3], [2, 0], [1], [0])  # 0-indexed worked-example pp sets
 
@@ -551,6 +552,28 @@ class TestLearn:
             )
             got = res.networks[0].total_score
             assert abs(got - oracle.optimal_score) <= 1e-9 * max(1.0, abs(got))
+
+    def test_survival_sink_equals_oracle(self):
+        # Cox screening and Cox-BIC scores end to end: the survival node is
+        # a sink and the optima are exactly the generational oracle's.
+        rng = np.random.default_rng(600)
+        n = 200
+        M = rng.standard_normal((n, 5))
+        for j in range(1, 5):
+            M[:, j] += rng.uniform(0.7, 0.8) * M[:, j - 1]
+        time, status = simulate_survival(0.8 * M[:, 2] - 0.6 * M[:, 4], seed=600)
+        cols = [Column(f"V{i}", "continuous", M[:, i].copy()) for i in range(5)]
+        data = Dataset(cols + [Column("T", "survival", np.column_stack([time, status]))])
+        cfg = ScoreConfig("bic")
+        res = learn(data, ScreenOptions(alpha=0.05), cfg, 2)
+        s = res.data.survival_index
+        assert res.data.p == 6 and s is not None and not res.truncated
+        for net in res.networks:
+            assert not any(int(m) >> s & 1 for m in net.parents)
+        oracle = exhaustive_search(res.data, cfg, 2, res.constraints, generational_only=True)
+        assert {net.parents for net in res.networks} == {net.parents for net in oracle.networks}
+        got = res.networks[0].total_score
+        assert abs(got - oracle.optimal_score) <= 1e-9 * abs(got)
 
     def test_report_contents(self):
         rng = np.random.default_rng(18)

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from bndp.numeric import (
-    ConvergenceError,
     NumericError,
+    SeparationError,
+    _cox_loglik_derivs,
     chisq_sf,
     cox_fit,
     least_squares,
@@ -59,6 +60,74 @@ def naive_cox_loglik(beta, time, status, X):
             risk = time >= time[i]
             ll += eta[i] - math.log(np.exp(eta[risk]).sum())
     return ll
+
+
+def loop_cox_loglik_derivs(beta, time, status, X):
+    """Row-by-row Breslow likelihood, gradient and Hessian.
+
+    Rows sorted by descending time; each tie group enters the risk set
+    before its events score.
+    """
+    n, k = X.shape
+    eta = np.clip(X @ beta, -700, 700)
+    w = np.exp(eta)
+    ll, grad, hess = 0.0, np.zeros(k), np.zeros((k, k))
+    s0, s1, s2 = 0.0, np.zeros(k), np.zeros((k, k))
+    i = 0
+    while i < n:
+        j = i
+        while j < n and time[j] == time[i]:
+            j += 1
+        for r in range(i, j):
+            s0 += w[r]
+            s1 += X[r] * w[r]
+            s2 += np.outer(X[r], X[r] * w[r])
+        mean = s1 / s0
+        for r in range(i, j):
+            if status[r] == 1:
+                ll += eta[r] - math.log(s0)
+                grad += X[r] - mean
+                hess -= s2 / s0 - np.outer(mean, mean)
+        i = j
+    return ll, grad, hess
+
+
+def sorted_cox_inputs(time, status, X):
+    """Rows by descending time, and the kernel's arguments for them.
+
+    Tie-group ends come from a direct scan, independent of ``cox_fit``.
+    """
+    order = np.argsort(-time, kind="stable")
+    time, status, X = time[order], status[order], X[order]
+    events = np.flatnonzero(status == 1)
+    ends = np.array([np.flatnonzero(time == time[e]).max() for e in events], dtype=int)
+    return (time, status, X), (X, events, ends)
+
+
+def fd_gradient(f, beta, h=1e-5):
+    """Central-difference gradient of a scalar function."""
+    e = np.eye(len(beta)) * h
+    return np.array([(f(beta + d) - f(beta - d)) / (2 * h) for d in e])
+
+
+def fd_hessian(f, beta, h=1e-4):
+    """Central-difference Hessian of a scalar function."""
+    e = np.eye(len(beta)) * h
+    return np.array(
+        [
+            [
+                (f(beta + a + b) - f(beta + a - b) - f(beta - a + b) + f(beta - a - b))
+                / (4 * h * h)
+                for b in e
+            ]
+            for a in e
+        ]
+    )
+
+
+def assert_close_rel(got, want, rel):
+    scale = max(1.0, float(np.max(np.abs(want)))) if np.size(want) else 1.0
+    assert np.max(np.abs(np.asarray(got) - want), initial=0.0) <= rel * scale
 
 
 # ------------------------------------------------------------- least squares
@@ -198,6 +267,69 @@ class TestLogMvGamma:
 # -------------------------------------------------------------------- cox
 
 
+def random_cox_case(rng, n, k, n_times):
+    """Rows with ``n_times`` distinct times, mixed status, at least one event."""
+    time = rng.integers(1, n_times + 1, n).astype(float)
+    status = (rng.random(n) < 0.6).astype(float)
+    status[rng.integers(n)] = 1.0
+    X = rng.standard_normal((n, k))
+    beta = 0.7 * rng.standard_normal(k)
+    return beta, time, status, X
+
+
+class TestCoxKernel:
+    def check_against_loop(self, beta, time, status, X):
+        rows, args = sorted_cox_inputs(time, status, X)
+        ll, grad, hess = _cox_loglik_derivs(beta, *args)
+        ll_ref, grad_ref, hess_ref = loop_cox_loglik_derivs(beta, *rows)
+        assert_close_rel(ll, ll_ref, 1e-10)
+        assert_close_rel(grad, grad_ref, 1e-10)
+        assert_close_rel(hess, hess_ref, 1e-10)
+        ll_only, g, h = _cox_loglik_derivs(beta, *args, want_derivs=False)
+        assert g is None and h is None
+        assert ll_only == ll
+
+    def test_matches_loop_random(self):
+        rng = np.random.default_rng(31)
+        for k in range(4):
+            for n_times in (2, 5, 40):
+                for _ in range(5):
+                    self.check_against_loop(*random_cox_case(rng, 40, k, n_times))
+
+    def test_matches_loop_mixed_and_all_censored_tie_groups(self):
+        time = np.array([5.0, 5.0, 5.0, 4.0, 4.0, 3.0, 3.0, 3.0, 2.0, 1.0, 1.0])
+        status = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        rng = np.random.default_rng(32)
+        for k in range(4):
+            X = rng.standard_normal((len(time), k))
+            perm = rng.permutation(len(time))
+            beta = rng.standard_normal(k)
+            self.check_against_loop(beta, time[perm], status[perm], X[perm])
+
+    def test_matches_loop_single_row(self):
+        for k in range(4):
+            X = np.arange(1.0, k + 1.0)[None, :]
+            _, args = sorted_cox_inputs(np.ones(1), np.ones(1), X)
+            ll, grad, hess = _cox_loglik_derivs(np.full(k, 0.3), *args)
+            # a lone row is its own risk set: likelihood and derivatives vanish
+            assert abs(ll) < 1e-15
+            assert np.all(np.abs(grad) < 1e-15) and np.all(np.abs(hess) < 1e-15)
+            self.check_against_loop(np.full(k, 0.3), np.ones(1), np.ones(1), X)
+
+    def test_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(33)
+        for k in (1, 2, 3):
+            for n_times in (3, 30):
+                beta, time, status, X = random_cox_case(rng, 30, k, n_times)
+                _, grad, hess = _cox_loglik_derivs(beta, *sorted_cox_inputs(time, status, X)[1])
+
+                def f(b):
+                    return naive_cox_loglik(b, time, status, X)
+
+                assert_close_rel(grad, fd_gradient(f, beta), 1e-7)
+                assert_close_rel(hess, fd_hessian(f, beta), 1e-5)
+
+
 class TestCoxFit:
     def test_zero_column_no_signal(self):
         time = np.arange(1.0, 21.0)
@@ -236,6 +368,9 @@ class TestCoxFit:
             for _ in range(5):
                 nearby = fit.coefficients + 0.05 * rng.standard_normal(2)
                 assert ll >= naive_cox_loglik(nearby, time, status, x) - 1e-10
+            # stationary point of the direct likelihood
+            score = fd_gradient(lambda b: naive_cox_loglik(b, time, status, x), fit.coefficients)
+            assert np.max(np.abs(score)) < 1e-6
 
     def test_optimum_beats_null(self):
         rng = np.random.default_rng(7)
@@ -251,6 +386,10 @@ class TestCoxFit:
         fit = cox_fit(time, status, x[:, None])
         ll = naive_cox_loglik(fit.coefficients, time, status, x[:, None])
         assert abs(fit.log_likelihood - ll) < 1e-10
+        score = fd_gradient(
+            lambda b: naive_cox_loglik(b, time, status, x[:, None]), fit.coefficients
+        )
+        assert abs(score[0]) < 1e-6
 
     def test_separation_detected(self):
         # perfectly ordered covariate separates event times
@@ -258,7 +397,7 @@ class TestCoxFit:
         time = np.arange(1.0, n + 1)
         status = np.ones(n)
         x = np.arange(n, dtype=float)[:, None]
-        with pytest.raises((NumericError, ConvergenceError)):
+        with pytest.raises(SeparationError):
             cox_fit(time, status, x / x.std())
 
     def test_requires_event(self):
@@ -268,6 +407,22 @@ class TestCoxFit:
     def test_requires_positive_times(self):
         with pytest.raises(NumericError):
             cox_fit(np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.zeros((2, 1)))
+
+    def test_rejects_nan_time(self):
+        # NaN equals nothing, not even itself, so its tie group is undefined
+        time = np.array([1.0, np.nan, 2.0, 3.0])
+        with pytest.raises(NumericError, match="finite"):
+            cox_fit(time, np.ones(4), np.arange(4.0)[:, None])
+
+    def test_rejects_non_finite_design(self):
+        X = np.array([[0.1], [np.inf], [0.3], [-0.2]])
+        with pytest.raises(NumericError, match="finite"):
+            cox_fit(np.arange(1.0, 5.0), np.ones(4), X)
+
+    def test_rejects_status_outside_zero_one(self):
+        status = np.array([1.0, 0.0, 2.0, 1.0])
+        with pytest.raises(NumericError, match="status"):
+            cox_fit(np.arange(1.0, 5.0), status, np.arange(4.0)[:, None])
 
     def test_empty_design(self):
         time = np.arange(1.0, 11.0)
