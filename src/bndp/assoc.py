@@ -8,7 +8,6 @@ screening to two or three ancestor levels of a designated outcome.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .core import (
     ParentConstraints,
     StructureError,
 )
-from .numeric import NumericError, chisq_sf, cox_fit, student_t_sf
+from .numeric import NumericError, chisq_sf, cox_fit
 
 
 class AssocError(ValueError):
@@ -72,39 +71,6 @@ class ScreenOptions:
                 raise AssocError(f"phenotype levels must be 2 or 3, got {self.levels}")
         if self.top_k is not None and self.top_k < 1:
             raise AssocError("top_k must be a positive integer")
-
-
-def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise AssocError("inputs must be equal-length vectors")
-    if x.size < 3:
-        raise AssocError("need at least 3 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        raise AssocError("correlation undefined for a constant vector")
-    r = float(xc @ yc) / math.sqrt(sx * sy)
-    return max(-1.0, min(1.0, r))
-
-
-def corr_test(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sided p-value for zero correlation via the t transform."""
-    if len(x) < 4:
-        raise AssocError("need at least 4 observations for the correlation test")
-    r = pearson_r(x, y)
-    return _r_to_pvalue(r, len(x))
-
-
-def _r_to_pvalue(r: float, n: int) -> float:
-    if abs(r) >= 1.0:
-        return 0.0
-    t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    return 2.0 * student_t_sf(t, n - 2)
 
 
 def bh_adjust(p_values: np.ndarray) -> np.ndarray:
@@ -328,8 +294,13 @@ def _screen_level(
     targets: list[int],
     excluded: set[int],
     opts: ScreenOptions,
-) -> dict[int, int]:
-    """Screen possible parents for each target; one BH family per level."""
+) -> tuple[dict[int, int], dict[tuple[int, int], float]]:
+    """Screen possible parents for each target; one BH family per level.
+
+    Returns the kept candidates per target as a bitmask, and the
+    statistic of every (target, candidate) test: the unadjusted p-value
+    under ``alpha``, |r| under ``corr_cutoff``.
+    """
     M, idx = _encoded_matrix(data)
     n = data.n_rows
     tests: list[tuple[int, int]] = []
@@ -362,7 +333,7 @@ def _screen_level(
 
     result: dict[int, int] = {t: 0 for t in targets}
     if not tests:
-        return result
+        return result, {}
     arr = np.array(stats)
     if opts.alpha is not None:
         keep = bh_adjust(arr) <= opts.alpha
@@ -371,7 +342,7 @@ def _screen_level(
     for (t, i), ok in zip(tests, keep):
         if ok:
             result[t] |= 1 << i
-    return result
+    return result, dict(zip(tests, stats))
 
 
 def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:
@@ -379,9 +350,10 @@ def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:
     pp = [0] * data.p
     excluded = {outcome}
 
-    level1 = _screen_level(data, [outcome], excluded, opts)[outcome]
+    found, stats = _screen_level(data, [outcome], excluded, opts)
+    level1 = found[outcome]
     if opts.top_k is not None and level1.bit_count() > opts.top_k:
-        level1 = _trim_top_k(data, outcome, level1, opts)
+        level1 = _trim_top_k(data, outcome, level1, stats, opts)
     pp[outcome] = level1
 
     frontier = sorted(NodeSubset(level1))
@@ -390,7 +362,7 @@ def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:
         frontier = [t for t in frontier if t not in assigned]
         if not frontier:
             break
-        found = _screen_level(data, frontier, excluded, opts)
+        found, _ = _screen_level(data, frontier, excluded, opts)
         next_members = 0
         for t in frontier:
             pp[t] = found[t]
@@ -400,21 +372,22 @@ def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:
     return pp
 
 
-def _trim_top_k(data: Dataset, outcome: int, mask: int, opts: ScreenOptions) -> int:
-    """Keep the top-k level-1 candidates by significance (ties by name)."""
-    cands = sorted(NodeSubset(mask))
-    col = data.column(outcome)
-    if col.kind == SURVIVAL:
-        score = cox_screen(data, outcome, cands)
-    elif opts.alpha is not None:
-        y = data.numeric_values(outcome)
-        score = np.array(
-            [corr_test(y, data.numeric_values(i)) for i in cands]
-        )
-    else:
-        y = data.numeric_values(outcome)
-        score = np.array([-abs(pearson_r(y, data.numeric_values(i))) for i in cands])
-    ranked = sorted(zip(score, [data.column(i).name for i in cands], cands))
+def _trim_top_k(
+    data: Dataset,
+    outcome: int,
+    mask: int,
+    stats: dict[tuple[int, int], float],
+    opts: ScreenOptions,
+) -> int:
+    """Keep the top-k level-1 candidates by their screening statistic.
+
+    The most significant come first: the smallest p-values under
+    ``alpha``, the largest |r| under ``corr_cutoff``; ties break by name.
+    """
+    sign = 1.0 if opts.alpha is not None else -1.0
+    ranked = sorted(
+        (sign * stats[outcome, i], data.column(i).name, i) for i in NodeSubset(mask)
+    )
     out = 0
     for _, _, i in ranked[: opts.top_k]:
         out |= 1 << i

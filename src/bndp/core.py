@@ -7,6 +7,7 @@ an integer bitmask, which doubles as the key type of every DP table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -84,6 +85,23 @@ class NodeSubset(int):
 
     def __repr__(self) -> str:
         return f"NodeSubset({{{', '.join(map(str, self))}}})"
+
+
+def subsets_up_to(pool: int, d: int) -> Iterator[int]:
+    """Every subset of ``pool`` with at most ``d`` members, as a bitmask.
+
+    Ordered by size, and within a size lexicographically by member index
+    (``itertools.combinations`` over the ascending members); the empty set
+    comes first. These are a node's candidate parent sets when ``pool`` is
+    its possible parents and ``d`` the in-degree bound.
+    """
+    members = list(NodeSubset(pool))
+    for size in range(min(d, len(members)) + 1):
+        for combo in combinations(members, size):
+            mask = 0
+            for j in combo:
+                mask |= 1 << j
+            yield mask
 
 
 @dataclass(frozen=True)

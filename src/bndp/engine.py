@@ -13,11 +13,11 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from itertools import permutations
+from typing import Iterator
 
 from .assoc import ScreenOptions, build_constraints
-from .core import Dataset, Network, NodeSubset, ParentConstraints
+from .core import Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
 from .scoring import (
     NEG_INF,
     LocalScoreTable,
@@ -41,6 +41,22 @@ def _close(a: float, b: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) <= TIE_EPS * max(1.0, abs(a), abs(b))
+
+
+def _best_subsets_in_pool(
+    table: dict[int, float], pool: int, d: int
+) -> tuple[float, list[int]]:
+    """Direct enumeration of the best parent subsets within a pool."""
+    candidates = subsets_up_to(pool, d)
+    empty = next(candidates)  # the empty set comes first
+    best, acc = table[empty], [empty]
+    for g in candidates:
+        score = table[g]
+        if score > best and not _close(score, best):
+            best, acc = score, [g]
+        elif _close(score, best):
+            acc.append(g)
+    return best, acc
 
 
 class BestParentsTable:
@@ -118,20 +134,7 @@ class BestParentsTable:
             return hit
         if pool & ~self._pp[node]:
             raise EngineError(f"pool outside the possible parents of node {node}")
-        local = self._local[node]
-        members = list(NodeSubset(pool))
-        best = local[0]
-        acc = [0]
-        for size in range(1, min(self._d, len(members)) + 1):
-            for combo in combinations(members, size):
-                g = 0
-                for j in combo:
-                    g |= 1 << j
-                score = local[g]
-                if score > best and not _close(score, best):
-                    best, acc = score, [g]
-                elif _close(score, best):
-                    acc.append(g)
+        best, acc = _best_subsets_in_pool(self._local[node], pool, self._d)
         entry = (best, tuple(sorted(acc)))
         table[pool] = entry
         return entry
@@ -153,60 +156,16 @@ def best_parents(
     return BestParentsTable(local, constraints)
 
 
-def _level_stream(
-    pp: list[int], po: list[int], p: int, max_subsets: int | None
-) -> Iterator[list[int]]:
-    """Reachable subsets, one cardinality level at a time."""
-    level = [1 << v for v in range(p)]
-    emitted = p
-    yield level
-    while level:
-        nxt: set[int] = set()
-        for w in level:
-            acc = 0
-            m = w
-            while m:
-                lsb = m & -m
-                acc |= po[lsb.bit_length() - 1]
-                m ^= lsb
-            cands = acc & ~w
-            while cands:
-                lsb = cands & -cands
-                nxt.add(w | lsb)
-                cands ^= lsb
-        if not nxt:
-            return
-        emitted += len(nxt)
-        if max_subsets is not None and emitted > max_subsets:
-            raise EngineError(
-                f"reachable-subset count exceeded the cap ({max_subsets}); "
-                "use a stricter screening cutoff or raise max_subsets"
-            )
-        level = sorted(nxt)
-        yield level
-
-
-def generational_expansion(
-    constraints: ParentConstraints, max_subsets: int | None = None
-) -> Iterator[NodeSubset]:
-    """Stream every reachable subset exactly once, by cardinality.
-
-    Level one is all singletons; each later level extends a reachable
-    subset by one node that has a possible parent inside it.
-    """
-    pp = [int(m) for m in constraints.pp]
-    po = [int(m) for m in constraints.po]
-    for level in _level_stream(pp, po, constraints.n_nodes, max_subsets):
-        for w in level:
-            yield NodeSubset(w)
-
-
 @dataclass
 class BestSinkTable:
-    """Best score and best sinks for every reachable subset."""
+    """Best score and best sinks for every reachable subset.
+
+    ``maximal`` lists the reachable subsets that no node can extend, in
+    sweep order.
+    """
 
     entries: dict[int, tuple[float, tuple[int, ...]]]
-    combination_counts: dict[int, int] | None = None
+    maximal: list[int]
 
     @property
     def n_subsets(self) -> int:
@@ -218,32 +177,27 @@ class BestSinkTable:
     def sinks(self, mask: int) -> tuple[int, ...]:
         return self.entries[mask][1]
 
-    def combination_count(self, mask: int) -> int:
-        if self.combination_counts is None:
-            raise EngineError("best_sinks was run without instrumentation")
-        return self.combination_counts[mask]
-
 
 def best_sinks(
     bpt: BestParentsTable,
     constraints: ParentConstraints,
     local: LocalScoreTable,
-    instrument: bool = False,
     max_subsets: int | None = DEFAULT_MAX_SUBSETS,
 ) -> BestSinkTable:
     """Sweep reachable subsets in cardinality order recording best sinks.
 
-    A node s is admissible as the sink of W when W minus s is itself
-    reachable and contains a possible parent of s (singletons score
-    their empty-parent local score). With ``instrument`` the exact
-    number of (ordering, parent-set) combinations explored is tracked
-    per subset as an exact integer.
+    Level one is all singletons; each later level extends a reachable
+    subset by one node that has a possible parent inside it. A node s is
+    admissible as the sink of W when W minus s is itself reachable and
+    contains a possible parent of s (singletons score their empty-parent
+    local score). Subsets with no such extension are recorded as
+    maximal.
     """
     p = constraints.n_nodes
     pp = [int(m) for m in constraints.pp]
     po = [int(m) for m in constraints.po]
     entries: dict[int, tuple[float, tuple[int, ...]]] = {}
-    combos: dict[int, int] | None = {} if instrument else None
+    maximal: list[int] = []
     pools = bpt._pools
     entry_fn = bpt.entry
     entries_get = entries.get
@@ -252,8 +206,6 @@ def best_sinks(
     for v in range(p):
         w = 1 << v
         entries[w] = (local.empty_score(v), (v,))
-        if combos is not None:
-            combos[w] = 1
         level.append(w)
     total = p
 
@@ -264,7 +216,6 @@ def best_sinks(
             multi = w & (w - 1)  # more than one member
             best = NEG_INF
             sinks: list[int] = []
-            total_combos = 0
             po_acc = 0
             m = w
             while m:
@@ -285,8 +236,6 @@ def best_sinks(
                 if cached is None:
                     cached = entry_fn(s, pool)
                 score = prev_entry[0] + cached[0]
-                if combos is not None:
-                    total_combos += combos[prev] << pool.bit_count()
                 # inline tie handling, same semantics as _close
                 if score == best:
                     sinks.append(s)
@@ -306,9 +255,9 @@ def best_sinks(
                 if not sinks:
                     raise EngineError(f"no admissible sink for reachable subset {w:#x}")
                 entries[w] = (best, tuple(sinks))
-                if combos is not None:
-                    combos[w] = total_combos
             cands = po_acc & ~w
+            if not cands:
+                maximal.append(w)
             while cands:
                 lsb = cands & -cands
                 nxt_add(w | lsb)
@@ -322,24 +271,7 @@ def best_sinks(
                 "use a stricter screening cutoff or raise max_subsets"
             )
         level = sorted(nxt)
-    return BestSinkTable(entries, combos)
-
-
-def _maximal_reachable(
-    bst: BestSinkTable, po: list[int]
-) -> list[int]:
-    """Reachable subsets with no admissible one-node extension."""
-    out = []
-    for w in bst.entries:
-        acc = 0
-        m = w
-        while m:
-            lsb = m & -m
-            acc |= po[lsb.bit_length() - 1]
-            m ^= lsb
-        if not (acc & ~w):
-            out.append(w)
-    return out
+    return BestSinkTable(entries, maximal)
 
 
 @dataclass
@@ -360,20 +292,21 @@ def recover_networks(
 
     Starts from the full feasible set when it is reachable. Otherwise
     the maximal reachable subsets are packed greedily by score gain into
-    a disjoint cover; uncovered nodes keep empty parent sets. All
-    distinct optimal networks are emitted up to ``cap``, with a
-    truncation flag when the cap is hit.
+    a disjoint cover; uncovered nodes keep empty parent sets. The greedy
+    cover is a heuristic, not an exact max-weight packing: another
+    disjoint set of reachable subsets can score higher. All distinct
+    optimal networks of the chosen cover are emitted up to ``cap``, with
+    a truncation flag when the cap is hit.
     """
     p = constraints.n_nodes
     pp = [int(m) for m in constraints.pp]
-    po = [int(m) for m in constraints.po]
     full = (1 << p) - 1
 
     if full in bst.entries:
         chosen = [full]
     else:
         ranked = []
-        for w in _maximal_reachable(bst, po):
+        for w in bst.maximal:
             base = 0.0
             for v in NodeSubset(w):
                 base += local.empty_score(v)
@@ -523,26 +456,6 @@ class ExhaustiveResult:
     truncated: bool = False
 
 
-def _best_subsets_in_pool(
-    table: dict[int, float], pool: int, d: int
-) -> tuple[float, list[int]]:
-    """Direct enumeration of the best parent subsets within a pool."""
-    members = list(NodeSubset(pool))
-    best = table[0]
-    acc = [0]
-    for size in range(1, min(d, len(members)) + 1):
-        for combo in combinations(members, size):
-            g = 0
-            for j in combo:
-                g |= 1 << j
-            score = table[g]
-            if score > best and not _close(score, best):
-                best, acc = score, [g]
-            elif _close(score, best):
-                acc.append(g)
-    return best, acc
-
-
 def exhaustive_search(
     data: Dataset,
     score_cfg: ScoreConfig,
@@ -640,17 +553,7 @@ def enumerate_dags(
         pp = [int(m) for m in constraints.pp]
         d = constraints.indegree
 
-    per_node: list[list[int]] = []
-    for i in range(p):
-        members = list(NodeSubset(pp[i]))
-        masks = [0]
-        for size in range(1, min(d, len(members)) + 1):
-            for combo in combinations(members, size):
-                g = 0
-                for j in combo:
-                    g |= 1 << j
-                masks.append(g)
-        per_node.append(masks)
+    per_node = [list(subsets_up_to(pp[i], d)) for i in range(p)]
 
     from .core import validate_dag
 

@@ -155,8 +155,9 @@ def cox_fit(
 
     Returns the partial log-likelihood at the optimum and at beta = 0.
     Steps are halved when the likelihood would decrease; diverging
-    coefficients raise :class:`SeparationError` and hitting the iteration
-    budget raises :class:`ConvergenceError` with the last iterate.
+    coefficients raise :class:`SeparationError`, and hitting the iteration
+    budget or 30 halvings without an acceptable step raise
+    :class:`ConvergenceError` with the last iterate.
     Non-finite times or covariates, non-positive times and status values
     outside {0, 1} raise :class:`NumericError`. The rows are sorted by
     descending time and the tie-group end of each event is found once per
@@ -205,15 +206,18 @@ def cox_fit(
             step = np.linalg.lstsq(info, grad, rcond=None)[0]
 
         # halve the step until the partial likelihood does not decrease
+        # beyond rounding, which grows with |ll|
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
             ll_new, _, _ = _cox_loglik_derivs(candidate, X, events, ends, want_derivs=False)
-            if ll_new >= ll - 1e-12:
+            if ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
                 break
             scale *= 0.5
         else:
-            candidate, ll_new = beta, ll
+            raise ConvergenceError(
+                "Cox line search found no step that does not lower the likelihood", beta
+            )
 
         delta = float(np.max(np.abs(candidate - beta)))
         beta, ll = candidate, ll_new

@@ -11,7 +11,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .core import (
     Dataset,
     NodeSubset,
     ParentConstraints,
+    subsets_up_to,
 )
 from .numeric import NumericError, cox_fit, least_squares, log_mvgamma
 
@@ -319,36 +319,31 @@ def _gaussian_gram_scores(
         syy = G[y_idx, y_idx] - G[0, y_idx] ** 2 / n
         var_y = syy / n
         table: dict[int, float] = {}
-        members = list(constraints.pp[i])
-        for size in range(min(d, len(members)) + 1):
-            for combo in combinations(members, size):
-                mask = 0
-                for j in combo:
-                    mask |= 1 << j
-                cols = [0] + [j + 1 for j in combo]
-                sub = G[np.ix_(cols, cols)]
-                rhs = G[cols, y_idx]
-                try:
-                    chol = np.linalg.cholesky(sub)
-                    z = np.linalg.solve(chol, rhs)
-                    rss = float(G[y_idx, y_idx] - z @ z)
-                except np.linalg.LinAlgError:
-                    rss = None
-                if rss is None or rss < -1e-6 * max(G[y_idx, y_idx], 1.0):
-                    table[mask] = bic_gaussian(i, mask, data)
-                    continue
-                rss = max(rss, 0.0)
-                sigma2 = rss / n
-                if sigma2 <= _DEGENERATE_REL * max(var_y, 1e-300):
-                    warnings.warn(
-                        f"degenerate Gaussian fit for node {i} (zero residual variance)",
-                        ScoringWarning,
-                        stacklevel=3,
-                    )
-                    table[mask] = NEG_INF
-                    continue
-                ll = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0)
-                table[mask] = ll - 0.5 * (size + 2) * log_n
+        for mask in subsets_up_to(constraints.pp[i], d):
+            cols = [0] + [j + 1 for j in NodeSubset(mask)]
+            sub = G[np.ix_(cols, cols)]
+            rhs = G[cols, y_idx]
+            try:
+                chol = np.linalg.cholesky(sub)
+                z = np.linalg.solve(chol, rhs)
+                rss = float(G[y_idx, y_idx] - z @ z)
+            except np.linalg.LinAlgError:
+                rss = None
+            if rss is None or rss < -1e-6 * max(G[y_idx, y_idx], 1.0):
+                table[mask] = bic_gaussian(i, mask, data)
+                continue
+            rss = max(rss, 0.0)
+            sigma2 = rss / n
+            if sigma2 <= _DEGENERATE_REL * max(var_y, 1e-300):
+                warnings.warn(
+                    f"degenerate Gaussian fit for node {i} (zero residual variance)",
+                    ScoringWarning,
+                    stacklevel=3,
+                )
+                table[mask] = NEG_INF
+                continue
+            ll = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0)
+            table[mask] = ll - 0.5 * (mask.bit_count() + 2) * log_n
         out[i] = table
     return out
 
@@ -386,14 +381,9 @@ def compute_local_scores(
         if scores[i]:
             continue
         kind = data.column(i).kind
-        members = list(constraints.pp[i])
         table: dict[int, float] = {}
-        for size in range(min(d, len(members)) + 1):
-            for combo in combinations(members, size):
-                mask = 0
-                for j in combo:
-                    mask |= 1 << j
-                table[mask] = _score_one(i, mask, kind, data, cfg, bge_state)
+        for mask in subsets_up_to(constraints.pp[i], d):
+            table[mask] = _score_one(i, mask, kind, data, cfg, bge_state)
         scores[i] = table
     return LocalScoreTable(scores, data.names, d, cfg.family)
 

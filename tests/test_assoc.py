@@ -9,11 +9,11 @@ from bndp.assoc import (
     EmptyFeasSetError,
     ScreenOptions,
     ScreeningWarning,
+    _corr_against,
+    _pvalues_from_r,
     bh_adjust,
     build_constraints,
-    corr_test,
     cox_screen,
-    pearson_r,
 )
 from bndp.core import Column, Dataset, NodeSubset, StructureError
 from bndp.simulate import simulate_survival
@@ -26,36 +26,55 @@ def continuous_dataset(matrix, names=None):
     )
 
 
+def corr_one(x, y):
+    """Pearson r of two vectors through the screening kernel."""
+    return float(_corr_against(np.asarray(y, dtype=float), np.asarray(x, dtype=float)[:, None])[0])
+
+
+def pvalue_one(x, y):
+    """Two-sided correlation-test p-value through the screening kernels."""
+    return float(_pvalues_from_r(np.array([corr_one(x, y)]), len(x))[0])
+
+
 class TestPearson:
     def test_identity(self):
         x = np.arange(10.0)
-        assert pearson_r(x, x) == 1.0
+        assert corr_one(x, x) == 1.0
 
     def test_negation(self):
         x = np.arange(10.0)
-        assert pearson_r(x, -x) == -1.0
+        assert corr_one(x, -x) == -1.0
 
     def test_matches_covariance_formula(self):
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(100), rng.standard_normal(100)
         direct = np.cov(x, y, bias=True)[0, 1] / (x.std() * y.std())
-        assert abs(pearson_r(x, y) - direct) < 1e-10
+        assert abs(corr_one(x, y) - direct) < 1e-10
+        M = rng.standard_normal((100, 4))
+        r = _corr_against(y, M)
+        for k in range(4):
+            assert abs(r[k] - np.corrcoef(M[:, k], y)[0, 1]) < 1e-12
 
     def test_constant_rejected(self):
-        with pytest.raises(AssocError):
-            pearson_r(np.ones(5), np.arange(5.0))
+        # a constant column, or a constant target, has no correlation and p = 1
+        M = np.column_stack([np.ones(5), np.arange(5.0)])
+        r = _corr_against(np.array([1.0, 3.0, 2.0, 5.0, 4.0]), M)
+        assert np.isnan(r[0]) and np.isfinite(r[1])
+        assert np.all(np.isnan(_corr_against(np.ones(5), M)))
+        assert _pvalues_from_r(r, 5)[0] == 1.0
 
 
 class TestCorrTest:
     def test_zero_correlation(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        assert abs(pearson_r(x, y)) < 1e-12
-        assert abs(corr_test(x, y) - 1.0) < 1e-9
+        assert abs(corr_one(x, y)) < 1e-12
+        assert abs(pvalue_one(x, y) - 1.0) < 1e-9
 
     def test_perfect_correlation(self):
         x = np.arange(6.0)
-        assert corr_test(x, 2 * x + 1) == 0.0
+        assert pvalue_one(x, 2 * x + 1) == 0.0
+        assert pvalue_one(x, -x) == 0.0
 
     def test_known_value_n20_r05(self):
         # r = 0.5, n = 20 -> t = 0.5 * sqrt(18 / 0.75), p ~ 0.0249
@@ -74,8 +93,9 @@ class TestCorrTest:
         zc /= zc.std()
         r = 0.5
         y = r * xc + math.sqrt(1 - r * r) * zc
-        assert abs(pearson_r(x, y) - 0.5) < 1e-12
-        assert abs(corr_test(x, y) - expect) < 1e-12
+        assert abs(corr_one(x, y) - 0.5) < 1e-12
+        assert abs(pvalue_one(x, y) - expect) < 1e-12
+        assert abs(_pvalues_from_r(np.array([0.5, -0.5]), 20) - expect).max() < 1e-12
 
 
 class TestBhAdjust:
@@ -276,12 +296,40 @@ class TestBuildConstraints:
         data = continuous_dataset(
             np.column_stack([parents, out]), [f"g{i}" for i in range(6)] + ["out"]
         )
-        opts = ScreenOptions(
-            mode="phenotype", alpha=0.01, outcome="out", levels=2, top_k=3
-        )
+        # p-values fall as |r| rises, so both cutoffs keep the three largest |r|
+        r = [abs(np.corrcoef(parents[:, i], out)[0, 1]) for i in range(6)]
+        strongest = {f"g{i}" for i in np.argsort(r)[-3:]}
+        for cutoff in ({"alpha": 0.01}, {"corr_cutoff": 0.05}):
+            opts = ScreenOptions(
+                mode="phenotype", outcome="out", levels=2, top_k=3, **cutoff
+            )
+            constraints, reduced = build_constraints(data, opts, indegree=2)
+            io = reduced.index_of("out")
+            kept = {reduced.names[i] for i in constraints.pp[io]}
+            assert kept == strongest
+
+    def test_phenotype_top_k_survival_fits_each_candidate_once(self, monkeypatch):
+        import bndp.assoc
+
+        rng = np.random.default_rng(43)
+        n = 300
+        genes = rng.standard_normal((n, 5))
+        time, status = simulate_survival(genes @ np.array([1.0, 0.8, 0.6, 0.0, 0.0]), seed=43)
+        cols = [Column(f"g{i}", "continuous", genes[:, i].copy()) for i in range(5)]
+        data = Dataset(cols + [Column("os", "survival", np.column_stack([time, status]))])
+        fits = []
+        real_fit = bndp.assoc.cox_fit
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(bndp.assoc, "cox_fit", counting_fit)
+        opts = ScreenOptions(mode="phenotype", alpha=0.01, outcome="os", levels=2, top_k=2)
         constraints, reduced = build_constraints(data, opts, indegree=2)
-        io = reduced.index_of("out")
-        assert constraints.pp[io].count() == 3
+        io = reduced.index_of("os")
+        assert {reduced.names[i] for i in constraints.pp[io]} == {"g0", "g1"}
+        assert len(fits) == 5  # one univariate fit per candidate, none repeated
 
     def test_single_column(self):
         data = continuous_dataset(np.random.default_rng(0).standard_normal((30, 1)))

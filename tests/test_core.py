@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from bndp.core import (
     ParentConstraints,
     StructureError,
     skeleton,
+    subsets_up_to,
     validate_dag,
 )
 
@@ -68,6 +71,26 @@ class TestNodeSubset:
     def test_negative_index_rejected(self):
         with pytest.raises(StructureError):
             NodeSubset.from_indices([-1])
+
+
+class TestSubsetsUpTo:
+    @given(indices, st.integers(min_value=1, max_value=5))
+    def test_count_distinct_inside_and_ordered(self, members, d):
+        pool = int(NodeSubset.from_indices(members))
+        masks = list(subsets_up_to(pool, d))
+        k = len(members)
+        assert len(masks) == sum(math.comb(k, i) for i in range(min(d, k) + 1))
+        assert len(set(masks)) == len(masks)
+        assert all(m & ~pool == 0 and m.bit_count() <= d for m in masks)
+        # by size, then lexicographically by ascending member index
+        keys = [(m.bit_count(), sorted(NodeSubset(m))) for m in masks]
+        assert keys == sorted(keys)
+
+    def test_small_pool_order(self):
+        assert list(subsets_up_to(0b1011, 2)) == [
+            0, 0b0001, 0b0010, 0b1000, 0b0011, 0b1001, 0b1010
+        ]
+        assert list(subsets_up_to(0, 3)) == [0]
 
 
 class TestValidateDag:

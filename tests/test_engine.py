@@ -13,7 +13,6 @@ from bndp.engine import (
     best_sinks,
     enumerate_dags,
     exhaustive_search,
-    generational_expansion,
     learn,
     recover_networks,
 )
@@ -80,6 +79,34 @@ def brute_force_best(table, pool, d):
             elif abs(s - best) <= 1e-12:
                 best_masks.append(mask)
     return best, sorted(best_masks)
+
+
+def reachable_in_sweep_order(c, seed=0):
+    """The subsets ``best_sinks`` reaches, in the order it records them."""
+    local = random_local_table([int(m) for m in c.pp], c.indegree, np.random.default_rng(seed))
+    return list(best_sinks(best_parents(local, c), c, local).entries)
+
+
+def brute_reachable_and_maximal(pp, p):
+    """Reachable and maximal subsets, brute force from the definition.
+
+    A generational sequence is a node sequence, of any length, whose nodes
+    after the first each have a possible parent earlier in it. Reachable
+    subsets are the node sets of generational sequences; maximal ones are
+    the node set of no sequence's proper prefix.
+    """
+    reachable, prefixes = set(), set()
+    for k in range(1, p + 1):
+        for perm in itertools.permutations(range(p), k):
+            prefix = 0
+            for i, v in enumerate(perm):
+                if i > 0 and not (pp[v] & prefix):
+                    break
+                prefix |= 1 << v
+            else:
+                reachable.add(prefix)
+                prefixes.add(prefix ^ (1 << perm[-1]))
+    return reachable, reachable - prefixes
 
 
 def complete_generational_orderings(pp, p):
@@ -193,7 +220,7 @@ class TestBestParents:
 
 class TestGenerationalExpansion:
     def test_worked_example_lattice(self):
-        reach = {int(m) for m in generational_expansion(paper_constraints())}
+        reach = set(reachable_in_sweep_order(paper_constraints()))
 
         def mask(*xs):
             return sum(1 << x for x in xs)
@@ -218,27 +245,40 @@ class TestGenerationalExpansion:
 
     def test_complete_pp_all_subsets(self):
         c = ParentConstraints.complete(4, 3)
-        reach = list(generational_expansion(c))
+        reach = reachable_in_sweep_order(c)
         assert len(reach) == 2**4 - 1
         assert len(set(reach)) == len(reach)
 
     def test_empty_pp_only_singletons(self):
         c = ParentConstraints((NodeSubset(0),) * 3, indegree=1)
-        reach = list(generational_expansion(c))
-        assert sorted(int(m) for m in reach) == [1, 2, 4]
+        reach = reachable_in_sweep_order(c)
+        assert sorted(reach) == [1, 2, 4]
 
     def test_emitted_once_level_order(self):
         rng = np.random.default_rng(3)
         c = random_constraints(6, rng, density=0.5)
-        seen = list(generational_expansion(c))
+        seen = reachable_in_sweep_order(c)
         assert len(seen) == len(set(seen))
-        sizes = [m.count() for m in seen]
+        sizes = [m.bit_count() for m in seen]
         assert sizes == sorted(sizes)
 
     def test_cap_enforced(self):
         c = ParentConstraints.complete(10, 2)
-        with pytest.raises(EngineError):
-            list(generational_expansion(c, max_subsets=50))
+        local = random_local_table([int(m) for m in c.pp], 2, np.random.default_rng(0))
+        with pytest.raises(EngineError, match="cap"):
+            best_sinks(best_parents(local, c), c, local, max_subsets=50)
+
+    def test_reachable_and_maximal_match_brute_force(self):
+        for trial in range(40):
+            gen = np.random.default_rng(700 + trial)
+            p = int(gen.integers(2, 7))
+            c = random_constraints(p, gen, density=0.35)
+            pp = [int(m) for m in c.pp]
+            reachable, maximal = brute_reachable_and_maximal(pp, p)
+            local = random_local_table(pp, 2, gen)
+            bst = best_sinks(best_parents(local, c), c, local)
+            assert set(bst.entries) == reachable
+            assert sorted(bst.maximal) == sorted(maximal)
 
 
 # ---------------------------------------------------------------- best sinks
@@ -260,9 +300,20 @@ class TestBestSinks:
         for p, expected in ((3, 48), (4, 1536)):
             c = ParentConstraints.complete(p, p - 1)
             local = random_local_table([int(m) for m in c.pp], p - 1, rng)
-            bst = best_sinks(best_parents(local, c), c, local, instrument=True)
+            bst = best_sinks(best_parents(local, c), c, local)
+            # (ordering, parent-set) combinations through each subset: a
+            # sink s of W adds a free choice of parents within pp[s] & (W - s)
+            combos = {}
+            for w in bst.entries:
+                if w.bit_count() == 1:
+                    combos[w] = 1
+                    continue
+                combos[w] = sum(
+                    combos[w ^ (1 << s)] << (int(c.pp[s]) & (w ^ (1 << s))).bit_count()
+                    for s in NodeSubset(w)
+                )
             full = (1 << p) - 1
-            assert bst.combination_count(full) == expected
+            assert combos[full] == expected
             assert expected == math.factorial(p) * 2 ** math.comb(p, 2)
 
     def test_table_has_seven_entries_p3(self):
@@ -394,6 +445,29 @@ class TestRecoverNetworks:
         assert net.edges() == [(1, 0)]
         assert net.parents[2] == 0
 
+    def test_cover_disjoint_and_maximal(self):
+        # asymmetric constraints with the full set unreachable: the greedy
+        # cover must pick pairwise disjoint maximal reachable subsets
+        checked = 0
+        for trial in range(60):
+            gen = np.random.default_rng(800 + trial)
+            p = int(gen.integers(3, 7))
+            c = random_constraints(p, gen, density=0.3)
+            pp = [int(m) for m in c.pp]
+            reachable, maximal = brute_reachable_and_maximal(pp, p)
+            if (1 << p) - 1 in reachable:
+                continue
+            checked += 1
+            local = random_local_table(pp, 2, gen)
+            bpt = best_parents(local, c)
+            bst = best_sinks(bpt, c, local)
+            used = 0
+            for w in recover_networks(bst, bpt, c, local, cap=0).covered:
+                assert w & used == 0
+                assert w in maximal
+                used |= w
+        assert checked >= 30
+
     def test_cap_truncation(self):
         # many exactly tied optima from symmetric structure
         rng = np.random.default_rng(10)
@@ -419,7 +493,7 @@ class TestOrderingSemantics:
             c = random_constraints(p, gen, density=0.45)
             pp = [int(m) for m in c.pp]
             orderings = complete_generational_orderings(pp, p)
-            reach = {int(m) for m in generational_expansion(c)}
+            reach = set(reachable_in_sweep_order(c, seed=trial))
             # walk every path through the emitted lattice
             paths = []
 
@@ -537,6 +611,7 @@ class TestLearn:
 
     def test_dp_equals_oracle_small(self):
         rng = np.random.default_rng(17)
+        compared = 0
         for trial in range(15):
             gen = np.random.default_rng(500 + trial)
             p = int(gen.integers(2, 6))
@@ -552,6 +627,14 @@ class TestLearn:
             )
             got = res.networks[0].total_score
             assert abs(got - oracle.optimal_score) <= 1e-9 * max(1.0, abs(got))
+            generational = exhaustive_search(
+                res.data, ScoreConfig("bic"), 2, res.constraints, generational_only=True
+            )
+            if not (res.truncated or generational.truncated):
+                compared += 1
+                got_set = {net.parents for net in res.networks}
+                assert got_set == {net.parents for net in generational.networks}
+        assert compared >= 10
 
     def test_survival_sink_equals_oracle(self):
         # Cox screening and Cox-BIC scores end to end: the survival node is

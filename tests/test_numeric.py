@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import bndp.numeric
 from bndp.numeric import (
+    ConvergenceError,
     NumericError,
     SeparationError,
     _cox_loglik_derivs,
@@ -399,6 +401,34 @@ class TestCoxFit:
         x = np.arange(n, dtype=float)[:, None]
         with pytest.raises(SeparationError):
             cox_fit(time, status, x / x.std())
+
+    def test_failed_line_search_raises(self, monkeypatch):
+        # With the gradient's sign flipped every Newton step points downhill,
+        # so no halving is accepted: the fit must fail, not stop at beta = 0.
+        real = bndp.numeric._cox_loglik_derivs
+
+        def uphill_gradient(*args, **kwargs):
+            ll, grad, hess = real(*args, **kwargs)
+            return ll, None if grad is None else -grad, hess
+
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(200)
+        time, status = simulate_survival(1.0 * x, seed=5)
+        monkeypatch.setattr(bndp.numeric, "_cox_loglik_derivs", uphill_gradient)
+        with pytest.raises(ConvergenceError) as info:
+            cox_fit(time, status, x[:, None])
+        assert np.all(info.value.last_beta == 0.0)
+
+    def test_line_search_slack_scales_with_loglik(self):
+        # |ll| near 6000: rounding in the likelihood is far above 1e-12, and
+        # the fit must still converge to the stationary point.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1000, 2))
+        time, status = simulate_survival(x @ [0.4, -0.2], seed=6)
+        fit = cox_fit(time, status, x)
+        assert abs(fit.log_likelihood) > 1000
+        score = fd_gradient(lambda b: naive_cox_loglik(b, time, status, x), fit.coefficients)
+        assert np.max(np.abs(score)) < 1e-4
 
     def test_requires_event(self):
         with pytest.raises(NumericError):
