@@ -4,6 +4,13 @@ Pairwise Pearson tests with an FDR (Benjamini-Hochberg) or correlation
 cutoff define possible-parent sets; a survival outcome is screened with
 univariate Cox regressions instead. Phenotype-driven mode restricts
 screening to two or three ancestor levels of a designated outcome.
+
+Every correlation comes from one kernel, ``_corr_against``, and every
+test passes or fails in one cutoff step, ``_passes``, applied once per
+BH family. The families are: all unordered pairs of non-survival columns
+(all-pairs mode); the survival column's Cox tests (all-pairs mode); and
+all tests of one level (phenotype mode). A test on a constant column is
+undefined: it stays in its family with p = 1 and never passes.
 """
 
 from __future__ import annotations
@@ -132,19 +139,26 @@ def _encoded_matrix(data: Dataset) -> tuple[np.ndarray, list[int]]:
     return M, idx
 
 
-def _corr_against(y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Correlation of ``y`` with each column of ``M``; NaN where undefined."""
-    n = y.shape[0]
-    yc = y - y.mean()
-    sy = float(yc @ yc)
+def _constant(M: np.ndarray) -> np.ndarray:
+    """Columns of ``M`` whose values are all equal."""
+    return np.ptp(M, axis=0) == 0
+
+
+def _corr_against(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Correlation of each column of ``Y`` with each column of ``M``.
+
+    Returns a ``Y.shape[1]`` by ``M.shape[1]`` matrix, NaN where either
+    column is constant.
+    """
+    Yc = Y - Y.mean(axis=0)
     Mc = M - M.mean(axis=0)
+    sy = np.einsum("ij,ij->j", Yc, Yc)
     sm = np.einsum("ij,ij->j", Mc, Mc)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = (yc @ Mc) / np.sqrt(sy * sm)
-    if sy == 0.0:
-        r[:] = np.nan
-    r[sm == 0.0] = np.nan
-    return np.clip(r, -1.0, 1.0)
+        R = (Yc.T @ Mc) / np.sqrt(np.outer(sy, sm))
+    R[_constant(Y), :] = np.nan
+    R[:, _constant(M)] = np.nan
+    return np.clip(R, -1.0, 1.0)
 
 
 def _pvalues_from_r(r: np.ndarray, n: int) -> np.ndarray:
@@ -164,6 +178,28 @@ def _pvalues_from_r(r: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _statistic(r: np.ndarray, n: int, opts: ScreenOptions) -> np.ndarray:
+    """Screening statistic of correlations ``r``: the p-value under
+    ``alpha``, |r| under ``corr_cutoff``; NaN where r is undefined."""
+    stat = _pvalues_from_r(r, n) if opts.alpha is not None else np.abs(r)
+    stat[np.isnan(r)] = np.nan
+    return stat
+
+
+def _passes(stat: np.ndarray, opts: ScreenOptions) -> np.ndarray:
+    """The cutoff step: BH-adjusted p <= ``alpha``, or |r| >= ``corr_cutoff``.
+
+    ``stat`` is one BH family. An undefined test (NaN) stays in its
+    family with p = 1 and never passes.
+    """
+    defined = ~np.isnan(stat)
+    if opts.alpha is not None:
+        keep = bh_adjust(np.where(defined, stat, 1.0)) <= opts.alpha
+    else:
+        keep = np.where(defined, stat, -1.0) >= opts.corr_cutoff
+    return keep & defined
+
+
 def build_constraints(
     data: Dataset, opts: ScreenOptions, indegree: int
 ) -> tuple[ParentConstraints, Dataset]:
@@ -174,18 +210,23 @@ def build_constraints(
     but never appears in another node's possible-parent set, and the
     survival column can only ever be a sink.
     """
+    outcome_idx = data.index_of(opts.outcome) if opts.outcome is not None else data.survival_index
     if opts.user_pp is not None:
         pp = _pp_from_user(data, opts.user_pp)
     elif data.p == 1:
         pp = [0]
-    elif opts.mode == "all_pairs":
-        pp = _screen_all_pairs(data, opts)
     else:
-        pp = _screen_phenotype(data, opts)
-
-    outcome_idx = data.index_of(opts.outcome) if opts.outcome is not None else None
-    if outcome_idx is None and data.survival_index is not None:
-        outcome_idx = data.survival_index
+        M, idx = _encoded_matrix(data)
+        for k in np.nonzero(_constant(M))[0]:
+            warnings.warn(
+                f"column {data.column(idx[k]).name!r} is constant; treated as unassociated",
+                ScreeningWarning,
+                stacklevel=2,
+            )
+        if opts.mode == "all_pairs":
+            pp = _screen_all_pairs(data, opts, outcome_idx)
+        else:
+            pp = _screen_phenotype(data, opts)
 
     members = 0
     for m in pp:
@@ -202,15 +243,7 @@ def build_constraints(
         )
 
     dense = {orig: k for k, orig in enumerate(feas)}
-    reduced_pp = []
-    for orig in feas:
-        mask = 0
-        m = pp[orig]
-        while m:
-            lsb = m & -m
-            mask |= 1 << dense[lsb.bit_length() - 1]
-            m ^= lsb
-        reduced_pp.append(NodeSubset(mask))
+    reduced_pp = [NodeSubset(sum(1 << dense[j] for j in NodeSubset(pp[orig]))) for orig in feas]
     constraints = ParentConstraints(tuple(reduced_pp), indegree)
     return constraints, data.restrict(feas)
 
@@ -231,61 +264,26 @@ def _pp_from_user(data: Dataset, user_pp: dict[str, list[str]]) -> list[int]:
     return pp
 
 
-def _screen_all_pairs(data: Dataset, opts: ScreenOptions) -> list[int]:
+def _screen_all_pairs(data: Dataset, opts: ScreenOptions, outcome_idx: int | None) -> list[int]:
+    """Test every unordered pair of non-survival columns as one BH family;
+    the survival column's Cox tests form a family of their own. The
+    outcome never becomes a parent."""
     M, idx = _encoded_matrix(data)
-    n = data.n_rows
-    outcome_idx = data.index_of(opts.outcome) if opts.outcome is not None else None
-    if outcome_idx is None:
-        outcome_idx = data.survival_index
-
-    q = len(idx)
-    pairs: list[tuple[int, int]] = []
-    rvals: list[float] = []
-    if q >= 2:
-        sd = M.std(axis=0)
-        for c in np.nonzero(sd == 0)[0]:
-            warnings.warn(
-                f"column {data.column(idx[c]).name!r} is constant; "
-                "treated as unassociated",
-                ScreeningWarning,
-                stacklevel=3,
-            )
-        with np.errstate(invalid="ignore"):
-            R = np.corrcoef(M, rowvar=False)
-        for a in range(q):
-            for b in range(a + 1, q):
-                r = R[a, b]
-                pairs.append((idx[a], idx[b]))
-                rvals.append(r if np.isfinite(r) else np.nan)
-
+    rows, cols = np.triu_indices(len(idx), k=1)
+    r = _corr_against(M, M)[rows, cols]
+    keep = _passes(_statistic(r, data.n_rows, opts), opts)
     pp = [0] * data.p
-    if pairs:
-        r_arr = np.array(rvals)
-        if opts.alpha is not None:
-            pv = _pvalues_from_r(r_arr, n)
-            pv[~np.isfinite(r_arr)] = 1.0
-            keep = bh_adjust(pv) <= opts.alpha
-        else:
-            keep = np.abs(np.nan_to_num(r_arr)) >= opts.corr_cutoff
-        for (a, b), ok in zip(pairs, keep):
-            if not ok:
-                continue
-            if a != outcome_idx:
-                pp[b] |= 1 << a
-            if b != outcome_idx:
-                pp[a] |= 1 << b
+    for a, b in zip(rows[keep], cols[keep]):
+        a, b = idx[a], idx[b]
+        if a != outcome_idx:
+            pp[b] |= 1 << a
+        if b != outcome_idx:
+            pp[a] |= 1 << b
 
-    if data.survival_index is not None and data.p > 1:
-        if opts.alpha is None:
-            raise AssocError(
-                "a survival outcome is screened by Cox p-values; "
-                "use the alpha cutoff instead of corr_cutoff"
-            )
-        cands = [i for i in range(data.p) if i != data.survival_index]
-        pv = bh_adjust(cox_screen(data, data.survival_index, cands))
-        for i, ok in zip(cands, pv <= opts.alpha):
-            if ok:
-                pp[data.survival_index] |= 1 << i
+    s = data.survival_index
+    if s is not None:
+        found, _ = _screen_level(data, [s], {s}, opts)
+        pp[s] = found[s]
     return pp
 
 
@@ -299,50 +297,34 @@ def _screen_level(
 
     Returns the kept candidates per target as a bitmask, and the
     statistic of every (target, candidate) test: the unadjusted p-value
-    under ``alpha``, |r| under ``corr_cutoff``.
+    under ``alpha``, |r| under ``corr_cutoff``, NaN where undefined.
     """
     M, idx = _encoded_matrix(data)
-    n = data.n_rows
+    constant = _constant(M)
     tests: list[tuple[int, int]] = []
-    stats: list[float] = []
+    stats: list[np.ndarray] = []
     for t in targets:
-        col = data.column(t)
-        if col.kind == SURVIVAL:
+        cands = [k for k, i in enumerate(idx) if i != t and i not in excluded]
+        if data.column(t).kind == SURVIVAL:
             if opts.alpha is None:
                 raise AssocError(
                     "a survival outcome is screened by Cox p-values; "
                     "use the alpha cutoff instead of corr_cutoff"
                 )
-            cands = [i for i in idx if i != t and i not in excluded]
-            pv = cox_screen(data, t, cands)
-            for i, p in zip(cands, pv):
-                tests.append((t, i))
-                stats.append(p)
-            continue
-        y = data.numeric_values(t)
-        r = _corr_against(y, M)
-        pv = _pvalues_from_r(r, n) if opts.alpha is not None else None
-        for k, i in enumerate(idx):
-            if i == t or i in excluded:
-                continue
-            tests.append((t, i))
-            if pv is not None:
-                stats.append(pv[k])
-            else:
-                stats.append(abs(r[k]) if np.isfinite(r[k]) else 0.0)
+            stat = cox_screen(data, t, [idx[k] for k in cands])
+            stat[constant[cands]] = np.nan
+        else:
+            r = _corr_against(data.numeric_values(t)[:, None], M)[0]
+            stat = _statistic(r, data.n_rows, opts)[cands]
+        tests += [(t, idx[k]) for k in cands]
+        stats.append(stat)
 
     result: dict[int, int] = {t: 0 for t in targets}
-    if not tests:
-        return result, {}
-    arr = np.array(stats)
-    if opts.alpha is not None:
-        keep = bh_adjust(arr) <= opts.alpha
-    else:
-        keep = arr >= opts.corr_cutoff
-    for (t, i), ok in zip(tests, keep):
+    stat = np.concatenate(stats)
+    for (t, i), ok in zip(tests, _passes(stat, opts)):
         if ok:
             result[t] |= 1 << i
-    return result, dict(zip(tests, stats))
+    return result, dict(zip(tests, stat.tolist()))
 
 
 def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:

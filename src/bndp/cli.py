@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -230,16 +231,22 @@ def read_edge_names(path: str | Path) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------- learn
 
 
-def _screen_options(args: argparse.Namespace) -> ScreenOptions:
-    user_pp = load_pp_file(args.pp_file) if args.pp_file else None
+def _screen_options(
+    args: argparse.Namespace,
+    default_alpha: float,
+    outcome: str | None,
+    user_pp: dict[str, list[str]] | None = None,
+) -> ScreenOptions:
+    """Screening options of ``learn`` and ``bench``; ``default_alpha``
+    applies when neither cutoff nor possible-parent sets are given."""
     alpha = args.alpha
     if alpha is None and args.corr_cutoff is None and user_pp is None:
-        alpha = 0.05
+        alpha = default_alpha
     return ScreenOptions(
         mode="phenotype" if args.phenotype else "all_pairs",
         alpha=alpha,
         corr_cutoff=args.corr_cutoff,
-        outcome=args.outcome,
+        outcome=outcome,
         levels=args.levels,
         top_k=args.top_k,
         user_pp=user_pp,
@@ -248,7 +255,8 @@ def _screen_options(args: argparse.Namespace) -> ScreenOptions:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     data = load_dataset(args.data, args.schema)
-    opts = _screen_options(args)
+    user_pp = load_pp_file(args.pp_file) if args.pp_file else None
+    opts = _screen_options(args, 0.05, args.outcome, user_pp)
     cfg = ScoreConfig(family=args.score)
     result = learn(
         data,
@@ -299,25 +307,27 @@ def _default_roles(p: int) -> tuple[int, int, int, int]:
     return p0, p1, p2, p3
 
 
-def _spec_from_args(args: argparse.Namespace) -> SimSpec:
-    if args.p0 is None or args.p1 is None or args.p2 is None or args.p3 is None:
-        p0, p1, p2, p3 = _default_roles(args.p)
-    else:
-        p0, p1, p2, p3 = args.p0, args.p1, args.p2, args.p3
+def _sim_spec(
+    args: argparse.Namespace,
+    p: int,
+    n: int,
+    seed: int,
+    roles: tuple[int, int, int, int] | None = None,
+) -> SimSpec:
+    """The simulation spec of ``simulate`` and of each ``bench`` replicate.
+
+    ``roles`` defaults to :func:`_default_roles`; ``--effect`` is a fixed
+    value or a ``low,high`` range.
+    """
     effect = tuple(float(x) for x in args.effect.split(","))
-    if len(effect) == 1:
-        effect = effect[0]
     return SimSpec(
-        p=args.p,
-        p0=p0,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        n=args.n,
-        effect_size=effect,
+        p,
+        *(roles or _default_roles(p)),
+        n=n,
+        effect_size=effect[0] if len(effect) == 1 else effect,
         noise_sd=args.noise_sd,
         max_parents=args.max_parents,
-        seed=args.seed,
+        seed=seed,
     )
 
 
@@ -331,7 +341,8 @@ def write_data_csv(path: Path, data: Dataset) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    roles = (args.p0, args.p1, args.p2, args.p3)
+    spec = _sim_spec(args, args.p, args.n, args.seed, None if None in roles else roles)
     dag = simulate_dag(spec)
     data = simulate_data(dag, spec)
     outdir = Path(args.out)
@@ -419,37 +430,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bench
 
 
-def _bench_one(job: dict) -> tuple[dict, dict | None, str | None]:
-    """One benchmark replicate; returns (job, row or None, error or None)."""
-    spec = SimSpec(**job["spec"])
+def _bench_one(
+    args: argparse.Namespace, spec: SimSpec, replicate: int
+) -> tuple[dict | None, str | None]:
+    """One benchmark replicate; returns (row or None, error or None)."""
     dag = simulate_dag(spec)
     data = simulate_data(dag, spec)
     outcome = None
-    if job["mode"] == "phenotype":
+    if args.phenotype:
         sinks = [i for i, r in enumerate(dag.roles) if r == SINK]
         if not sinks:
-            return job, None, "no sink node available for phenotype mode"
+            return None, "no sink node available for phenotype mode"
         outcome = data.names[sinks[0]]
-    opts = ScreenOptions(
-        mode=job["mode"],
-        alpha=job["alpha"],
-        corr_cutoff=job["corr_cutoff"],
-        outcome=outcome,
-        levels=job["levels"],
-        top_k=job["top_k"],
-    )
-    cfg = ScoreConfig(family=job["family"])
+    opts = _screen_options(args, BENCH_ALPHA, outcome)
+    cfg = ScoreConfig(family=args.score)
     t0 = time.perf_counter()
     try:
         result = learn(
             data,
             opts,
             cfg,
-            indegree=job["indegree"],
-            max_subsets=job["max_subsets"],
+            indegree=args.indegree,
+            max_subsets=args.max_subsets,
         )
     except (AssocError, NumericError, EngineError, ScoringError) as exc:
-        return job, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
     runtime_ms = (time.perf_counter() - t0) * 1000.0
 
     orig_index = {name: i for i, name in enumerate(data.names)}
@@ -464,69 +469,37 @@ def _bench_one(job: dict) -> tuple[dict, dict | None, str | None]:
         {
             "p": spec.p,
             "N": spec.n,
-            "replicate": job["replicate"],
-            "score_family": job["family"],
+            "replicate": replicate,
+            "score_family": args.score,
             "runtime_ms": round(runtime_ms, 3),
         }
     )
-    return job, row, None
+    return row, None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     p_grid = [int(x) for x in args.p_grid.split(",")]
     n_grid = [int(x) for x in args.n_grid.split(",")]
-    alpha = args.alpha
-    if alpha is None and args.corr_cutoff is None:
-        alpha = BENCH_ALPHA
-
-    jobs = []
+    specs, reps = [], []
     for ci, p in enumerate(p_grid):
         for cj, n in enumerate(n_grid):
-            p0, p1, p2, p3 = _default_roles(p)
             for rep in range(args.replicates):
                 seed = args.seed + 7919 * (ci * len(n_grid) + cj) + rep
-                effect = tuple(float(x) for x in args.effect.split(","))
-                if len(effect) == 1:
-                    effect = effect[0]
-                jobs.append(
-                    {
-                        "spec": {
-                            "p": p,
-                            "p0": p0,
-                            "p1": p1,
-                            "p2": p2,
-                            "p3": p3,
-                            "n": n,
-                            "effect_size": effect,
-                            "noise_sd": args.noise_sd,
-                            "max_parents": args.max_parents,
-                            "seed": seed,
-                        },
-                        "mode": "phenotype" if args.phenotype else "all_pairs",
-                        "alpha": alpha,
-                        "corr_cutoff": args.corr_cutoff,
-                        "levels": args.levels,
-                        "top_k": args.top_k,
-                        "family": args.score,
-                        "indegree": args.indegree,
-                        "max_subsets": args.max_subsets,
-                        "replicate": rep,
-                    }
-                )
+                specs.append(_sim_spec(args, p, n, seed))
+                reps.append(rep)
 
+    run = functools.partial(_bench_one, args)
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_bench_one, jobs))
+            results = list(pool.map(run, specs, reps))
     else:
-        results = [_bench_one(job) for job in jobs]
+        results = list(map(run, specs, reps))
 
     rows = []
-    for job, row, err in results:
+    for spec, rep, (row, err) in zip(specs, reps, results):
         if err is not None:
-            spec = job["spec"]
             print(
-                f"replicate failed (p={spec['p']}, N={spec['n']}, "
-                f"rep={job['replicate']}): {err}",
+                f"replicate failed (p={spec.p}, N={spec.n}, rep={rep}): {err}",
                 file=sys.stderr,
             )
             continue
@@ -572,21 +545,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _summarize(rows: list[dict]) -> list[list]:
+    """Mean and sd of each metric per (p, N) cell, then over all rows."""
     cells: dict[tuple, list[dict]] = {}
     for row in rows:
         cells.setdefault((row["p"], row["N"]), []).append(row)
-    out = []
-    metrics = BENCH_HEADER[4:8]
-    for (p, n), group in sorted(cells.items()):
-        line: list = [p, n, len(group)]
-        for m in metrics:
-            vals = np.array([g[m] for g in group], dtype=float)
-            line += [round(float(vals.mean()), 6), round(float(vals.std()), 6)]
-        out.append(line)
+    groups = sorted(cells.items())
     if rows:
-        line = ["all", "all", len(rows)]
-        for m in metrics:
-            vals = np.array([g[m] for g in rows], dtype=float)
+        groups.append((("all", "all"), rows))
+    out = []
+    for (p, n), group in groups:
+        line: list = [p, n, len(group)]
+        for m in BENCH_HEADER[4:8]:
+            vals = np.array([g[m] for g in group], dtype=float)
             line += [round(float(vals.mean()), 6), round(float(vals.std()), 6)]
         out.append(line)
     return out

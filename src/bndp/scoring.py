@@ -29,6 +29,9 @@ NEG_INF = float("-inf")
 
 # relative residual-variance floor below which a Gaussian fit is degenerate
 _DEGENERATE_REL = 1e-12
+# the normal equations lose about log10(syy / rss) of their ~16 digits;
+# below this residual share the direct least-squares path scores the fit
+_GRAM_MIN_REL = 1e-6
 
 
 class ScoringError(ValueError):
@@ -300,50 +303,41 @@ def _gaussian_gram_scores(
 ) -> list[dict[int, float]]:
     """BIC scores for continuous nodes via normal equations on one Gram matrix.
 
-    Falls back to the direct least-squares path when a subproblem is
-    ill-conditioned, so results match :func:`bic_gaussian`.
+    Columns are centred, which absorbs the intercept. Each is first
+    shifted by its first value, so a constant column centres to exact
+    zeros and a large mean costs no precision. A fit whose residual is
+    within rounding of zero (or whose parents are collinear) is scored by
+    :func:`bic_gaussian` instead, so results match it.
     """
     n = data.n_rows
     p = data.p
-    M = np.zeros((n, p + 1))
-    M[:, 0] = 1.0
+    M = np.zeros((n, p))
     for j in range(p):
         if data.column(j).kind != SURVIVAL:
-            M[:, j + 1] = data.numeric_values(j)
+            M[:, j] = data.numeric_values(j)
+    M -= M[0]
+    M -= M.mean(axis=0)
     G = M.T @ M
     log_n = math.log(n)
     d = constraints.indegree
     out: list[dict[int, float]] = [{} for _ in range(p)]
     for i in nodes:
-        y_idx = i + 1
-        syy = G[y_idx, y_idx] - G[0, y_idx] ** 2 / n
-        var_y = syy / n
+        syy = G[i, i]
         table: dict[int, float] = {}
         for mask in subsets_up_to(constraints.pp[i], d):
-            cols = [0] + [j + 1 for j in NodeSubset(mask)]
-            sub = G[np.ix_(cols, cols)]
-            rhs = G[cols, y_idx]
-            try:
-                chol = np.linalg.cholesky(sub)
-                z = np.linalg.solve(chol, rhs)
-                rss = float(G[y_idx, y_idx] - z @ z)
-            except np.linalg.LinAlgError:
-                rss = None
-            if rss is None or rss < -1e-6 * max(G[y_idx, y_idx], 1.0):
+            cols = list(NodeSubset(mask))
+            rss = syy
+            if cols:
+                try:
+                    z = np.linalg.solve(np.linalg.cholesky(G[np.ix_(cols, cols)]), G[cols, i])
+                    rss -= float(z @ z)
+                except np.linalg.LinAlgError:
+                    rss = 0.0
+            if rss <= _GRAM_MIN_REL * syy:
                 table[mask] = bic_gaussian(i, mask, data)
                 continue
-            rss = max(rss, 0.0)
-            sigma2 = rss / n
-            if sigma2 <= _DEGENERATE_REL * max(var_y, 1e-300):
-                warnings.warn(
-                    f"degenerate Gaussian fit for node {i} (zero residual variance)",
-                    ScoringWarning,
-                    stacklevel=3,
-                )
-                table[mask] = NEG_INF
-                continue
-            ll = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0)
-            table[mask] = ll - 0.5 * (mask.bit_count() + 2) * log_n
+            ll = -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
+            table[mask] = ll - 0.5 * (len(cols) + 2) * log_n
         out[i] = table
     return out
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def continuous_dataset(matrix, names=None):
 
 def corr_one(x, y):
     """Pearson r of two vectors through the screening kernel."""
-    return float(_corr_against(np.asarray(y, dtype=float), np.asarray(x, dtype=float)[:, None])[0])
+    return float(_corr_against(np.asarray(y, dtype=float)[:, None], np.asarray(x, dtype=float)[:, None])[0, 0])
 
 
 def pvalue_one(x, y):
@@ -51,16 +52,16 @@ class TestPearson:
         direct = np.cov(x, y, bias=True)[0, 1] / (x.std() * y.std())
         assert abs(corr_one(x, y) - direct) < 1e-10
         M = rng.standard_normal((100, 4))
-        r = _corr_against(y, M)
+        r = _corr_against(y[:, None], M)[0]
         for k in range(4):
             assert abs(r[k] - np.corrcoef(M[:, k], y)[0, 1]) < 1e-12
 
     def test_constant_rejected(self):
         # a constant column, or a constant target, has no correlation and p = 1
         M = np.column_stack([np.ones(5), np.arange(5.0)])
-        r = _corr_against(np.array([1.0, 3.0, 2.0, 5.0, 4.0]), M)
+        r = _corr_against(np.array([[1.0], [3.0], [2.0], [5.0], [4.0]]), M)[0]
         assert np.isnan(r[0]) and np.isfinite(r[1])
-        assert np.all(np.isnan(_corr_against(np.ones(5), M)))
+        assert np.all(np.isnan(_corr_against(np.ones((5, 1)), M)))
         assert _pvalues_from_r(r, 5)[0] == 1.0
 
 
@@ -403,3 +404,142 @@ def test_duality_invariant_after_screening(seed):
         assert i not in constraints.pp[i]
         for j in range(q):
             assert (j in constraints.pp[i]) == (i in constraints.po[j])
+
+
+def _chain_with_constant(k_value, n=300, seed=17):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n)
+    b = a + 0.7 * rng.standard_normal(n)
+    c = b + 0.7 * rng.standard_normal(n)
+    return continuous_dataset(
+        np.column_stack([a, b, c, np.full(n, k_value)]), ["A", "B", "C", "K"]
+    )
+
+
+@pytest.mark.parametrize("k_value", [1.0, 0.1])
+@pytest.mark.parametrize(
+    "opts",
+    [
+        ScreenOptions(corr_cutoff=0.0),
+        ScreenOptions(alpha=1.0),
+        ScreenOptions(mode="phenotype", outcome="C", alpha=1.0, levels=2),
+        ScreenOptions(mode="phenotype", outcome="C", alpha=1.0, levels=3),
+        ScreenOptions(mode="phenotype", outcome="C", corr_cutoff=0.0, levels=3),
+    ],
+)
+def test_constant_column_never_passes(k_value, opts):
+    # 0.1 is not the mean of its own copies in floating point, so centring
+    # alone leaves a tiny nonzero spread; it must still count as constant
+    data = _chain_with_constant(k_value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        constraints, reduced = build_constraints(data, opts, indegree=2)
+    assert "K" not in reduced.names
+    assert set(reduced.names) == {"A", "B", "C"}
+    k_warnings = [w for w in caught if issubclass(w.category, ScreeningWarning)]
+    assert len(k_warnings) == 1 and "'K' is constant" in str(k_warnings[0].message)
+
+
+def test_constant_column_never_passes_cox():
+    rng = np.random.default_rng(23)
+    n = 300
+    x = rng.standard_normal(n)
+    y = x + 0.7 * rng.standard_normal(n)
+    time, status = simulate_survival(0.8 * x, seed=23)
+    data = Dataset(
+        [
+            Column("x", "continuous", x),
+            Column("y", "continuous", y),
+            Column("K", "continuous", np.full(n, 0.1)),
+            Column("os", "survival", np.column_stack([time, status])),
+        ]
+    )
+    for mode in ("all_pairs", "phenotype"):
+        opts = ScreenOptions(mode=mode, alpha=1.0, outcome="os", levels=2)
+        with pytest.warns(ScreeningWarning, match="'K' is constant"):
+            constraints, reduced = build_constraints(data, opts, indegree=2)
+        assert reduced.names == ("x", "y", "os")
+
+
+def _oracle_pp(X, opts, outcome=None):
+    """Possible parents by brute force: scipy's pearsonr per test and a
+    BH step-up over each family, written out here."""
+    from scipy.stats import pearsonr
+
+    p = X.shape[1]
+    constant = [np.ptp(X[:, i]) == 0 for i in range(p)]
+
+    def stat(i, j):
+        if constant[i] or constant[j]:
+            return math.nan
+        r, pv = pearsonr(X[:, i], X[:, j])
+        return pv if opts.alpha is not None else abs(r)
+
+    def kept(family):
+        """The tests of ``family`` (key, statistic) that pass."""
+        if opts.alpha is None:
+            return {key for key, s in family if s >= opts.corr_cutoff}
+        ps = [1.0 if math.isnan(s) else s for _, s in family]
+        m = len(ps)
+        order = sorted(range(m), key=lambda k: ps[k])
+        n_reject = max(
+            (rank + 1 for rank, k in enumerate(order) if ps[k] <= (rank + 1) * opts.alpha / m),
+            default=0,
+        )
+        return {family[k][0] for k in order[:n_reject] if not math.isnan(family[k][1])}
+
+    pp = [set() for _ in range(p)]
+    if opts.mode == "all_pairs":
+        for i, j in kept([((i, j), stat(i, j)) for i in range(p) for j in range(i + 1, p)]):
+            if i != outcome:
+                pp[j].add(i)
+            if j != outcome:
+                pp[i].add(j)
+        return pp
+    frontier, assigned = [outcome], set()
+    for _ in range(opts.levels):
+        targets = [t for t in frontier if t not in assigned]
+        if not targets:
+            break
+        found = kept([((t, i), stat(t, i)) for t in targets for i in range(p) if i not in (t, outcome)])
+        for t, i in found:
+            pp[t].add(i)
+        assigned.update(targets)
+        frontier = sorted({i for _, i in found})
+    return pp
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "opts",
+    [
+        ScreenOptions(alpha=0.05),
+        ScreenOptions(corr_cutoff=0.2),
+        ScreenOptions(mode="phenotype", outcome="V6", alpha=0.05, levels=2),
+        ScreenOptions(mode="phenotype", outcome="V6", alpha=0.05, levels=3),
+        ScreenOptions(mode="phenotype", outcome="V6", corr_cutoff=0.2, levels=3),
+    ],
+)
+def test_screening_matches_oracle(seed, opts):
+    rng = np.random.default_rng(seed)
+    n = 120
+    X = rng.standard_normal((n, 8))
+    X[:, 1] += 0.5 * X[:, 0]
+    X[:, 2] += 0.3 * X[:, 1]
+    X[:, 4] += 0.4 * X[:, 2] - 0.3 * X[:, 3]
+    X[:, 6] += 0.3 * X[:, 4] + 0.25 * X[:, 5]
+    X[:, 7] = 2.5  # a constant column: one more test with p = 1 per family
+    data = continuous_dataset(X)
+    outcome = data.index_of(opts.outcome) if opts.outcome else None
+    expect = _oracle_pp(X, opts, outcome)
+    if not any(expect):
+        with pytest.raises(EmptyFeasSetError):
+            build_constraints(data, opts, indegree=2)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScreeningWarning)
+        constraints, reduced = build_constraints(data, opts, indegree=2)
+    got = [set() for _ in range(data.p)]
+    for k, mask in enumerate(constraints.pp):
+        got[data.index_of(reduced.names[k])] = {data.index_of(reduced.names[j]) for j in mask}
+    assert got == expect

@@ -323,3 +323,19 @@ class TestBenchCommand:
             ) == 0
             outs.append(out)
         assert normalized(outs[0]) == normalized(outs[1])
+
+    def test_threads_match_serial(self, tmp_path):
+        # the process pool gets the same specs and options as the serial loop
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"bench_t{threads}.csv"
+            summ = tmp_path / f"summary_t{threads}.csv"
+            assert run(
+                "bench", "--p-grid", "6,8", "--n-grid", "200", "--replicates", 2,
+                "--seed", 4, "--threads", threads, "--out", out, "--summary", summ,
+            ) == 0
+            outs.append((out, summ))
+        (a, sa), (b, sb) = outs
+        assert len(a.read_text().splitlines()) == 5
+        assert normalized(a) == normalized(b)
+        assert sa.read_text() == sb.read_text()

@@ -422,6 +422,40 @@ class TestComputeLocalScores:
                 direct = bic_gaussian(node, mask, data)
                 assert abs(score - direct) <= 1e-9 * max(1.0, abs(direct))
 
+    @pytest.mark.parametrize("mean", [0.0, 1e2, 1e4, 1e6, 1e8])
+    def test_gram_matches_direct_at_large_means(self, mean):
+        from bndp.engine import TIE_EPS
+
+        rng = np.random.default_rng(47)
+        n = 300
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        y = mean + a + 0.5 * rng.standard_normal(n)
+        data = cont(np.column_stack([a, b, y]))
+        # y - mean is exact (the operands are within a factor of two), so the
+        # shifted copy has the same scores; bic_gaussian's intercept design
+        # loses digits to a large mean, and on the copy it loses none
+        shifted = cont(np.column_stack([a, b, y - mean]))
+        table = compute_local_scores(data, ParentConstraints.complete(3, 2), ScoreConfig("bic"))
+        for node in range(3):
+            for mask, score in table.subsets(node).items():
+                direct = bic_gaussian(node, mask, shifted)
+                assert abs(score - direct) <= TIE_EPS * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 3.7, 1e6])
+    def test_gram_constant_column_matches_direct(self, value):
+        rng = np.random.default_rng(48)
+        n = 300
+        a = rng.standard_normal(n)
+        data = cont(np.column_stack([a, a + rng.standard_normal(n), np.full(n, value)]))
+        with pytest.warns(ScoringWarning, match="degenerate"):
+            table = compute_local_scores(data, ParentConstraints.complete(3, 2), ScoreConfig("bic"))
+        assert all(score == NEG_INF for score in table.subsets(2).values())
+        with pytest.warns(ScoringWarning):
+            for node in range(3):
+                for mask, score in table.subsets(node).items():
+                    direct = bic_gaussian(node, mask, data)
+                    assert score == direct or abs(score - direct) <= 1e-9 * abs(direct)
+
     def test_neg_inf_propagates_not_raises(self):
         rng = np.random.default_rng(44)
         x = rng.standard_normal(50)
