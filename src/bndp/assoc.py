@@ -104,8 +104,8 @@ def cox_screen(
 ) -> np.ndarray:
     """Likelihood-ratio chi-squared p-value per candidate, one at a time.
 
-    Failed fits are recorded as p = 1 with a warning so a screening run
-    never aborts.
+    A constant candidate is not fitted: its test is undefined (NaN). Failed
+    fits are recorded as p = 1 with a warning so a screening run never aborts.
     """
     col = data.column(outcome)
     if col.kind != SURVIVAL:
@@ -115,9 +115,10 @@ def cox_screen(
     pvals = np.ones(len(candidates))
     for k, i in enumerate(candidates):
         x = data.numeric_values(i)
-        sd = x.std()
-        if sd > 0:
-            x = (x - x.mean()) / sd
+        if _constant(x[:, None])[0]:
+            pvals[k] = np.nan
+            continue
+        x = (x - x.mean()) / x.std()
         try:
             fit = cox_fit(time, status, x[:, None])
         except NumericError as exc:
@@ -300,7 +301,6 @@ def _screen_level(
     under ``alpha``, |r| under ``corr_cutoff``, NaN where undefined.
     """
     M, idx = _encoded_matrix(data)
-    constant = _constant(M)
     tests: list[tuple[int, int]] = []
     stats: list[np.ndarray] = []
     for t in targets:
@@ -312,7 +312,6 @@ def _screen_level(
                     "use the alpha cutoff instead of corr_cutoff"
                 )
             stat = cox_screen(data, t, [idx[k] for k in cands])
-            stat[constant[cands]] = np.nan
         else:
             r = _corr_against(data.numeric_values(t)[:, None], M)[0]
             stat = _statistic(r, data.n_rows, opts)[cands]

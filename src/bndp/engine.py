@@ -3,8 +3,11 @@
 A subset of nodes is reachable when it can be built one node at a time,
 each added node having at least one possible parent already in the set.
 The search sweeps reachable subsets by cardinality, records best sinks,
-and recovers every optimal network by peeling sinks. An order-based
-exhaustive oracle over at most six nodes backs the tests.
+and recovers every optimal network by peeling sinks. Its inner step, the
+best parent set of s within ``pp[s] & (W - s)``, is a first-fit lookup
+in s's score-sorted parent sets (:class:`BestParentsTable` states the tie
+rule; the report's ``n_pools`` counts the pools it scored). An
+order-based exhaustive oracle over at most six nodes backs the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .scoring import (
 
 TIE_EPS = 1e-9
 DEFAULT_MAX_SUBSETS = 2_000_000
-_EAGER_POOL_BITS = 12
 
 
 class EngineError(RuntimeError):
@@ -60,90 +62,58 @@ def _best_subsets_in_pool(
 
 
 class BestParentsTable:
-    """Per node, the best parent subsets within each candidate pool.
+    """Best parent sets of each node within any pool of its possible parents.
 
-    Entries map a pool bitmask U (a subset of the node's possible
-    parents) to the highest local score over parent sets g with g a
-    subset of U and |g| bounded by the in-degree, together with every
-    attaining subset (ties kept within the relative tolerance).
-
-    Nodes with small possible-parent sets are tabulated up front by the
-    incremental lattice recurrence; larger ones are filled on demand by
-    direct enumeration, which is cheaper when only the pools that the
-    reachable subsets actually touch are needed.
+    Each node's parent sets are sorted once by score, best first. The best
+    score within a pool U is that of the first listed set g that fits,
+    ``g & ~U == 0`` (Yuan & Malone 2013, JAIR; Teyssier & Koller 2005, UAI).
+    Tie rule: the best sets within U are the maximum and every fitting set
+    within ``TIE_EPS`` of it, whatever the order of the list. They are found
+    by scanning on from the first fit and returned in ascending order.
+    Scores and tie sets are memoised per node and pool; :meth:`pool_count`
+    counts the pools scored.
     """
 
-    def __init__(
-        self,
-        local: LocalScoreTable,
-        constraints: ParentConstraints,
-        eager_bits: int = _EAGER_POOL_BITS,
-    ):
+    def __init__(self, local: LocalScoreTable, constraints: ParentConstraints):
         if local.n_nodes != constraints.n_nodes:
             raise EngineError("local-score table and constraints disagree on node count")
-        self._local = [local.subsets(i) for i in range(local.n_nodes)]
         self._pp = [int(m) for m in constraints.pp]
-        self._d = constraints.indegree
-        self._pools: list[dict[int, tuple[float, tuple[int, ...]]]] = [
-            {} for _ in range(local.n_nodes)
+        self._ranked = [
+            sorted(local.subsets(i).items(), key=lambda kv: -kv[1]) for i in range(local.n_nodes)
         ]
-        for i, mask in enumerate(self._pp):
-            if mask.bit_count() <= eager_bits:
-                self._build_eager(i)
+        self._pools: list[dict[int, float]] = [{} for _ in self._pp]
+        self._ties: list[dict[int, tuple[int, ...]]] = [{} for _ in self._pp]
 
-    def _build_eager(self, node: int) -> None:
-        """Tabulate every pool of ``node`` in lattice order.
-
-        best(U) combines the entries of U's maximal proper sub-pools
-        with U's own local score when it fits the in-degree bound.
-        """
-        local = self._local[node]
-        table = self._pools[node]
-        table[0] = (local[0], (0,))
-        pools = [0]
-        bit = self._pp[node]
-        while bit:
-            lsb = bit & -bit
-            bit ^= lsb
-            for base in list(pools):
-                u = base | lsb
-                best = NEG_INF
-                acc: set[int] = set()
-                m = u
-                while m:
-                    b = m & -m
-                    m ^= b
-                    sub_score, sub_sets = table[u ^ b]
-                    if sub_score > best and not _close(sub_score, best):
-                        best, acc = sub_score, set(sub_sets)
-                    elif _close(sub_score, best):
-                        acc.update(sub_sets)
-                if u.bit_count() <= self._d:
-                    own = local[u]
-                    if own > best and not _close(own, best):
-                        best, acc = own, {u}
-                    elif _close(own, best):
-                        acc.add(u)
-                table[u] = (best, tuple(sorted(acc)))
-                pools.append(u)
-
-    def entry(self, node: int, pool: int) -> tuple[float, tuple[int, ...]]:
-        table = self._pools[node]
-        hit = table.get(pool)
-        if hit is not None:
-            return hit
+    def _first_fit(self, node: int, pool: int) -> int:
+        """Index of the first listed set of ``node`` inside ``pool``; the empty set fits any."""
         if pool & ~self._pp[node]:
             raise EngineError(f"pool outside the possible parents of node {node}")
-        best, acc = _best_subsets_in_pool(self._local[node], pool, self._d)
-        entry = (best, tuple(sorted(acc)))
-        table[pool] = entry
-        return entry
+        outside = ~pool
+        for k, (g, _) in enumerate(self._ranked[node]):
+            if not g & outside:
+                return k
 
     def score(self, node: int, pool: int) -> float:
-        return self.entry(node, pool)[0]
+        hit = self._pools[node].get(pool)
+        if hit is None:
+            hit = self._ranked[node][self._first_fit(node, pool)][1]
+            self._pools[node][pool] = hit
+        return hit
 
     def best_subsets(self, node: int, pool: int) -> tuple[int, ...]:
-        return self.entry(node, pool)[1]
+        hit = self._ties[node].get(pool)
+        if hit is None:
+            ranked = self._ranked[node]
+            k = self._first_fit(node, pool)
+            best, acc = ranked[k][1], []
+            for g, score in ranked[k:]:
+                if not _close(score, best):
+                    break
+                if not g & ~pool:
+                    acc.append(g)
+            hit = tuple(sorted(acc))
+            self._ties[node][pool] = hit
+        return hit
 
     def pool_count(self) -> int:
         return sum(len(t) for t in self._pools)
@@ -199,7 +169,7 @@ def best_sinks(
     entries: dict[int, tuple[float, tuple[int, ...]]] = {}
     maximal: list[int] = []
     pools = bpt._pools
-    entry_fn = bpt.entry
+    score_fn = bpt.score
     entries_get = entries.get
 
     level: list[int] = []
@@ -234,8 +204,8 @@ def best_sinks(
                     continue
                 cached = pools[s].get(pool)
                 if cached is None:
-                    cached = entry_fn(s, pool)
-                score = prev_entry[0] + cached[0]
+                    cached = score_fn(s, pool)
+                score = prev_entry[0] + cached
                 # inline tie handling, same semantics as _close
                 if score == best:
                     sinks.append(s)
@@ -368,6 +338,7 @@ def recover_networks(
         net = Network.build(parents, scores, ordering)
         net.check_constraints(constraints)
         networks[key] = net
+    del orderings  # a recursive closure is a reference cycle that would keep bst and bpt alive
     return RecoveryResult(list(networks.values()), truncated, tuple(chosen))
 
 

@@ -128,17 +128,24 @@ class _BgeState:
         return value
 
 
+def _centred(M: np.ndarray) -> np.ndarray:
+    """Columns shifted by their first row, then centred: a constant column
+    becomes exact zeros, and a large mean costs no digits."""
+    M = M - M[0]
+    return M - M.mean(axis=0)
+
+
 def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     """Gaussian BIC local score: LL - (k/2) ln n with k = |parents| + 2.
 
-    Parents enter as regressors with an intercept; categorical parents
-    are integer-coded. A (near-)zero residual variance yields the -inf
-    sentinel with a warning.
+    Parents enter as regressors with an intercept, on centred columns as
+    in the Gram path; categorical parents are integer-coded. A (near-)zero
+    residual variance yields the -inf sentinel with a warning.
     """
-    y = data.numeric_values(node)
     n = data.n_rows
-    cols = [np.ones(n)] + [data.numeric_values(j) for j in NodeSubset(parents)]
-    fit = least_squares(y, np.column_stack(cols))
+    M = _centred(np.column_stack([data.numeric_values(j) for j in (node, *NodeSubset(parents))]))
+    y = M[:, 0]
+    fit = least_squares(y, np.column_stack([np.ones(n), M[:, 1:]]))
     var_y = float(y.var())
     sigma2 = fit.rss / n
     if sigma2 <= _DEGENERATE_REL * max(var_y, 1e-300):
@@ -303,11 +310,10 @@ def _gaussian_gram_scores(
 ) -> list[dict[int, float]]:
     """BIC scores for continuous nodes via normal equations on one Gram matrix.
 
-    Columns are centred, which absorbs the intercept. Each is first
-    shifted by its first value, so a constant column centres to exact
-    zeros and a large mean costs no precision. A fit whose residual is
-    within rounding of zero (or whose parents are collinear) is scored by
-    :func:`bic_gaussian` instead, so results match it.
+    Columns are centred (:func:`_centred`), which absorbs the intercept.
+    A fit whose residual is within rounding of zero (or whose parents are
+    collinear) is scored by :func:`bic_gaussian` instead, so results
+    match it.
     """
     n = data.n_rows
     p = data.p
@@ -315,8 +321,7 @@ def _gaussian_gram_scores(
     for j in range(p):
         if data.column(j).kind != SURVIVAL:
             M[:, j] = data.numeric_values(j)
-    M -= M[0]
-    M -= M.mean(axis=0)
+    M = _centred(M)
     G = M.T @ M
     log_n = math.log(n)
     d = constraints.indegree

@@ -440,7 +440,9 @@ def test_constant_column_never_passes(k_value, opts):
     assert len(k_warnings) == 1 and "'K' is constant" in str(k_warnings[0].message)
 
 
-def test_constant_column_never_passes_cox():
+def test_constant_column_never_passes_cox(monkeypatch):
+    import bndp.assoc
+
     rng = np.random.default_rng(23)
     n = 300
     x = rng.standard_normal(n)
@@ -454,11 +456,22 @@ def test_constant_column_never_passes_cox():
             Column("os", "survival", np.column_stack([time, status])),
         ]
     )
+    fitted = []
+    real_fit = bndp.assoc.cox_fit
+
+    def counting_fit(time, status, X):
+        fitted.append(np.ptp(X))
+        return real_fit(time, status, X)
+
+    monkeypatch.setattr(bndp.assoc, "cox_fit", counting_fit)
     for mode in ("all_pairs", "phenotype"):
+        fitted.clear()
         opts = ScreenOptions(mode=mode, alpha=1.0, outcome="os", levels=2)
         with pytest.warns(ScreeningWarning, match="'K' is constant"):
             constraints, reduced = build_constraints(data, opts, indegree=2)
         assert reduced.names == ("x", "y", "os")
+        # one Cox fit each for x and y; the constant K is not fitted
+        assert len(fitted) == 2 and all(fitted)
 
 
 def _oracle_pp(X, opts, outcome=None):

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bndp.assoc import ScreenOptions
-from bndp.core import Column, Dataset, Network, NodeSubset, ParentConstraints
+from bndp.core import Column, Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
 from bndp.engine import (
-    BestParentsTable,
+    TIE_EPS,
     EngineError,
+    _best_subsets_in_pool,
     best_parents,
     best_sinks,
     enumerate_dags,
@@ -135,9 +137,8 @@ class TestBestParents:
         local = random_local_table([int(m) for m in c.pp], 2, rng)
         bpt = best_parents(local, c)
         for i in range(4):
-            score, subsets = bpt.entry(i, 0)
-            assert score == local.score(i, 0)
-            assert subsets == (0,)
+            assert bpt.score(i, 0) == local.score(i, 0)
+            assert bpt.best_subsets(i, 0) == (0,)
 
     def test_full_pool_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -150,7 +151,7 @@ class TestBestParents:
             bpt = best_parents(local, c)
             for i in range(p):
                 pool = int(c.pp[i])
-                score, subsets = bpt.entry(i, pool)
+                score, subsets = bpt.score(i, pool), bpt.best_subsets(i, pool)
                 b_score, b_masks = brute_force_best(local.subsets(i), pool, d)
                 assert abs(score - b_score) < 1e-12
                 assert sorted(subsets) == b_masks
@@ -164,26 +165,11 @@ class TestBestParents:
             pool_full = int(c.pp[i])
             sub = pool_full
             while sub:
-                score, subsets = bpt.entry(i, sub)
+                score, subsets = bpt.score(i, sub), bpt.best_subsets(i, sub)
                 b_score, b_masks = brute_force_best(local.subsets(i), sub, 2)
                 assert abs(score - b_score) < 1e-12
                 assert sorted(subsets) == b_masks
                 sub = (sub - 1) & pool_full
-
-    def test_lazy_and_eager_agree(self):
-        gen = np.random.default_rng(9)
-        c = random_constraints(6, gen, density=0.9, indegree=3)
-        local = random_local_table([int(m) for m in c.pp], 3, gen)
-        eager = BestParentsTable(local, c, eager_bits=12)
-        lazy = BestParentsTable(local, c, eager_bits=0)
-        for i in range(6):
-            pool = int(c.pp[i])
-            sub = pool
-            while True:
-                assert eager.entry(i, sub) == lazy.entry(i, sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & pool
 
     def test_monotone_in_pool(self):
         gen = np.random.default_rng(13)
@@ -210,9 +196,80 @@ class TestBestParents:
             (NodeSubset(0b110), NodeSubset(0), NodeSubset(0)), indegree=2
         )
         bpt = best_parents(local, c)
-        score, subsets = bpt.entry(0, 0b110)
-        assert score == -0.5
-        assert subsets == (0b10, 0b100)
+        assert bpt.score(0, 0b110) == -0.5
+        assert bpt.best_subsets(0, 0b110) == (0b10, 0b100)
+
+    def test_pool_outside_possible_parents_rejected(self):
+        rng = np.random.default_rng(2)
+        c = ParentConstraints(
+            (NodeSubset(0b110), NodeSubset(0b001), NodeSubset(0b001)), indegree=2
+        )
+        bpt = best_parents(random_local_table([int(m) for m in c.pp], 2, rng), c)
+        for lookup in (bpt.score, bpt.best_subsets):
+            with pytest.raises(EngineError, match="pool outside the possible parents"):
+                lookup(1, 0b101)
+
+
+@st.composite
+def score_tables(draw):
+    """Constraints and a local-score table with exact duplicates and -inf.
+
+    Each table draws its scores from a few values, so exact ties are
+    common; finite values are multiples of 1/8, so no two distinct ones
+    lie within ``TIE_EPS`` of each other, where the running-best rule of
+    the direct enumeration could depend on the order it visits sets in.
+    """
+    p = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=max(1, p - 1)))
+    pp = []
+    for i in range(p):
+        others = [j for j in range(p) if j != i]
+        members = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        pp.append(NodeSubset.from_indices(members))
+    value = st.one_of(st.just(-math.inf), st.integers(-40, 40).map(lambda k: k / 8))
+    values = draw(st.lists(value, min_size=1, max_size=6))
+    tables = [
+        {g: draw(st.sampled_from(values)) for g in subsets_up_to(int(pp[i]), d)}
+        for i in range(p)
+    ]
+    c = ParentConstraints(tuple(pp), indegree=d)
+    return c, LocalScoreTable(tables, tuple(f"V{i}" for i in range(p)), d, "bic")
+
+
+class TestFirstFitLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(score_tables())
+    def test_matches_direct_enumeration(self, case):
+        # every sub-pool of every node: first-fit score and tie set against
+        # the direct enumeration exhaustive_search uses
+        c, local = case
+        bpt = best_parents(local, c)
+        for i in range(c.n_nodes):
+            full = int(c.pp[i])
+            sub = full
+            while True:
+                ref_score, ref_sets = _best_subsets_in_pool(local.subsets(i), sub, c.indegree)
+                assert bpt.score(i, sub) == ref_score
+                assert bpt.best_subsets(i, sub) == tuple(sorted(ref_sets))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & full
+
+    def test_near_ties_are_within_eps_of_the_maximum(self):
+        # a chain of near-ties: 1 is within TIE_EPS of 0 and of 2, but 0 is
+        # not within TIE_EPS of 2; the tie set is taken about the maximum
+        eps = TIE_EPS
+        local = LocalScoreTable(
+            [{0: 0.0, 0b10: 0.6 * eps, 0b100: 1.2 * eps}, {0: 0.0}, {0: 0.0}],
+            ("a", "b", "c"),
+            1,
+            "bic",
+        )
+        c = ParentConstraints((NodeSubset(0b110), NodeSubset(0), NodeSubset(0)), indegree=1)
+        bpt = best_parents(local, c)
+        assert bpt.score(0, 0b110) == 1.2 * eps
+        assert bpt.best_subsets(0, 0b110) == (0b10, 0b100)
+        assert bpt.best_subsets(0, 0b010) == (0, 0b10)
 
 
 # ---------------------------------------------------------------- expansion
@@ -467,6 +524,27 @@ class TestRecoverNetworks:
                 assert w in maximal
                 used |= w
         assert checked >= 30
+
+    def test_tables_freed_by_refcount(self):
+        # recovery must not leave a reference cycle holding the tables: a
+        # cycle keeps them alive until a full collection, which raised
+        # peak memory over repeated learn calls
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(12)
+        c = ParentConstraints.complete(4, 2)
+        local = random_local_table([int(m) for m in c.pp], 2, rng)
+        gc.disable()
+        try:
+            bpt = best_parents(local, c)
+            bst = best_sinks(bpt, c, local)
+            refs = weakref.ref(bpt), weakref.ref(bst)
+            recover_networks(bst, bpt, c, local)
+            del bpt, bst
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_cap_truncation(self):
         # many exactly tied optima from symmetric structure

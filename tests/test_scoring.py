@@ -82,6 +82,24 @@ class TestBicGaussian:
         two = bic_gaussian(0, 0b110, data)
         assert abs((one - two) - 0.5 * math.log(n)) < 1e-7
 
+    def test_large_mean_regressor(self):
+        # one regressor, so the reference is closed-form: centred sums of
+        # squares and products in long double, rss = syy - sxy^2 / sxx
+        from bndp.engine import TIE_EPS
+
+        rng = np.random.default_rng(47)
+        n = 300
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        y = 1e8 + a + 0.5 * rng.standard_normal(n)
+        data = cont(np.column_stack([a, b, y]))
+        for node, x in ((0, a), (1, b)):
+            xc = x.astype(np.longdouble) - x.astype(np.longdouble).mean()
+            yc = y.astype(np.longdouble) - y.astype(np.longdouble).mean()
+            rss = (xc @ xc) - (xc @ yc) ** 2 / (yc @ yc)
+            expect = -0.5 * n * (math.log(2 * math.pi * float(rss) / n) + 1) - 1.5 * math.log(n)
+            got = bic_gaussian(node, 0b100, data)
+            assert abs(got - expect) <= TIE_EPS * abs(expect)
+
 
 # --------------------------------------------------------- categorical bic
 
@@ -432,8 +450,8 @@ class TestComputeLocalScores:
         y = mean + a + 0.5 * rng.standard_normal(n)
         data = cont(np.column_stack([a, b, y]))
         # y - mean is exact (the operands are within a factor of two), so the
-        # shifted copy has the same scores; bic_gaussian's intercept design
-        # loses digits to a large mean, and on the copy it loses none
+        # shifted copy has the same scores, and the direct path never sees
+        # the large mean
         shifted = cont(np.column_stack([a, b, y - mean]))
         table = compute_local_scores(data, ParentConstraints.complete(3, 2), ScoreConfig("bic"))
         for node in range(3):
