@@ -2,12 +2,17 @@
 
 A subset of nodes is reachable when it can be built one node at a time,
 each added node having at least one possible parent already in the set.
-The search sweeps reachable subsets by cardinality, records best sinks,
-and recovers every optimal network by peeling sinks. Its inner step, the
-best parent set of s within ``pp[s] & (W - s)``, is a first-fit lookup
-in s's score-sorted parent sets (:class:`BestParentsTable` states the tie
-rule; the report's ``n_pools`` counts the pools it scored). An
-order-based exhaustive oracle over at most six nodes backs the tests.
+The search sweeps reachable subsets level by level, one level per
+cardinality, records best sinks, and recovers every optimal network by
+peeling sinks. Each level is held as arrays: its subsets as one sorted
+mask array, their best scores and a bitmask of their tied best sinks
+(Silander & Myllymäki 2006, UAI; Malone, Yuan & Hansen 2011, AAAI). Masks
+are ``uint64`` for up to 64 nodes and Python ints (``object`` arrays)
+above that; both take the same code path. The inner step, the best
+parent set of s within ``pp[s] & (W - s)``, is a first-fit lookup in s's
+score-sorted parent sets (:class:`BestParentsTable` states the tie rule;
+the report's ``n_pools`` counts the pools it scored). An order-based
+exhaustive oracle over at most six nodes backs the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Iterator
+
+import numpy as np
 
 from .assoc import ScreenOptions, build_constraints
 from .core import Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
@@ -30,6 +38,7 @@ from .scoring import (
 
 TIE_EPS = 1e-9
 DEFAULT_MAX_SUBSETS = 2_000_000
+_CHUNK_ROWS = 4096  # subsets scored per pass, which bounds the per-pair temporaries
 
 
 class EngineError(RuntimeError):
@@ -43,6 +52,18 @@ def _close(a: float, b: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) <= TIE_EPS * max(1.0, abs(a), abs(b))
+
+
+def _near(x: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_close` of two broadcastable float arrays."""
+    with np.errstate(invalid="ignore"):  # inf - inf compares False, as in _close
+        tol = TIE_EPS * np.maximum(1.0, np.maximum(np.abs(x), np.abs(best)))
+        return (x == best) | ((np.abs(x - best) <= tol) & np.isfinite(x) & np.isfinite(best))
+
+
+def _mask_array(masks, p: int) -> np.ndarray:
+    """Node-set bitmasks as ``uint64`` for up to 64 nodes, else Python ints."""
+    return np.array(masks, dtype=np.uint64 if p <= 64 else object)
 
 
 def _best_subsets_in_pool(
@@ -64,59 +85,121 @@ def _best_subsets_in_pool(
 class BestParentsTable:
     """Best parent sets of each node within any pool of its possible parents.
 
-    Each node's parent sets are sorted once by score, best first. The best
-    score within a pool U is that of the first listed set g that fits,
-    ``g & ~U == 0`` (Yuan & Malone 2013, JAIR; Teyssier & Koller 2005, UAI).
-    Tie rule: the best sets within U are the maximum and every fitting set
-    within ``TIE_EPS`` of it, whatever the order of the list. They are found
-    by scanning on from the first fit and returned in ascending order.
-    Scores and tie sets are memoised per node and pool; :meth:`pool_count`
-    counts the pools scored.
+    Each node's parent sets are sorted once by score, best first, and held
+    as two arrays, the set masks and their scores. The best score within a
+    pool U is that of the first listed set g that fits, ``g & ~U == 0``
+    (Yuan & Malone 2013, JAIR; Teyssier & Koller 2005, UAI); one
+    vectorised first fit serves single lookups and the sweep's batches of
+    pools. Tie rule: the best sets within U are the maximum and every
+    fitting set within ``TIE_EPS`` of it, whatever the order of the list,
+    returned in ascending order. Scores and tie sets are memoised per node
+    and pool; :meth:`pool_count` counts the pools scored.
     """
 
     def __init__(self, local: LocalScoreTable, constraints: ParentConstraints):
         if local.n_nodes != constraints.n_nodes:
             raise EngineError("local-score table and constraints disagree on node count")
-        self._pp = [int(m) for m in constraints.pp]
-        self._ranked = [
-            sorted(local.subsets(i).items(), key=lambda kv: -kv[1]) for i in range(local.n_nodes)
-        ]
-        self._pools: list[dict[int, float]] = [{} for _ in self._pp]
-        self._ties: list[dict[int, tuple[int, ...]]] = [{} for _ in self._pp]
+        p = local.n_nodes
+        ranked = [sorted(local.subsets(i).items(), key=lambda kv: -kv[1]) for i in range(p)]
+        width = max((len(r) for r in ranked), default=0)
+        pad = [((1 << p) - 1, -math.inf)]  # holds every node, so it fits no pool
+        rows = [r + pad * (width - len(r)) for r in ranked]
+        self._pp = _mask_array([int(m) for m in constraints.pp], p)
+        self._sets = _mask_array([[g for g, _ in r] for r in rows], p).reshape(p, width)
+        self._scores = np.array([[x for _, x in r] for r in rows], dtype=float).reshape(p, width)
+        # The pool-score memo: sorted keys ``node << p | pool`` with their best
+        # scores, plus the pairs scored since the last merge. The keys are
+        # uint64 while they fit in 64 bits (p <= 58), Python ints above.
+        self._key_dtype = np.dtype(np.uint64 if p + 6 <= 64 else object)
+        self._memo_keys = np.empty(0, dtype=self._key_dtype)
+        self._memo_scores = np.empty(0)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._ties: list[dict[int, tuple[int, ...]]] = [{} for _ in range(p)]
 
-    def _first_fit(self, node: int, pool: int) -> int:
-        """Index of the first listed set of ``node`` inside ``pool``; the empty set fits any."""
-        if pool & ~self._pp[node]:
-            raise EngineError(f"pool outside the possible parents of node {node}")
-        outside = ~pool
-        for k, (g, _) in enumerate(self._ranked[node]):
-            if not g & outside:
-                return k
+    def _first_fit(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
+        """Index of the first listed set of each node inside its pool; the empty set fits any.
+
+        The lists are scanned in blocks of doubling width, so that a pool
+        that fits early in its list costs little.
+        """
+        outside = np.flatnonzero(pools & ~self._pp[nodes])
+        if len(outside):
+            raise EngineError(f"pool outside the possible parents of node {nodes[outside[0]]}")
+        index = np.empty(len(nodes), dtype=np.intp)
+        todo = np.arange(len(nodes))
+        lo, width = 0, 16
+        while len(todo) and lo < self._sets.shape[1]:
+            fits = (self._sets[nodes[todo], lo : lo + width] & ~pools[todo, None]) == 0
+            found = fits.any(axis=1)
+            index[todo[found]] = lo + fits[found].argmax(axis=1)
+            todo = todo[~found]
+            lo, width = lo + width, 2 * width
+        if len(todo):
+            raise EngineError(f"no parent set of node {nodes[todo[0]]} fits, not even the empty set")
+        return index
+
+    def _score_pairs(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
+        """Best scores of (node, pool) pairs: memo hits, and a first fit for the rest.
+
+        Newly scored pairs wait in ``_pending`` until :meth:`_merge`, which
+        the sweep calls once per level. A new pair met again in a later
+        chunk of the same level is scored again. That is rare: a pool U of
+        s first shows up with the one subset ``U | bit(s)`` when that
+        subset is reachable (on the ``sweep`` benchmark no pair is scored
+        twice).
+        """
+        kd = self._key_dtype
+        keys = (nodes.astype(kd) << kd.type(len(self._pp))) | pools.astype(kd)
+        at = np.searchsorted(self._memo_keys, keys)
+        known = at < len(self._memo_keys)
+        known[known] = self._memo_keys[at[known]] == keys[known]
+        scores = np.empty(len(keys))
+        scores[known] = self._memo_scores[at[known]]
+        miss = np.flatnonzero(~known)
+        if len(miss):
+            distinct, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+            fresh = miss[first]
+            new = self._scores[nodes[fresh], self._first_fit(nodes[fresh], pools[fresh])]
+            scores[miss] = new[inverse.ravel()]
+            self._pending.append((distinct, new))
+        return scores
+
+    def _merge(self) -> None:
+        """Fold the pending pairs, all absent from the memo, into it."""
+        if self._pending:
+            keys, first = np.unique(np.concatenate([k for k, _ in self._pending]), return_index=True)
+            scores = np.concatenate([s for _, s in self._pending])[first]
+            at = np.searchsorted(self._memo_keys, keys)
+            self._memo_keys = np.insert(self._memo_keys, at, keys)
+            self._memo_scores = np.insert(self._memo_scores, at, scores)
+            self._pending = []
 
     def score(self, node: int, pool: int) -> float:
-        hit = self._pools[node].get(pool)
-        if hit is None:
-            hit = self._ranked[node][self._first_fit(node, pool)][1]
-            self._pools[node][pool] = hit
+        pools = np.array([pool], dtype=self._pp.dtype)
+        hit = float(self._score_pairs(np.array([node]), pools)[0])
+        self._merge()
         return hit
 
     def best_subsets(self, node: int, pool: int) -> tuple[int, ...]:
         hit = self._ties[node].get(pool)
         if hit is None:
-            ranked = self._ranked[node]
-            k = self._first_fit(node, pool)
-            best, acc = ranked[k][1], []
-            for g, score in ranked[k:]:
-                if not _close(score, best):
-                    break
-                if not g & ~pool:
-                    acc.append(g)
-            hit = tuple(sorted(acc))
-            self._ties[node][pool] = hit
+            hit = self._tie_sets(np.array([node]), np.array([pool], dtype=self._pp.dtype))[0]
         return hit
 
+    def _tie_sets(self, nodes: np.ndarray, pools: np.ndarray) -> list[tuple[int, ...]]:
+        """The best parent sets of each (node, pool) pair, memoised."""
+        sets, scores = self._sets[nodes], self._scores[nodes]
+        best = scores[np.arange(len(nodes)), self._first_fit(nodes, pools)]
+        tied = _near(scores, best[:, None]) & ((sets & ~pools[:, None]) == 0)
+        out = []
+        for node, pool, row, keep in zip(nodes.tolist(), pools.tolist(), sets, tied):
+            out.append(tuple(sorted(row[keep].tolist())))
+            self._ties[node][pool] = out[-1]
+        return out
+
     def pool_count(self) -> int:
-        return sum(len(t) for t in self._pools)
+        self._merge()
+        return len(self._memo_keys)
 
 
 def best_parents(
@@ -126,26 +209,55 @@ def best_parents(
     return BestParentsTable(local, constraints)
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(NodeSubset(mask))
+
+
 @dataclass
 class BestSinkTable:
     """Best score and best sinks for every reachable subset.
 
-    ``maximal`` lists the reachable subsets that no node can extend, in
-    sweep order.
+    ``levels[k]`` holds the reachable subsets of k + 1 nodes as three
+    parallel arrays: their masks in ascending order, their best scores and
+    the bitmasks of their best sinks. ``maximal`` lists the reachable
+    subsets that no node can extend, in sweep order. :meth:`score` and
+    :meth:`sinks` look up one subset; ``entries`` decodes every subset, in
+    sweep order, into a dict ``mask -> (score, sinks)`` on first use.
     """
 
-    entries: dict[int, tuple[float, tuple[int, ...]]]
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     maximal: list[int]
 
     @property
     def n_subsets(self) -> int:
-        return len(self.entries)
+        return sum(len(masks) for masks, _, _ in self.levels)
+
+    @cached_property
+    def entries(self) -> dict[int, tuple[float, tuple[int, ...]]]:
+        return {
+            w: (score, _members(sinks))
+            for level in self.levels
+            for w, score, sinks in zip(*(a.tolist() for a in level))
+        }
+
+    def _find(self, mask: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+        """The level holding ``mask`` and its index there; KeyError when unreachable."""
+        k = int(mask).bit_count() - 1
+        if 0 <= k < len(self.levels) and not mask >> len(self.levels[0][0]):
+            level = self.levels[k]
+            masks = level[0]
+            i = int(np.searchsorted(masks, masks.dtype.type(mask)))
+            if i < len(masks) and int(masks[i]) == mask:
+                return level, i
+        raise KeyError(mask)
 
     def score(self, mask: int) -> float:
-        return self.entries[mask][0]
+        (_, scores, _), i = self._find(mask)
+        return float(scores[i])
 
     def sinks(self, mask: int) -> tuple[int, ...]:
-        return self.entries[mask][1]
+        (_, _, sinks), i = self._find(mask)
+        return _members(int(sinks[i]))
 
 
 def best_sinks(
@@ -154,94 +266,93 @@ def best_sinks(
     local: LocalScoreTable,
     max_subsets: int | None = DEFAULT_MAX_SUBSETS,
 ) -> BestSinkTable:
-    """Sweep reachable subsets in cardinality order recording best sinks.
+    """Sweep reachable subsets level by level recording best sinks.
 
-    Level one is all singletons; each later level extends a reachable
-    subset by one node that has a possible parent inside it. A node s is
-    admissible as the sink of W when W minus s is itself reachable and
-    contains a possible parent of s (singletons score their empty-parent
-    local score). Subsets with no such extension are recorded as
-    maximal.
+    Level one is all singletons, each its own sink at its empty-parent
+    local score. Level k + 1 is the sorted set of the extensions
+    ``W | bit(v)`` of the level-k subsets W by the nodes v outside W with a
+    possible parent in W (v in ``po_acc & ~W``, where ``po_acc`` is the
+    union of the possible offspring of W's members). The extensions by
+    one node v form an ascending run, so one stable sort merges the runs
+    and a comparison of neighbours drops the repeats. Subsets with no
+    extension are recorded as maximal, in sweep order. The cap on the
+    reachable-subset count is checked as soon as a level is generated,
+    before it is scored, so an over-cap sweep fails at the first level
+    that crosses it, with the level sizes reached in the error.
+
+    A node s is admissible as the sink of W when ``W - s`` is reachable
+    (found by ``searchsorted`` in the level below) and contains a possible
+    parent of s. Its candidate score is the best score of ``W - s`` plus
+    the first-fit score of s within ``pp[s] & (W - s)``. The best sinks of
+    W are the maximum and every admissible candidate within ``TIE_EPS`` of
+    it, the rule :class:`BestParentsTable` states; W's score is the
+    candidate of its lowest-numbered best sink. A level is scored in chunks
+    of rows, with no loop over subsets.
     """
     p = constraints.n_nodes
-    pp = [int(m) for m in constraints.pp]
-    po = [int(m) for m in constraints.po]
-    entries: dict[int, tuple[float, tuple[int, ...]]] = {}
+    pp = _mask_array([int(m) for m in constraints.pp], p)
+    po = _mask_array([int(m) for m in constraints.po], p)
+    bit = _mask_array([1 << v for v in range(p)], p)
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     maximal: list[int] = []
-    pools = bpt._pools
-    score_fn = bpt.score
-    entries_get = entries.get
-
-    level: list[int] = []
-    for v in range(p):
-        w = 1 << v
-        entries[w] = (local.empty_score(v), (v,))
-        level.append(w)
-    total = p
-
-    while level:
-        nxt: set[int] = set()
-        nxt_add = nxt.add
-        for w in level:
-            multi = w & (w - 1)  # more than one member
-            best = NEG_INF
-            sinks: list[int] = []
-            po_acc = 0
-            m = w
-            while m:
-                lsb = m & -m
-                s = lsb.bit_length() - 1
-                m ^= lsb
-                po_acc |= po[s]
-                if not multi:
-                    continue
-                prev = w ^ lsb
-                pool = pp[s] & prev
-                if not pool:
-                    continue
-                prev_entry = entries_get(prev)
-                if prev_entry is None:
-                    continue
-                cached = pools[s].get(pool)
-                if cached is None:
-                    cached = score_fn(s, pool)
-                score = prev_entry[0] + cached
-                # inline tie handling, same semantics as _close
-                if score == best:
-                    sinks.append(s)
-                elif score > best:
-                    if best != NEG_INF and score - best <= TIE_EPS * max(
-                        1.0, abs(score), abs(best)
-                    ):
-                        sinks.append(s)
-                    else:
-                        best = score
-                        sinks = [s]
-                elif best != NEG_INF and best - score <= TIE_EPS * max(
-                    1.0, abs(score), abs(best)
-                ):
-                    sinks.append(s)
-            if multi:
-                if not sinks:
-                    raise EngineError(f"no admissible sink for reachable subset {w:#x}")
-                entries[w] = (best, tuple(sinks))
-            cands = po_acc & ~w
-            if not cands:
-                maximal.append(w)
-            while cands:
-                lsb = cands & -cands
-                nxt_add(w | lsb)
-                cands ^= lsb
-        if not nxt:
-            break
-        total += len(nxt)
-        if max_subsets is not None and total > max_subsets:
+    masks, po_acc, sinks = bit, po, bit
+    scores = np.array([local.empty_score(v) for v in range(p)], dtype=float)
+    while len(masks):
+        levels.append((masks, scores, sinks))
+        free = po_acc & ~masks
+        maximal.extend(masks[free == 0].tolist())
+        ext = np.concatenate([masks[(free & b) != 0] | b for b in bit])  # one ascending run per node
+        ext.sort(kind="stable")  # merges the runs
+        fresh = np.ones(len(ext), dtype=bool)
+        fresh[1:] = ext[1:] != ext[:-1]
+        masks = ext[fresh]
+        sizes = [len(m) for m, _, _ in levels] + [len(masks)]
+        if max_subsets is not None and sum(sizes) > max_subsets:
             raise EngineError(
-                f"reachable-subset count exceeded the cap ({max_subsets}); "
+                f"reachable-subset count exceeded the cap ({max_subsets}) at level "
+                f"{len(sizes)} ({sizes[-1]} subsets of {len(sizes)} nodes, not scored); "
+                f"subsets per level: {sizes}; "
                 "use a stricter screening cutoff or raise max_subsets"
             )
-        level = sorted(nxt)
-    return BestSinkTable(entries, maximal)
+        scores, sinks, po_acc = _score_level(masks, levels[-1], bpt, pp, po, bit)
+        bpt._merge()
+    return BestSinkTable(levels, maximal)
+
+
+def _score_level(
+    masks: np.ndarray,
+    below: tuple[np.ndarray, np.ndarray, np.ndarray],
+    bpt: BestParentsTable,
+    pp: np.ndarray,
+    po: np.ndarray,
+    bit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best scores, best-sink bitmasks and ``po_acc`` of one level, from the level below."""
+    below_masks, below_scores, _ = below
+    last = len(below_masks) - 1
+    scores = np.empty(len(masks))
+    sinks = np.empty_like(masks)
+    po_acc = np.empty_like(masks)
+    for start in range(0, len(masks), _CHUNK_ROWS):
+        w = masks[start : start + _CHUNK_ROWS]
+        rows = slice(start, start + len(w))
+        # (subset, member) pairs as a rows x level-size matrix, members ascending
+        members = np.nonzero((w[:, None] & bit) != 0)[1].reshape(len(w), -1)
+        po_acc[rows] = np.bitwise_or.reduce(po[members], axis=1)
+        prev = w[:, None] ^ bit[members]
+        at = np.minimum(np.searchsorted(below_masks, prev), last)
+        pools = prev & pp[members]
+        admissible = (below_masks[at] == prev) & (pools != 0)
+        if not admissible.any(axis=1).all():
+            stuck = int(w[~admissible.any(axis=1)][0])
+            raise EngineError(f"no admissible sink for reachable subset {stuck:#x}")
+        cand = np.full(members.shape, -math.inf)
+        pair_scores = bpt._score_pairs(members[admissible], pools[admissible])
+        cand[admissible] = below_scores[at[admissible]] + pair_scores
+        tied = admissible & _near(cand, cand.max(axis=1)[:, None])
+        scores[rows] = cand[np.arange(len(w)), tied.argmax(axis=1)]
+        sinks[rows] = (tied * bit[members]).sum(axis=1)
+    return scores, sinks, po_acc
 
 
 @dataclass
@@ -272,7 +383,7 @@ def recover_networks(
     pp = [int(m) for m in constraints.pp]
     full = (1 << p) - 1
 
-    if full in bst.entries:
+    if p and len(bst.levels) == p:  # the level of p nodes holds only the full set
         chosen = [full]
     else:
         ranked = []
@@ -280,7 +391,7 @@ def recover_networks(
             base = 0.0
             for v in NodeSubset(w):
                 base += local.empty_score(v)
-            gain = bst.entries[w][0] - base
+            gain = bst.score(w) - base
             if math.isnan(gain):
                 gain = 0.0
             ranked.append((-gain, -w.bit_count(), w))
@@ -297,16 +408,26 @@ def recover_networks(
     for w in chosen:
         isolated &= ~w
 
+    # each subset decoded once: its best sinks s, with W - s and the best parent sets of s
+    choices_of: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+
+    def decode(mask: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        sinks = bst.sinks(mask)
+        prevs = [mask ^ (1 << s) for s in sinks]
+        pools = _mask_array([pp[s] & prev for s, prev in zip(sinks, prevs)], p)
+        return list(zip(sinks, prevs, bpt._tie_sets(np.array(sinks), pools)))
+
     def orderings(mask: int) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
         """Yield (ordering, [(node, parent mask)]) choices for a subset."""
         if mask == 0:
             yield [], []
             return
-        score, sinks = bst.entries[mask]
-        for s in sinks:
-            prev = mask ^ (1 << s)
-            pool = pp[s] & prev
-            for parent_mask in bpt.best_subsets(s, pool):
+        try:
+            choices = choices_of[mask]
+        except KeyError:
+            choices = choices_of[mask] = decode(mask)
+        for s, prev, parent_masks in choices:
+            for parent_mask in parent_masks:
                 for order, assign in orderings(prev):
                     yield order + [s], assign + [(s, parent_mask)]
 
@@ -362,7 +483,8 @@ def learn(
     """End-to-end search: screen, score, sweep, recover.
 
     The report records feasible-set membership, table sizes, the
-    reachable-subset count, and wall time per stage.
+    reachable-subset count and the subset count per level
+    (``level_sizes``), and wall time per stage.
     """
     report: dict = {}
     caught: list[str] = []
@@ -393,6 +515,7 @@ def learn(
             "n_local_entries": local.entry_count(),
             "n_pools": bpt.pool_count(),
             "n_reachable_subsets": bst.n_subsets,
+            "level_sizes": [len(masks) for masks, _, _ in bst.levels],
             "n_networks": len(recovery.networks),
             "optimal_score": recovery.networks[0].total_score if recovery.networks else None,
             "truncated": recovery.truncated,

@@ -11,6 +11,7 @@ from bndp.engine import (
     TIE_EPS,
     EngineError,
     _best_subsets_in_pool,
+    _close,
     best_parents,
     best_sinks,
     enumerate_dags,
@@ -81,6 +82,58 @@ def brute_force_best(table, pool, d):
             elif abs(s - best) <= 1e-12:
                 best_masks.append(mask)
     return best, sorted(best_masks)
+
+
+def dict_best_sinks(constraints, local):
+    """Reference sweep: a dict of reachable subsets, filled one subset at a time.
+
+    This is the per-subset loop the engine used before its level arrays,
+    kept as an oracle. Pool scores come from the direct enumeration
+    ``_best_subsets_in_pool``. Sinks keep a running best, so the answer
+    depends on the visiting order only when candidates chain within
+    ``TIE_EPS`` of each other without all lying within ``TIE_EPS`` of the
+    maximum. Returns the entries ``mask -> (score, sinks)`` in sweep order
+    and the maximal subsets in sweep order.
+    """
+    p, d = constraints.n_nodes, constraints.indegree
+    pp = [int(m) for m in constraints.pp]
+    po = [int(m) for m in constraints.po]
+    entries, maximal = {}, []
+    level = []
+    for v in range(p):
+        entries[1 << v] = (local.empty_score(v), (v,))
+        level.append(1 << v)
+    while level:
+        nxt = set()
+        for w in level:
+            best, sinks, po_acc = -math.inf, [], 0
+            for s in NodeSubset(w):
+                po_acc |= po[s]
+                prev = w ^ (1 << s)
+                pool = pp[s] & prev
+                if not prev or not pool or prev not in entries:
+                    continue
+                score = entries[prev][0] + _best_subsets_in_pool(local.subsets(s), pool, d)[0]
+                if score > best and not _close(score, best):
+                    best, sinks = score, [s]
+                elif _close(score, best):
+                    sinks.append(s)
+            if w & (w - 1):
+                assert sinks, f"no admissible sink for {w:#x}"
+                entries[w] = (best, tuple(sinks))
+            cands = po_acc & ~w
+            if not cands:
+                maximal.append(w)
+            nxt.update(w | (1 << v) for v in NodeSubset(cands))
+        level = sorted(nxt)
+    return entries, maximal
+
+
+def path_case(p, seed):
+    """Path constraints ``pp[i] = {i - 1, i + 1}`` over p nodes, random scores."""
+    pp = [(1 << (i - 1) if i else 0) | (1 << (i + 1) if i + 1 < p else 0) for i in range(p)]
+    c = ParentConstraints(tuple(NodeSubset(m) for m in pp), indegree=2)
+    return c, random_local_table(pp, 2, np.random.default_rng(seed))
 
 
 def reachable_in_sweep_order(c, seed=0):
@@ -210,6 +263,10 @@ class TestBestParents:
                 lookup(1, 0b101)
 
 
+# -inf or a multiple of 1/8: sums of these are exact, so ties are exact
+SCORE_VALUES = st.one_of(st.just(-math.inf), st.integers(-40, 40).map(lambda k: k / 8))
+
+
 @st.composite
 def score_tables(draw):
     """Constraints and a local-score table with exact duplicates and -inf.
@@ -226,8 +283,7 @@ def score_tables(draw):
         others = [j for j in range(p) if j != i]
         members = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
         pp.append(NodeSubset.from_indices(members))
-    value = st.one_of(st.just(-math.inf), st.integers(-40, 40).map(lambda k: k / 8))
-    values = draw(st.lists(value, min_size=1, max_size=6))
+    values = draw(st.lists(SCORE_VALUES, min_size=1, max_size=6))
     tables = [
         {g: draw(st.sampled_from(values)) for g in subsets_up_to(int(pp[i]), d)}
         for i in range(p)
@@ -325,6 +381,25 @@ class TestGenerationalExpansion:
         with pytest.raises(EngineError, match="cap"):
             best_sinks(best_parents(local, c), c, local, max_subsets=50)
 
+    def test_cap_error_names_level_sizes(self):
+        # levels of 10 and 45 subsets cross a cap of 50 at level 2
+        c = ParentConstraints.complete(10, 2)
+        local = random_local_table([int(m) for m in c.pp], 2, np.random.default_rng(0))
+        with pytest.raises(EngineError, match=r"at level 2 \(45 subsets .*per level: \[10, 45\]"):
+            best_sinks(best_parents(local, c), c, local, max_subsets=50)
+
+    def test_over_cap_level_never_scored(self):
+        # complete pp over 6 nodes: levels of 6, 15 and 20 subsets. Scoring
+        # level 2 fills the 30 pools (s, {t}), t != s, and a cap crossed at
+        # level 3 stops the sweep before it scores any pool there.
+        c = ParentConstraints.complete(6, 2)
+        local = random_local_table([int(m) for m in c.pp], 2, np.random.default_rng(1))
+        for cap, level, pools in ((20, 2, 0), (40, 3, 30)):
+            bpt = best_parents(local, c)
+            with pytest.raises(EngineError, match=f"cap \\({cap}\\) at level {level} "):
+                best_sinks(bpt, c, local, max_subsets=cap)
+            assert bpt.pool_count() == pools
+
     def test_reachable_and_maximal_match_brute_force(self):
         for trial in range(40):
             gen = np.random.default_rng(700 + trial)
@@ -405,6 +480,25 @@ class TestBestSinks:
                 for s in sinks:
                     assert abs(cands[s] - best) <= 1e-9 * max(1.0, abs(best))
 
+    def test_near_tie_chain_sinks_within_eps_of_maximum(self):
+        # The full set's candidates by sink are 0.5, 0.5 + 0.6 eps and
+        # 0.5 + 1.2 eps. Sink 1 lies within TIE_EPS of the maximum (sink 2),
+        # sink 0 does not. A running best drops sink 1: sink 0 held the best
+        # when sink 1 came, and sink 2 then replaced both.
+        eps = TIE_EPS
+        local = LocalScoreTable(
+            [{0: 0.6 * eps, 0b010: 0.25}, {0: 1.2 * eps, 0b100: 0.25}, {0: 0.0, 0b001: 0.25}],
+            ("a", "b", "c"),
+            1,
+            "bic",
+        )
+        c = ParentConstraints(
+            (NodeSubset(0b010), NodeSubset(0b100), NodeSubset(0b001)), indegree=1
+        )
+        bst = best_sinks(best_parents(local, c), c, local)
+        assert bst.sinks(0b111) == (1, 2)
+        assert abs(bst.score(0b111) - (0.5 + 1.2 * eps)) <= eps
+
     def test_figure_best_sink_chain(self):
         # local scores crafted so the best network is the chain
         # 2 -> 1 -> 0 -> 3 with unique best sinks peeling 3,0,1,2
@@ -429,6 +523,65 @@ class TestBestSinks:
         assert net.ordering == (2, 1, 0, 3)
         assert net.edges() == [(0, 3), (1, 0), (2, 1)]
         assert abs(net.total_score - (-4.0 + 3 * bonus)) < 1e-12
+
+
+@st.composite
+def sweep_cases(draw):
+    """Constraints over up to 10 nodes, with scores drawn as in ``score_tables``."""
+    p = draw(st.integers(min_value=1, max_value=10))
+    d = draw(st.integers(min_value=1, max_value=max(1, min(3, p - 1))))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    rnd = draw(st.randoms(use_true_random=False))
+    pp = [
+        NodeSubset.from_indices(j for j in range(p) if j != i and rnd.random() < density)
+        for i in range(p)
+    ]
+    values = draw(st.lists(SCORE_VALUES, min_size=1, max_size=6))
+    tables = [{g: rnd.choice(values) for g in subsets_up_to(int(pp[i]), d)} for i in range(p)]
+    c = ParentConstraints(tuple(pp), indegree=d)
+    return c, LocalScoreTable(tables, tuple(f"V{i}" for i in range(p)), d, "bic")
+
+
+class TestSweepAgainstDictOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(sweep_cases())
+    def test_matches_dict_sweep(self, case):
+        # scores, tie sets and subsets in sweep order, and the maximal
+        # subsets in order; finite scores are multiples of 1/8, so ties are
+        # exact and the oracle's running best is exact too
+        c, local = case
+        bst = best_sinks(best_parents(local, c), c, local)
+        entries, maximal = dict_best_sinks(c, local)
+        assert list(bst.entries.items()) == list(entries.items())
+        assert bst.maximal == maximal
+
+    @pytest.mark.parametrize("p", [64, 70])
+    def test_path_constraints(self, p):
+        # p = 64 uses the top bit of uint64 masks; p = 70 takes Python-int masks
+        c, local = path_case(p, seed=p)
+        bst = best_sinks(best_parents(local, c), c, local)
+        entries, maximal = dict_best_sinks(c, local)
+        full = (1 << p) - 1
+        assert bst.levels[0][0].dtype == (np.uint64 if p <= 64 else object)
+        assert bst.n_subsets == p * (p + 1) // 2  # the intervals of the path
+        assert list(bst.entries.items()) == list(entries.items())
+        assert bst.maximal == maximal == [full]
+
+    def test_recovery_with_python_int_masks(self):
+        # 70 nodes, a path over the top ten and no possible parents elsewhere:
+        # the cover is the path's interval plus 60 singletons
+        p, top = 70, range(60, 70)
+        pp = [0] * 60 + [(1 << (i - 1) if i > 60 else 0) | (1 << (i + 1) if i < 69 else 0) for i in top]
+        c = ParentConstraints(tuple(NodeSubset(m) for m in pp), indegree=2)
+        local = random_local_table(pp, 2, np.random.default_rng(3))
+        bpt = best_parents(local, c)
+        bst = best_sinks(bpt, c, local)
+        interval = sum(1 << i for i in top)
+        result = recover_networks(bst, bpt, c, local, cap=4)
+        assert sorted(result.covered) == sorted([1 << v for v in range(60)] + [interval])
+        expected = bst.score(interval) + sum(local.empty_score(v) for v in range(60))
+        for net in result.networks:
+            assert abs(net.total_score - expected) <= 1e-9 * abs(expected)
 
 
 # ------------------------------------------------------------------ recover
@@ -752,6 +905,8 @@ class TestLearn:
             "recover",
         }
         assert report["n_reachable_subsets"] == 3
+        assert report["level_sizes"] == [2, 1]
+        assert sum(report["level_sizes"]) == report["n_reachable_subsets"]
         assert report["optimal_score"] == res.networks[0].total_score
 
     def test_every_network_validates(self):
