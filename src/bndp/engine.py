@@ -3,16 +3,17 @@
 A subset of nodes is reachable when it can be built one node at a time,
 each added node having at least one possible parent already in the set.
 The search sweeps reachable subsets level by level, one level per
-cardinality, records best sinks, and recovers every optimal network by
-peeling sinks. Each level is held as arrays: its subsets as one sorted
-mask array, their best scores and a bitmask of their tied best sinks
-(Silander & Myllymäki 2006, UAI; Malone, Yuan & Hansen 2011, AAAI). Masks
-are ``uint64`` for up to 64 nodes and Python ints (``object`` arrays)
-above that; both take the same code path. The inner step, the best
-parent set of s within ``pp[s] & (W - s)``, is a first-fit lookup in s's
-score-sorted parent sets (:class:`BestParentsTable` states the tie rule;
-the report's ``n_pools`` counts the pools it scored). An order-based
-exhaustive oracle over at most six nodes backs the tests.
+cardinality, and records best sinks. Each level is held as arrays: its
+subsets as one sorted mask array, their best scores and a bitmask of
+their tied best sinks (Silander & Myllymäki 2006, UAI; Malone, Yuan &
+Hansen 2011, AAAI). Masks are ``uint64`` for up to 64 nodes and Python
+ints (``object`` arrays) above that; both take the same code path. The
+inner step, the best parent set of s within ``pp[s] & (W - s)``, is a
+first-fit lookup in s's score-sorted parent sets (:class:`BestParentsTable`
+states the tie rule; the report's ``n_pools`` counts the pools it scored).
+Recovery memoises the distinct partial networks of each subset that best
+sinks peel down to, so ties cost no tied-ordering enumeration. An
+order-based exhaustive oracle over at most six nodes backs the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator
 
 import numpy as np
@@ -39,6 +40,7 @@ from .scoring import (
 TIE_EPS = 1e-9
 DEFAULT_MAX_SUBSETS = 2_000_000
 _CHUNK_ROWS = 4096  # subsets scored per pass, which bounds the per-pair temporaries
+_TIE_ROWS = 256  # (node, pool) pairs per tie-set pass, each a row as wide as the longest list
 
 
 class EngineError(RuntimeError):
@@ -187,14 +189,16 @@ class BestParentsTable:
         return hit
 
     def _tie_sets(self, nodes: np.ndarray, pools: np.ndarray) -> list[tuple[int, ...]]:
-        """The best parent sets of each (node, pool) pair, memoised."""
-        sets, scores = self._sets[nodes], self._scores[nodes]
-        best = scores[np.arange(len(nodes)), self._first_fit(nodes, pools)]
-        tied = _near(scores, best[:, None]) & ((sets & ~pools[:, None]) == 0)
+        """The best parent sets of each (node, pool) pair, memoised; ``_TIE_ROWS`` pairs a pass."""
         out = []
-        for node, pool, row, keep in zip(nodes.tolist(), pools.tolist(), sets, tied):
-            out.append(tuple(sorted(row[keep].tolist())))
-            self._ties[node][pool] = out[-1]
+        for at in range(0, len(nodes), _TIE_ROWS):
+            rows, under = nodes[at : at + _TIE_ROWS], pools[at : at + _TIE_ROWS]
+            sets, scores = self._sets[rows], self._scores[rows]
+            best = scores[np.arange(len(rows)), self._first_fit(rows, under)]
+            tied = _near(scores, best[:, None]) & ((sets & ~under[:, None]) == 0)
+            for node, pool, row, keep in zip(rows.tolist(), under.tolist(), sets, tied):
+                out.append(tuple(sorted(row[keep].tolist())))
+                self._ties[node][pool] = out[-1]
         return out
 
     def pool_count(self) -> int:
@@ -207,10 +211,6 @@ def best_parents(
 ) -> BestParentsTable:
     """Build the best-parents table for all feasible-set nodes."""
     return BestParentsTable(local, constraints)
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    return tuple(NodeSubset(mask))
 
 
 @dataclass
@@ -235,7 +235,7 @@ class BestSinkTable:
     @cached_property
     def entries(self) -> dict[int, tuple[float, tuple[int, ...]]]:
         return {
-            w: (score, _members(sinks))
+            w: (score, tuple(NodeSubset(sinks)))
             for level in self.levels
             for w, score, sinks in zip(*(a.tolist() for a in level))
         }
@@ -257,7 +257,7 @@ class BestSinkTable:
 
     def sinks(self, mask: int) -> tuple[int, ...]:
         (_, _, sinks), i = self._find(mask)
-        return _members(int(sinks[i]))
+        return tuple(NodeSubset(int(sinks[i])))
 
 
 def best_sinks(
@@ -359,7 +359,23 @@ def _score_level(
 class RecoveryResult:
     networks: list[Network]
     truncated: bool
-    covered: tuple[int, ...] = field(default_factory=tuple)  # chosen subset masks
+    covered: tuple[int, ...]  # chosen subset masks
+    n_subsets: int  # subsets the recovery DP filled
+
+
+def _extend(moves, ties: dict, nets: dict, p: int, limit: int) -> dict[int, tuple[int, ...]]:
+    """The first ``limit`` distinct entries of ``nets(W)``, from W's ``(s, W - s)`` moves."""
+    out: dict[int, tuple[int, ...]] = {}
+    for s, prev in moves:
+        for g in ties[s, prev]:
+            shift = g << s * p
+            for part, order in nets[prev].items():
+                key = part | shift
+                if key not in out:
+                    out[key] = order + (s,)
+                    if len(out) == limit:
+                        return out
+    return out
 
 
 def recover_networks(
@@ -369,18 +385,29 @@ def recover_networks(
     local: LocalScoreTable,
     cap: int = 32,
 ) -> RecoveryResult:
-    """Peel best sinks into reverse orderings and assign best parents.
+    """Peel best sinks into the distinct optimal networks, memoised per subset.
 
     Starts from the full feasible set when it is reachable. Otherwise
     the maximal reachable subsets are packed greedily by score gain into
     a disjoint cover; uncovered nodes keep empty parent sets. The greedy
     cover is a heuristic, not an exact max-weight packing: another
-    disjoint set of reachable subsets can score higher. All distinct
-    optimal networks of the chosen cover are emitted up to ``cap``, with
-    a truncation flag when the cap is hit.
+    disjoint set of reachable subsets can score higher.
+
+    A DP over the subsets that best sinks peel the parts down to fills
+    ``nets(W)``, the distinct parent assignments on W: over each best sink
+    s of W, each best parent set g of s within ``pp[s] & (W - s)`` and each
+    entry of ``nets(W - s)``, that entry plus ``s <- g``. An entry is one
+    int, the parents of v in bits ``[v * p, (v + 1) * p)``, with the first
+    peeling order that reached it. ``nets(W)`` keeps its first ``cap + 1``
+    entries: one (s, g) maps distinct entries to distinct ones, so a
+    truncated ``nets(W - s)`` still gives W ``cap + 1``. Disjoint parts
+    combine as a product, truncated alike. Up to ``cap`` networks come
+    back, flagged truncated when there are more: the first in peeling
+    order, so which ``cap`` of a larger tie set is not canonical.
     """
+    if cap < 0:
+        raise EngineError(f"the network cap must be at least 0, got {cap}")
     p = constraints.n_nodes
-    pp = [int(m) for m in constraints.pp]
     full = (1 << p) - 1
 
     if p and len(bst.levels) == p:  # the level of p nodes holds only the full set
@@ -404,63 +431,35 @@ def recover_networks(
             chosen.append(w)
             used |= w
 
-    isolated = full
-    for w in chosen:
-        isolated &= ~w
+    # the subsets W that best sinks peel the cover down to, their moves (s, W - s), their tie sets
+    moves: dict[int, list[tuple[int, int]]] = {}
+    todo = list(chosen)
+    while todo:
+        w = todo.pop()
+        if w and w not in moves:
+            moves[w] = [(s, w ^ (1 << s)) for s in bst.sinks(w)]
+            todo.extend(prev for _, prev in moves[w])
+    pairs = [move for w in moves for move in moves[w]]
+    pools = _mask_array([int(constraints.pp[s]) & prev for s, prev in pairs], p)
+    ties = dict(zip(pairs, bpt._tie_sets(np.array([s for s, _ in pairs], dtype=np.intp), pools)))
 
-    # each subset decoded once: its best sinks s, with W - s and the best parent sets of s
-    choices_of: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+    nets: dict[int, dict[int, tuple[int, ...]]] = {0: {0: ()}}
+    for w in sorted(moves, key=int.bit_count):
+        nets[w] = _extend(moves[w], ties, nets, p, cap + 1)
+    combined = {0: ()}
+    for w in chosen:  # disjoint parts: every pair is a distinct network
+        product = ((a | b, x + y) for a, x in combined.items() for b, y in nets[w].items())
+        combined = dict(islice(product, cap + 1))
 
-    def decode(mask: int) -> list[tuple[int, int, tuple[int, ...]]]:
-        sinks = bst.sinks(mask)
-        prevs = [mask ^ (1 << s) for s in sinks]
-        pools = _mask_array([pp[s] & prev for s, prev in zip(sinks, prevs)], p)
-        return list(zip(sinks, prevs, bpt._tie_sets(np.array(sinks), pools)))
-
-    def orderings(mask: int) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-        """Yield (ordering, [(node, parent mask)]) choices for a subset."""
-        if mask == 0:
-            yield [], []
-            return
-        try:
-            choices = choices_of[mask]
-        except KeyError:
-            choices = choices_of[mask] = decode(mask)
-        for s, prev, parent_masks in choices:
-            for parent_mask in parent_masks:
-                for order, assign in orderings(prev):
-                    yield order + [s], assign + [(s, parent_mask)]
-
-    def all_covers() -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-        def rec(k: int) -> Iterator[tuple[list[int], list[tuple[int, int]]]]:
-            if k == len(chosen):
-                yield [], []
-                return
-            for order, assign in orderings(chosen[k]):
-                for rest_order, rest_assign in rec(k + 1):
-                    yield order + rest_order, assign + rest_assign
-
-        return rec(0)
-
-    networks: dict[tuple[int, ...], Network] = {}
-    truncated = False
-    for order, assign in all_covers():
-        parents = [0] * p
-        for node, mask in assign:
-            parents[node] = mask
-        key = tuple(parents)
-        if key in networks:
-            continue
-        if len(networks) >= cap:
-            truncated = True
-            break
-        ordering = order + sorted(NodeSubset(isolated))
+    tail = tuple(NodeSubset(full - sum(chosen)))  # the uncovered nodes; the parts are disjoint
+    networks = []
+    for key, order in islice(combined.items(), cap):
+        parents = [key >> (v * p) & full for v in range(p)]
         scores = [local.score(v, parents[v]) for v in range(p)]
-        net = Network.build(parents, scores, ordering)
+        net = Network.build(parents, scores, order + tail)
         net.check_constraints(constraints)
-        networks[key] = net
-    del orderings  # a recursive closure is a reference cycle that would keep bst and bpt alive
-    return RecoveryResult(list(networks.values()), truncated, tuple(chosen))
+        networks.append(net)
+    return RecoveryResult(networks, len(combined) > cap, tuple(chosen), len(moves))
 
 
 @dataclass
@@ -483,8 +482,8 @@ def learn(
     """End-to-end search: screen, score, sweep, recover.
 
     The report records feasible-set membership, table sizes, the
-    reachable-subset count and the subset count per level
-    (``level_sizes``), and wall time per stage.
+    reachable-subset count, the subset count per level (``level_sizes``),
+    the subsets recovery filled, and wall time per stage.
     """
     report: dict = {}
     caught: list[str] = []
@@ -517,6 +516,7 @@ def learn(
             "n_reachable_subsets": bst.n_subsets,
             "level_sizes": [len(masks) for masks, _, _ in bst.levels],
             "n_networks": len(recovery.networks),
+            "n_recover_subsets": recovery.n_subsets,
             "optimal_score": recovery.networks[0].total_score if recovery.networks else None,
             "truncated": recovery.truncated,
             "covered_subsets": [list(NodeSubset(m)) for m in recovery.covered],

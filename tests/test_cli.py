@@ -87,6 +87,8 @@ class TestLearnCommand:
         assert set(net) == {"total_score", "ordering", "edges", "parents", "node_scores"}
         report = json.loads((out / "report.json").read_text())
         assert report["feas_set_size"] == len(doc["nodes"])
+        # recovery fills only reachable subsets
+        assert 1 <= report["n_recover_subsets"] <= report["n_reachable_subsets"]
         dot = (out / "network_000.dot").read_text()
         assert dot.startswith("digraph")
 

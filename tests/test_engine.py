@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bndp.assoc import ScreenOptions
 from bndp.core import Column, Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
@@ -127,6 +127,88 @@ def dict_best_sinks(constraints, local):
             nxt.update(w | (1 << v) for v in NodeSubset(cands))
         level = sorted(nxt)
     return entries, maximal
+
+
+def ordering_recover(bst, c, local, cap):
+    """Reference recovery: enumerate every tied peeling order, drop repeated DAGs after.
+
+    This is the recovery the engine used before its memoised DP, kept as
+    an oracle. It picks the same greedy cover and walks the same best
+    sinks, but takes the best parent sets of each sink from the direct
+    enumeration ``_best_subsets_in_pool`` and visits every tied ordering,
+    so its time grows with the number of peeling paths, not of networks.
+    """
+    p, d = c.n_nodes, c.indegree
+    pp = [int(m) for m in c.pp]
+    full = (1 << p) - 1
+    if p and len(bst.levels) == p:
+        chosen = [full]
+    else:
+        ranked = []
+        for w in bst.maximal:
+            base = 0.0
+            for v in NodeSubset(w):
+                base += local.empty_score(v)
+            gain = bst.score(w) - base
+            if math.isnan(gain):
+                gain = 0.0
+            ranked.append((-gain, -w.bit_count(), w))
+        used, chosen = 0, []
+        for _, _, w in sorted(ranked):
+            if not w & used:
+                chosen.append(w)
+                used |= w
+    isolated = sorted(NodeSubset(full - sum(chosen)))
+
+    def orderings(mask):
+        """Yield (ordering, [(node, parent mask)]) choices for a subset."""
+        if mask == 0:
+            yield [], []
+            return
+        for s in bst.sinks(mask):
+            prev = mask ^ (1 << s)
+            for g in _best_subsets_in_pool(local.subsets(s), pp[s] & prev, d)[1]:
+                for order, assign in orderings(prev):
+                    yield order + [s], assign + [(s, g)]
+
+    def covers(k):
+        if k == len(chosen):
+            yield [], []
+            return
+        for order, assign in orderings(chosen[k]):
+            for rest_order, rest_assign in covers(k + 1):
+                yield order + rest_order, assign + rest_assign
+
+    networks, truncated = {}, False
+    for order, assign in covers(0):
+        parents = [0] * p
+        for node, mask in assign:
+            parents[node] = mask
+        key = tuple(parents)
+        if key in networks:
+            continue
+        if len(networks) >= cap:
+            truncated = True
+            break
+        scores = [local.score(v, parents[v]) for v in range(p)]
+        networks[key] = Network.build(parents, scores, order + isolated)
+    return list(networks.values()), truncated, tuple(chosen)
+
+
+def peeling_paths(bst, bpt, c, cover):
+    """The (sink, parent set) peeling paths over ``cover``: the orderings the oracle walks."""
+    pp = [int(m) for m in c.pp]
+    memo = {0: 1}
+
+    def paths(w):
+        if w not in memo:
+            memo[w] = sum(
+                len(bpt.best_subsets(s, pp[s] & (w ^ (1 << s)))) * paths(w ^ (1 << s))
+                for s in bst.sinks(w)
+            )
+        return memo[w]
+
+    return math.prod(paths(w) for w in cover)
 
 
 def path_case(p, seed):
@@ -586,6 +668,45 @@ class TestSweepAgainstDictOracle:
 
 # ------------------------------------------------------------------ recover
 
+ORACLE_PATHS = 20_000  # peeling paths the ordering oracle may walk per case
+ORACLE_NETWORKS = 300  # distinct networks it may emit
+
+
+def check_peeling_order(net, c):
+    """Every node follows its parents in the network's ordering."""
+    at = {v: k for k, v in enumerate(net.ordering)}
+    assert sorted(at) == list(range(c.n_nodes))
+    assert all(at[u] < at[v] for u, v in net.edges())
+
+
+class TestRecoveryAgainstOrderingOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(sweep_cases())
+    def test_matches_ordering_enumeration(self, case):
+        # finite scores are multiples of 1/8, so ties are exact and the
+        # oracle's direct parent-set enumeration ties exactly as the table
+        c, local = case
+        bpt = best_parents(local, c)
+        bst = best_sinks(bpt, c, local)
+        _, _, cover = ordering_recover(bst, c, local, cap=0)
+        assume(peeling_paths(bst, bpt, c, cover) <= ORACLE_PATHS)
+        oracle, truncated, _ = ordering_recover(bst, c, local, cap=ORACLE_NETWORKS)
+        assume(not truncated)
+        optima = {net.parents for net in oracle}
+        got = recover_networks(bst, bpt, c, local, cap=ORACLE_NETWORKS)
+        assert (got.truncated, got.covered) == (False, cover)
+        assert len(got.networks) == len(optima)
+        assert {net.parents for net in got.networks} == optima
+        for net in got.networks:
+            check_peeling_order(net, c)
+        for cap in (0, 1, 3):
+            _, ref_truncated, _ = ordering_recover(bst, c, local, cap=cap)
+            res = recover_networks(bst, bpt, c, local, cap=cap)
+            assert (res.truncated, res.covered) == (ref_truncated, cover)
+            parents = [net.parents for net in res.networks]
+            assert len(set(parents)) == len(parents) == min(cap, len(optima))
+            assert set(parents) <= optima
+
 
 class TestRecoverNetworks:
     def test_single_node(self):
@@ -678,6 +799,14 @@ class TestRecoverNetworks:
                 used |= w
         assert checked >= 30
 
+    def test_negative_cap_rejected(self):
+        c = ParentConstraints.complete(3, 2)
+        local = random_local_table([int(m) for m in c.pp], 2, np.random.default_rng(13))
+        bpt = best_parents(local, c)
+        bst = best_sinks(bpt, c, local)
+        with pytest.raises(EngineError, match="at least 0"):
+            recover_networks(bst, bpt, c, local, cap=-1)
+
     def test_tables_freed_by_refcount(self):
         # recovery must not leave a reference cycle holding the tables: a
         # cycle keeps them alive until a full collection, which raised
@@ -700,16 +829,22 @@ class TestRecoverNetworks:
             gc.enable()
 
     def test_cap_truncation(self):
-        # many exactly tied optima from symmetric structure
+        # a strong chain V0 - V1 - V2 - V3 - V4: its five orientations
+        # without a collider are Markov equivalent, so BIC ties them
         rng = np.random.default_rng(10)
-        M = rng.standard_normal((50, 5)) * 1e-12  # essentially all noise, ties
+        M = rng.standard_normal((200, 5))
+        for j in range(1, 5):
+            M[:, j] += M[:, j - 1]
         data = cont(M)
         c = ParentConstraints.complete(5, 2)
         local = compute_local_scores(data, c, ScoreConfig("bic"))
         bpt = best_parents(local, c)
         bst = best_sinks(bpt, c, local)
         result = recover_networks(bst, bpt, c, local, cap=3)
-        assert len(result.networks) <= 3
+        assert result.truncated is True
+        assert len({net.parents for net in result.networks}) == len(result.networks) == 3
+        optimum = bst.score(0b11111)
+        assert all(_close(net.total_score, optimum) for net in result.networks)
 
 
 # ---------------------------------------------------------------- orderings
@@ -908,6 +1043,22 @@ class TestLearn:
         assert report["level_sizes"] == [2, 1]
         assert sum(report["level_sizes"]) == report["n_reachable_subsets"]
         assert report["optimal_score"] == res.networks[0].total_score
+        # the orientations tie: recovery fills {x, y} and both singletons
+        assert report["n_recover_subsets"] == 3
+
+    def test_tied_sinks_recover_in_one_pass(self):
+        # 10 independent columns, complete possible parents: every node is a
+        # best sink of every subset, so there are 10! peeling orders but one
+        # network, the empty graph, filled from the 1,023 subsets once each
+        rng = np.random.default_rng(1)
+        names = [f"Z{i}" for i in range(10)]
+        data = cont(rng.standard_normal((1000, 10)), names)
+        pp = {a: [b for b in names if b != a] for a in names}
+        res = learn(data, ScreenOptions(user_pp=pp), ScoreConfig("bic"), 2)
+        assert len(res.networks) == 1 and not res.truncated
+        assert res.networks[0].edges() == []
+        assert res.report["n_recover_subsets"] == 2**10 - 1
+        assert res.report["stage_ms"]["recover"] < 1000
 
     def test_every_network_validates(self):
         rng = np.random.default_rng(19)
