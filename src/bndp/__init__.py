@@ -33,13 +33,10 @@ from .engine import (
     BestParentsTable,
     BestSinkTable,
     EngineError,
-    ExhaustiveResult,
     LearnResult,
     RecoveryResult,
     best_parents,
     best_sinks,
-    enumerate_dags,
-    exhaustive_search,
     learn,
     recover_networks,
 )
@@ -53,7 +50,6 @@ from .numeric import (
     cox_fit,
     least_squares,
     log_mvgamma,
-    student_t_sf,
 )
 from .scoring import (
     LocalScoreTable,
@@ -84,7 +80,6 @@ __all__ = [
     "EdgeConfusion",
     "EmptyFeasSetError",
     "EngineError",
-    "ExhaustiveResult",
     "FitResult",
     "LearnResult",
     "LocalScoreTable",
@@ -117,8 +112,6 @@ __all__ = [
     "cox_fit",
     "cox_screen",
     "edge_confusion",
-    "enumerate_dags",
-    "exhaustive_search",
     "fdr",
     "hamming",
     "learn",
@@ -129,6 +122,5 @@ __all__ = [
     "simulate_data",
     "simulate_survival",
     "skeleton",
-    "student_t_sf",
     "validate_dag",
 ]

@@ -7,13 +7,18 @@ cardinality, and records best sinks. Each level is held as arrays: its
 subsets as one sorted mask array, their best scores and a bitmask of
 their tied best sinks (Silander & Myllymäki 2006, UAI; Malone, Yuan &
 Hansen 2011, AAAI). Masks are ``uint64`` for up to 64 nodes and Python
-ints (``object`` arrays) above that; both take the same code path. The
-inner step, the best parent set of s within ``pp[s] & (W - s)``, is a
-first-fit lookup in s's score-sorted parent sets (:class:`BestParentsTable`
-states the tie rule; the report's ``n_pools`` counts the pools it scored).
+ints (``object`` arrays) above that; both take the same code path.
+
+A level is built from its extension pairs (W, v), W in the level below
+and v outside W with a possible parent in W. As ``po`` is the transpose
+of ``pp``, each pair is one admissible (subset, sink) candidate and the
+pairs are all of them; a subset's score is the candidate of its
+lowest-numbered best sink, found as a minimum over its pairs. The inner
+step, the best parent set of v within ``pp[v] & W``, is a first-fit
+lookup in v's score-sorted parent sets (:class:`BestParentsTable` states
+the tie rule; the report's ``n_pools`` counts the pools it scored).
 Recovery memoises the distinct partial networks of each subset that best
-sinks peel down to, so ties cost no tied-ordering enumeration. An
-order-based exhaustive oracle over at most six nodes backs the tests.
+sinks peel down to, so ties cost no tied-ordering enumeration.
 """
 
 from __future__ import annotations
@@ -23,23 +28,17 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, permutations
-from typing import Iterator
+from itertools import islice
 
 import numpy as np
 
 from .assoc import ScreenOptions, build_constraints
-from .core import Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
-from .scoring import (
-    NEG_INF,
-    LocalScoreTable,
-    ScoreConfig,
-    compute_local_scores,
-)
+from .core import Dataset, Network, NodeSubset, ParentConstraints
+from .scoring import LocalScoreTable, ScoreConfig, compute_local_scores
 
 TIE_EPS = 1e-9
 DEFAULT_MAX_SUBSETS = 2_000_000
-_CHUNK_ROWS = 4096  # subsets scored per pass, which bounds the per-pair temporaries
+_PAIR_CHUNK = 32768  # (subset, sink) pairs scored per pass, which bounds the per-pair temporaries
 _TIE_ROWS = 256  # (node, pool) pairs per tie-set pass, each a row as wide as the longest list
 
 
@@ -66,22 +65,6 @@ def _near(x: np.ndarray, best: np.ndarray) -> np.ndarray:
 def _mask_array(masks, p: int) -> np.ndarray:
     """Node-set bitmasks as ``uint64`` for up to 64 nodes, else Python ints."""
     return np.array(masks, dtype=np.uint64 if p <= 64 else object)
-
-
-def _best_subsets_in_pool(
-    table: dict[int, float], pool: int, d: int
-) -> tuple[float, list[int]]:
-    """Direct enumeration of the best parent subsets within a pool."""
-    candidates = subsets_up_to(pool, d)
-    empty = next(candidates)  # the empty set comes first
-    best, acc = table[empty], [empty]
-    for g in candidates:
-        score = table[g]
-        if score > best and not _close(score, best):
-            best, acc = score, [g]
-        elif _close(score, best):
-            acc.append(g)
-    return best, acc
 
 
 class BestParentsTable:
@@ -145,8 +128,8 @@ class BestParentsTable:
 
         Newly scored pairs wait in ``_pending`` until :meth:`_merge`, which
         the sweep calls once per level. A new pair met again in a later
-        chunk of the same level is scored again. That is rare: a pool U of
-        s first shows up with the one subset ``U | bit(s)`` when that
+        pair chunk of the same level is scored again. That is rare: a pool
+        U of s first shows up with the one subset ``U | bit(s)`` when that
         subset is reachable (on the ``sweep`` benchmark no pair is scored
         twice).
         """
@@ -167,14 +150,30 @@ class BestParentsTable:
         return scores
 
     def _merge(self) -> None:
-        """Fold the pending pairs, all absent from the memo, into it."""
+        """Fold the pending pairs, all absent from the memo, into it.
+
+        Each new key goes straight to its merged position, its rank among
+        the new keys plus the memo keys below it, in one pass that holds
+        no index array larger than the new keys.
+        """
         if self._pending:
-            keys, first = np.unique(np.concatenate([k for k, _ in self._pending]), return_index=True)
-            scores = np.concatenate([s for _, s in self._pending])[first]
-            at = np.searchsorted(self._memo_keys, keys)
-            self._memo_keys = np.insert(self._memo_keys, at, keys)
-            self._memo_scores = np.insert(self._memo_scores, at, scores)
+            keys = np.concatenate([k for k, _ in self._pending])
+            order = keys.argsort()  # a pair scored in two chunks has one score, so either copy will do
+            keys = keys[order]
+            scores = np.concatenate([s for _, s in self._pending])[order]
             self._pending = []
+            fresh = np.ones(len(keys), dtype=bool)
+            fresh[1:] = keys[1:] != keys[:-1]
+            keys, scores = keys[fresh], scores[fresh]
+            at = np.searchsorted(self._memo_keys, keys) + np.arange(len(keys))
+            old = np.ones(len(self._memo_keys) + len(keys), dtype=bool)
+            old[at] = False
+            merged_keys = np.empty(len(old), dtype=keys.dtype)
+            merged_keys[at], merged_keys[old] = keys, self._memo_keys
+            self._memo_keys = merged_keys
+            merged_scores = np.empty(len(old))
+            merged_scores[at], merged_scores[old] = scores, self._memo_scores
+            self._memo_scores = merged_scores
 
     def score(self, node: int, pool: int) -> float:
         pools = np.array([pool], dtype=self._pp.dtype)
@@ -220,13 +219,16 @@ class BestSinkTable:
     ``levels[k]`` holds the reachable subsets of k + 1 nodes as three
     parallel arrays: their masks in ascending order, their best scores and
     the bitmasks of their best sinks. ``maximal`` lists the reachable
-    subsets that no node can extend, in sweep order. :meth:`score` and
-    :meth:`sinks` look up one subset; ``entries`` decodes every subset, in
-    sweep order, into a dict ``mask -> (score, sinks)`` on first use.
+    subsets that no node can extend, in sweep order, and ``level_ms[k]``
+    the milliseconds taken to generate and score ``levels[k]``.
+    :meth:`score` and :meth:`sinks` look up one subset; ``entries`` decodes
+    every subset, in sweep order, into a dict ``mask -> (score, sinks)`` on
+    first use.
     """
 
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     maximal: list[int]
+    level_ms: list[float]
 
     @property
     def n_subsets(self) -> int:
@@ -269,44 +271,60 @@ def best_sinks(
     """Sweep reachable subsets level by level recording best sinks.
 
     Level one is all singletons, each its own sink at its empty-parent
-    local score. Level k + 1 is the sorted set of the extensions
-    ``W | bit(v)`` of the level-k subsets W by the nodes v outside W with a
-    possible parent in W (v in ``po_acc & ~W``, where ``po_acc`` is the
-    union of the possible offspring of W's members). The extensions by
-    one node v form an ascending run, so one stable sort merges the runs
-    and a comparison of neighbours drops the repeats. Subsets with no
-    extension are recorded as maximal, in sweep order. The cap on the
-    reachable-subset count is checked as soon as a level is generated,
-    before it is scored, so an over-cap sweep fails at the first level
-    that crosses it, with the level sizes reached in the error.
+    local score. Level k + 1 comes from the extension pairs (W, v): W a
+    level-k subset and v a node outside W with a possible parent in W (v in
+    ``po_acc & ~W``, ``po_acc`` being the union of the possible offspring of
+    W's members). ``po`` is the transpose of ``pp``, so v is in ``po_acc``
+    exactly when ``pp[v] & W != 0``: each pair is one admissible (subset,
+    sink) candidate ``(W | bit(v), v)``, and the pairs are all of them, so
+    nothing is looked up in the level below. One sort on ``W | bit(v)``
+    groups each new subset's pairs; the group starts are the new level,
+    and the cap on the reachable-subset count is checked there, before the
+    level is scored. Subsets with no extension are recorded as maximal, in
+    sweep order.
 
-    A node s is admissible as the sink of W when ``W - s`` is reachable
-    (found by ``searchsorted`` in the level below) and contains a possible
-    parent of s. Its candidate score is the best score of ``W - s`` plus
-    the first-fit score of s within ``pp[s] & (W - s)``. The best sinks of
-    W are the maximum and every admissible candidate within ``TIE_EPS`` of
-    it, the rule :class:`BestParentsTable` states; W's score is the
-    candidate of its lowest-numbered best sink. A level is scored in chunks
-    of rows, with no loop over subsets.
+    A pair's candidate is W's best score plus the first-fit score of v
+    within ``pp[v] & W``. A subset's best sinks are the maximum and every
+    candidate within ``TIE_EPS`` of it (the rule :class:`BestParentsTable`
+    states), and its score is the candidate of its lowest-numbered best
+    sink, as in the per-subset sweep this replaced, so every score keeps
+    every bit. That sink is found as a minimum over the group: the sort is
+    not stable, since a stable argsort needs a buffer of half the level's
+    pairs. Pairs are scored in chunks of whole groups. ``level_ms`` records
+    the time to generate and score each level.
     """
     p = constraints.n_nodes
     pp = _mask_array([int(m) for m in constraints.pp], p)
     po = _mask_array([int(m) for m in constraints.po], p)
     bit = _mask_array([1 << v for v in range(p)], p)
+    node_type = np.min_scalar_type(p)
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     maximal: list[int] = []
+    level_ms: list[float] = []
+    start = time.perf_counter()
     masks, po_acc, sinks = bit, po, bit
     scores = np.array([local.empty_score(v) for v in range(p)], dtype=float)
     while len(masks):
         levels.append((masks, scores, sinks))
+        level_ms.append((time.perf_counter() - start) * 1000.0)
+        start = time.perf_counter()
         free = po_acc & ~masks
         maximal.extend(masks[free == 0].tolist())
-        ext = np.concatenate([masks[(free & b) != 0] | b for b in bit])  # one ascending run per node
-        ext.sort(kind="stable")  # merges the runs
-        fresh = np.ones(len(ext), dtype=bool)
-        fresh[1:] = ext[1:] != ext[:-1]
-        masks = ext[fresh]
-        sizes = [len(m) for m, _, _ in levels] + [len(masks)]
+        # the extension pairs (row of W, v), in compact dtypes, since a
+        # level's pairs are held at once
+        rows = [np.flatnonzero(free & b).astype(np.min_scalar_type(len(masks))) for b in bit]
+        node = np.repeat(np.arange(p, dtype=node_type), [len(r) for r in rows])
+        src = np.concatenate(rows)
+        del rows
+        key = masks[src]
+        key |= bit[node]
+        order = key.argsort()
+        key.sort()
+        lead = np.ones(len(key), dtype=bool)  # each new subset's first pair
+        lead[1:] = key[1:] != key[:-1]
+        new_masks = key[lead]
+        del key
+        sizes = [len(m) for m, _, _ in levels] + [len(new_masks)]
         if max_subsets is not None and sum(sizes) > max_subsets:
             raise EngineError(
                 f"reachable-subset count exceeded the cap ({max_subsets}) at level "
@@ -314,45 +332,36 @@ def best_sinks(
                 f"subsets per level: {sizes}; "
                 "use a stricter screening cutoff or raise max_subsets"
             )
-        scores, sinks, po_acc = _score_level(masks, levels[-1], bpt, pp, po, bit)
+        src, node = src[order], node[order]
+        del order
+        starts = np.flatnonzero(lead)
+        po_acc = po_acc[src[starts]] | po[node[starts]]
+        new_scores = np.empty(len(starts))
+        new_sinks = np.empty_like(new_masks)
+        # chunks of whole subsets, about _PAIR_CHUNK pairs each
+        edges = np.append(starts, len(src))
+        cuts = np.unique(np.searchsorted(starts, np.arange(0, len(src), _PAIR_CHUNK)))
+        for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(starts)]):
+            at = slice(edges[lo], edges[hi])
+            w, v = src[at], node[at]
+            by_node = v.argsort(kind="stable")  # the memo is searched faster node by node
+            cand = scores[w]
+            cand[by_node] += bpt._score_pairs(v[by_node], (masks[w] & pp[v])[by_node])
+            group = np.cumsum(lead[at]) - 1
+            offsets = starts[lo:hi] - edges[lo]
+            best = np.maximum.reduceat(cand, offsets)
+            tied = _near(cand, best[group])
+            low = np.minimum.reduceat(np.where(tied, v, p), offsets)  # lowest tied sink
+            lowest = tied & (v == low[group])
+            new_scores[lo:hi] = best
+            new_scores[lo + group[lowest]] = cand[lowest]
+            tied_bits = bit[v]
+            tied_bits[~tied] = 0
+            new_sinks[lo:hi] = np.bitwise_or.reduceat(tied_bits, offsets)
+        masks, scores, sinks = new_masks, new_scores, new_sinks
+        del src, node, lead  # freed before the merge, which has large temporaries too
         bpt._merge()
-    return BestSinkTable(levels, maximal)
-
-
-def _score_level(
-    masks: np.ndarray,
-    below: tuple[np.ndarray, np.ndarray, np.ndarray],
-    bpt: BestParentsTable,
-    pp: np.ndarray,
-    po: np.ndarray,
-    bit: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best scores, best-sink bitmasks and ``po_acc`` of one level, from the level below."""
-    below_masks, below_scores, _ = below
-    last = len(below_masks) - 1
-    scores = np.empty(len(masks))
-    sinks = np.empty_like(masks)
-    po_acc = np.empty_like(masks)
-    for start in range(0, len(masks), _CHUNK_ROWS):
-        w = masks[start : start + _CHUNK_ROWS]
-        rows = slice(start, start + len(w))
-        # (subset, member) pairs as a rows x level-size matrix, members ascending
-        members = np.nonzero((w[:, None] & bit) != 0)[1].reshape(len(w), -1)
-        po_acc[rows] = np.bitwise_or.reduce(po[members], axis=1)
-        prev = w[:, None] ^ bit[members]
-        at = np.minimum(np.searchsorted(below_masks, prev), last)
-        pools = prev & pp[members]
-        admissible = (below_masks[at] == prev) & (pools != 0)
-        if not admissible.any(axis=1).all():
-            stuck = int(w[~admissible.any(axis=1)][0])
-            raise EngineError(f"no admissible sink for reachable subset {stuck:#x}")
-        cand = np.full(members.shape, -math.inf)
-        pair_scores = bpt._score_pairs(members[admissible], pools[admissible])
-        cand[admissible] = below_scores[at[admissible]] + pair_scores
-        tied = admissible & _near(cand, cand.max(axis=1)[:, None])
-        scores[rows] = cand[np.arange(len(w)), tied.argmax(axis=1)]
-        sinks[rows] = (tied * bit[members]).sum(axis=1)
-    return scores, sinks, po_acc
+    return BestSinkTable(levels, maximal, level_ms)
 
 
 @dataclass
@@ -482,8 +491,9 @@ def learn(
     """End-to-end search: screen, score, sweep, recover.
 
     The report records feasible-set membership, table sizes, the
-    reachable-subset count, the subset count per level (``level_sizes``),
-    the subsets recovery filled, and wall time per stage.
+    reachable-subset count, the subset count and sweep time per level
+    (``level_sizes``, ``level_ms``), the subsets recovery filled, and wall
+    time per stage.
     """
     report: dict = {}
     caught: list[str] = []
@@ -515,6 +525,7 @@ def learn(
             "n_pools": bpt.pool_count(),
             "n_reachable_subsets": bst.n_subsets,
             "level_sizes": [len(masks) for masks, _, _ in bst.levels],
+            "level_ms": [round(ms, 3) for ms in bst.level_ms],
             "n_networks": len(recovery.networks),
             "n_recover_subsets": recovery.n_subsets,
             "optimal_score": recovery.networks[0].total_score if recovery.networks else None,
@@ -541,124 +552,3 @@ class _StageTimer:
         if exc is not None and exc.args:
             exc.args = (f"{self.name}: {exc.args[0]}",) + exc.args[1:]
         return False
-
-
-@dataclass
-class ExhaustiveResult:
-    networks: list[Network]
-    optimal_score: float | None
-    truncated: bool = False
-
-
-def exhaustive_search(
-    data: Dataset,
-    score_cfg: ScoreConfig,
-    indegree: int,
-    constraints: ParentConstraints | None = None,
-    generational_only: bool = False,
-    max_optima: int = 512,
-) -> ExhaustiveResult:
-    """Test oracle: optimal networks by enumeration of all node orders.
-
-    Every DAG is consistent with some order, and for a fixed order the
-    nodes pick their best preceding parent sets independently, so the
-    order maximum equals the DAG-space maximum. With
-    ``generational_only`` orders are restricted to complete generational
-    orderings, the space the sweep searches. Refuses more than 6 nodes.
-    """
-    p = data.p
-    if p > 6:
-        raise EngineError("exhaustive search is limited to at most 6 nodes")
-    if constraints is None:
-        constraints = ParentConstraints.complete(p, indegree)
-    elif constraints.indegree != indegree:
-        raise EngineError("indegree argument disagrees with the constraints")
-    local = compute_local_scores(data, constraints, score_cfg)
-    pp = [int(m) for m in constraints.pp]
-    d = indegree
-
-    best_total = NEG_INF
-    found: dict[tuple[int, ...], Network] = {}
-    truncated = False
-
-    for perm in permutations(range(p)):
-        prefix = 0
-        total = 0.0
-        choices: list[tuple[int, list[int]]] = []
-        feasible = True
-        for k, v in enumerate(perm):
-            if generational_only and k > 0 and not (pp[v] & prefix):
-                feasible = False
-                break
-            pool = pp[v] & prefix
-            score, masks = _best_subsets_in_pool(local.subsets(v), pool, d)
-            total += score
-            choices.append((v, masks))
-            prefix |= 1 << v
-        if not feasible:
-            continue
-        if total > best_total and not _close(total, best_total):
-            best_total = total
-            found.clear()
-            truncated = False
-        elif not _close(total, best_total):
-            continue
-
-        def expand(k: int, parents: list[int]) -> None:
-            nonlocal truncated
-            if truncated:
-                return
-            if k == len(choices):
-                key = tuple(parents)
-                if key not in found:
-                    if len(found) >= max_optima:
-                        truncated = True
-                        return
-                    scores = [local.score(v, parents[v]) for v in range(p)]
-                    found[key] = Network.build(parents, scores, perm)
-                return
-            v, masks = choices[k]
-            for mask in masks:
-                parents[v] = mask
-                expand(k + 1, parents)
-            parents[v] = 0
-
-        expand(0, [0] * p)
-
-    if not found:
-        return ExhaustiveResult([], None, False)
-    return ExhaustiveResult(list(found.values()), best_total, truncated)
-
-
-def enumerate_dags(
-    p: int, constraints: ParentConstraints | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Brute-force enumeration of constraint-consistent parent vectors.
-
-    Yields each labeled DAG exactly once as a tuple of parent bitmasks;
-    a counting and cross-checking oracle, limited to 6 nodes.
-    """
-    if p > 6:
-        raise EngineError("DAG enumeration is limited to at most 6 nodes")
-    if constraints is None:
-        pp = [((1 << p) - 1) & ~(1 << i) for i in range(p)]
-        d = p - 1 if p > 1 else 1
-    else:
-        pp = [int(m) for m in constraints.pp]
-        d = constraints.indegree
-
-    per_node = [list(subsets_up_to(pp[i], d)) for i in range(p)]
-
-    from .core import validate_dag
-
-    def rec(i: int, parents: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == p:
-            if validate_dag(parents).acyclic:
-                yield tuple(parents)
-            return
-        for mask in per_node[i]:
-            parents[i] = mask
-            yield from rec(i + 1, parents)
-        parents[i] = 0
-
-    yield from rec(0, [0] * p)

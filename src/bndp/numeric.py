@@ -2,7 +2,7 @@
 
 These are deterministic, side-effect-free functions shared by the
 screening and scoring layers. Tail probabilities delegate to scipy's
-regularized incomplete beta/gamma routines.
+regularized incomplete gamma routine.
 """
 
 from __future__ import annotations
@@ -79,16 +79,6 @@ def least_squares(y: np.ndarray, X: np.ndarray) -> FitResult:
         rss=rss,
         rank_deficient=rank < k,
     )
-
-
-def student_t_sf(t: float, df: float) -> float:
-    """P(T > t) for Student's t with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise NumericError(f"degrees of freedom must be positive, got {df}")
-    # regularized incomplete beta: P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2 for t >= 0
-    x = df / (df + t * t)
-    half_tail = 0.5 * float(special.betainc(0.5 * df, 0.5, x))
-    return half_tail if t >= 0 else 1.0 - half_tail
 
 
 def chisq_sf(x: float, df: float) -> float:

@@ -79,7 +79,7 @@ class TestCorrTest:
 
     def test_known_value_n20_r05(self):
         # r = 0.5, n = 20 -> t = 0.5 * sqrt(18 / 0.75), p ~ 0.0249
-        from bndp.numeric import student_t_sf
+        from oracles import student_t_sf
 
         t = 0.5 * math.sqrt(18 / 0.75)
         expect = 2 * student_t_sf(t, 18)

@@ -22,6 +22,7 @@ def normalized(path: Path) -> str:
     if path.suffix == ".json":
         doc = json.loads(text)
         doc.pop("stage_ms", None)
+        doc.pop("level_ms", None)
         return json.dumps(doc, indent=2)
     if path.name.endswith(".csv") and "runtime_ms" in text.splitlines()[0]:
         rows = [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
@@ -89,6 +90,7 @@ class TestLearnCommand:
         assert report["feas_set_size"] == len(doc["nodes"])
         # recovery fills only reachable subsets
         assert 1 <= report["n_recover_subsets"] <= report["n_reachable_subsets"]
+        assert len(report["level_ms"]) == len(report["level_sizes"])
         dot = (out / "network_000.dot").read_text()
         assert dot.startswith("digraph")
 

@@ -1,26 +1,26 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bndp.engine
 from bndp.assoc import ScreenOptions
 from bndp.core import Column, Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
 from bndp.engine import (
     TIE_EPS,
     EngineError,
-    _best_subsets_in_pool,
     _close,
     best_parents,
     best_sinks,
-    enumerate_dags,
-    exhaustive_search,
     learn,
     recover_networks,
 )
 from bndp.scoring import LocalScoreTable, ScoreConfig, compute_local_scores
 from bndp.simulate import simulate_survival
+from oracles import best_subsets_in_pool, enumerate_dags, exhaustive_search
 
 PAPER_PP = ([1, 3], [2, 0], [1], [0])  # 0-indexed worked-example pp sets
 
@@ -89,7 +89,7 @@ def dict_best_sinks(constraints, local):
 
     This is the per-subset loop the engine used before its level arrays,
     kept as an oracle. Pool scores come from the direct enumeration
-    ``_best_subsets_in_pool``. Sinks keep a running best, so the answer
+    ``best_subsets_in_pool``. Sinks keep a running best, so the answer
     depends on the visiting order only when candidates chain within
     ``TIE_EPS`` of each other without all lying within ``TIE_EPS`` of the
     maximum. Returns the entries ``mask -> (score, sinks)`` in sweep order
@@ -113,7 +113,7 @@ def dict_best_sinks(constraints, local):
                 pool = pp[s] & prev
                 if not prev or not pool or prev not in entries:
                     continue
-                score = entries[prev][0] + _best_subsets_in_pool(local.subsets(s), pool, d)[0]
+                score = entries[prev][0] + best_subsets_in_pool(local.subsets(s), pool, d)[0]
                 if score > best and not _close(score, best):
                     best, sinks = score, [s]
                 elif _close(score, best):
@@ -135,7 +135,7 @@ def ordering_recover(bst, c, local, cap):
     This is the recovery the engine used before its memoised DP, kept as
     an oracle. It picks the same greedy cover and walks the same best
     sinks, but takes the best parent sets of each sink from the direct
-    enumeration ``_best_subsets_in_pool`` and visits every tied ordering,
+    enumeration ``best_subsets_in_pool`` and visits every tied ordering,
     so its time grows with the number of peeling paths, not of networks.
     """
     p, d = c.n_nodes, c.indegree
@@ -167,7 +167,7 @@ def ordering_recover(bst, c, local, cap):
             return
         for s in bst.sinks(mask):
             prev = mask ^ (1 << s)
-            for g in _best_subsets_in_pool(local.subsets(s), pp[s] & prev, d)[1]:
+            for g in best_subsets_in_pool(local.subsets(s), pp[s] & prev, d)[1]:
                 for order, assign in orderings(prev):
                     yield order + [s], assign + [(s, g)]
 
@@ -386,7 +386,7 @@ class TestFirstFitLookup:
             full = int(c.pp[i])
             sub = full
             while True:
-                ref_score, ref_sets = _best_subsets_in_pool(local.subsets(i), sub, c.indegree)
+                ref_score, ref_sets = best_subsets_in_pool(local.subsets(i), sub, c.indegree)
                 assert bpt.score(i, sub) == ref_score
                 assert bpt.best_subsets(i, sub) == tuple(sorted(ref_sets))
                 if sub == 0:
@@ -664,6 +664,38 @@ class TestSweepAgainstDictOracle:
         expected = bst.score(interval) + sum(local.empty_score(v) for v in range(60))
         for net in result.networks:
             assert abs(net.total_score - expected) <= 1e-9 * abs(expected)
+
+
+def sweeps_by_chunk_size(c, local):
+    """``levels`` (values and dtypes), ``maximal`` and ``pool_count()`` at each pair-chunk size.
+
+    The sizes are one pair, three pairs and more pairs than any level has,
+    so the small ones put chunk boundaries inside the pairs of one subset
+    unless the chunks keep each subset's pairs whole.
+    """
+    out = []
+    for size in (1, 3, 1 << 40):
+        with mock.patch.object(bndp.engine, "_PAIR_CHUNK", size):
+            bpt = best_parents(local, c)
+            bst = best_sinks(bpt, c, local)
+        levels = [[(a.dtype, a.tolist()) for a in level] for level in bst.levels]
+        out.append((levels, bst.maximal, bpt.pool_count()))
+    return out
+
+
+class TestPairChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_cases())
+    def test_chunk_size_does_not_change_the_sweep(self, case):
+        first, *rest = sweeps_by_chunk_size(*case)
+        assert all(other == first for other in rest)
+
+    def test_chunk_size_with_python_int_masks(self):
+        # p = 70 takes object arrays of Python-int masks
+        c, local = path_case(70, seed=5)
+        first, *rest = sweeps_by_chunk_size(c, local)
+        assert first[0][0][0][0] == np.dtype(object)
+        assert all(other == first for other in rest)
 
 
 # ------------------------------------------------------------------ recover
@@ -1042,6 +1074,8 @@ class TestLearn:
         assert report["n_reachable_subsets"] == 3
         assert report["level_sizes"] == [2, 1]
         assert sum(report["level_sizes"]) == report["n_reachable_subsets"]
+        assert len(report["level_ms"]) == len(report["level_sizes"])
+        assert all(ms >= 0 for ms in report["level_ms"])
         assert report["optimal_score"] == res.networks[0].total_score
         # the orientations tie: recovery fills {x, y} and both singletons
         assert report["n_recover_subsets"] == 3

@@ -14,9 +14,9 @@ from bndp.numeric import (
     cox_fit,
     least_squares,
     log_mvgamma,
-    student_t_sf,
 )
 from bndp.simulate import simulate_survival
+from oracles import student_t_sf
 
 
 # ------------------------------------------------------------------ oracles
