@@ -46,18 +46,11 @@ class EngineError(RuntimeError):
     """Search failed: inconsistent tables or exceeded resource caps."""
 
 
-def _close(a: float, b: float) -> bool:
-    """Score equality within the relative tie tolerance."""
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= TIE_EPS * max(1.0, abs(a), abs(b))
-
-
 def _near(x: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_close` of two broadcastable float arrays."""
-    with np.errstate(invalid="ignore"):  # inf - inf compares False, as in _close
+    """Score equality within the relative tie tolerance, elementwise over
+    two broadcastable float arrays: equal values, or finite values within
+    ``TIE_EPS`` times the larger magnitude (at least 1)."""
+    with np.errstate(invalid="ignore"):  # inf - inf compares False: an inf ties only itself
         tol = TIE_EPS * np.maximum(1.0, np.maximum(np.abs(x), np.abs(best)))
         return (x == best) | ((np.abs(x - best) <= tol) & np.isfinite(x) & np.isfinite(best))
 
@@ -492,11 +485,12 @@ def learn(
 
     The report records feasible-set membership, table sizes, the
     reachable-subset count, the subset count and sweep time per level
-    (``level_sizes``, ``level_ms``), the subsets recovery filled, and wall
-    time per stage.
+    (``level_sizes``, ``level_ms``), the subsets recovery filled, wall
+    time per stage, and the warnings raised: every message in order
+    (``warnings``) and, per warning category, their count and the first
+    message (``warning_counts``).
     """
     report: dict = {}
-    caught: list[str] = []
 
     def _stage(name: str):
         return _StageTimer(name, report)
@@ -514,6 +508,10 @@ def learn(
         with _stage("recover"):
             recovery = recover_networks(bst, bpt, constraints, local, cap=optima_cap)
         caught = [str(w.message) for w in rec]
+        counts: dict[str, dict] = {}
+        for w in rec:
+            entry = counts.setdefault(w.category.__name__, {"count": 0, "first": str(w.message)})
+            entry["count"] += 1
 
     report.update(
         {
@@ -532,6 +530,7 @@ def learn(
             "truncated": recovery.truncated,
             "covered_subsets": [list(NodeSubset(m)) for m in recovery.covered],
             "warnings": caught,
+            "warning_counts": counts,
         }
     )
     return LearnResult(recovery.networks, report, reduced, constraints, recovery.truncated)

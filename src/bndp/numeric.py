@@ -2,7 +2,10 @@
 
 These are deterministic, side-effect-free functions shared by the
 screening and scoring layers. Tail probabilities delegate to scipy's
-regularized incomplete gamma routine.
+regularized incomplete gamma routine. Cox regression has one partial
+likelihood, batched over models: :func:`cox_fit_batch` fits every model
+of one survival outcome and one design width in a single Newton loop,
+and :func:`cox_fit` is a batch of one.
 """
 
 from __future__ import annotations
@@ -81,13 +84,18 @@ def least_squares(y: np.ndarray, X: np.ndarray) -> FitResult:
     )
 
 
-def chisq_sf(x: float, df: float) -> float:
-    """P(X > x) for chi-squared with ``df`` degrees of freedom."""
+def chisq_sf(x: float | np.ndarray, df: float) -> float | np.ndarray:
+    """P(X > x) for chi-squared with ``df`` degrees of freedom.
+
+    A float for a scalar ``x``, elementwise for an array.
+    """
     if df <= 0:
         raise NumericError(f"degrees of freedom must be positive, got {df}")
-    if x < 0:
-        raise NumericError(f"chi-squared statistic must be nonnegative, got {x}")
-    return float(special.gammaincc(0.5 * df, 0.5 * x))
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise NumericError(f"chi-squared statistic must be nonnegative, got {x.min()}")
+    sf = special.gammaincc(0.5 * df, 0.5 * x)
+    return float(sf) if sf.ndim == 0 else sf
 
 
 def log_mvgamma(a: float, p: int) -> float:
@@ -99,39 +107,223 @@ def log_mvgamma(a: float, p: int) -> float:
     return float(special.multigammaln(a, p))
 
 
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, each row added pairwise along itself.
+
+    numpy sums pairwise only along the axis that is contiguous in memory.
+    Over another layout (a fancy-indexed ``(B, E)`` array is
+    column-major) the order of a row's additions depends on how many rows
+    there are, which would make a model's fit depend on its batch.
+    """
+    return np.ascontiguousarray(A).sum(axis=-1)
+
+
 def _cox_loglik_derivs(
     beta: np.ndarray,
     X: np.ndarray,
     events: np.ndarray,
     ends: np.ndarray,
-    want_derivs: bool = True,
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Breslow partial log-likelihood with gradient and Hessian.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breslow partial log-likelihood with gradient and Hessian, per model.
+
+    ``X`` holds B models' designs as ``(k, B, n)``, covariate by model by
+    row, and ``beta`` their coefficients as ``(B, k)``; the result is
+    ``ll (B,)``, ``grad (B, k)`` and ``hess (B, k, k)``. Each model's
+    arithmetic runs along its own rows, so its result does not depend on
+    the other models in the batch.
 
     Rows must be sorted by descending time, so the risk set of event row
     ``events[j]`` is the prefix of rows ``0..ends[j]``, where ``ends[j]``
     is the last row of its tie group: tied rows, events or censored, are
     all in each other's risk sets (Breslow ties). With ``w = exp(X beta)``,
-    ``S0`` and ``S1`` are cumulative sums of ``w`` and ``X w`` read at
-    ``ends``, and ``ll = sum_events (eta - log S0)``. Let ``a[r]`` be the
-    sum of ``1 / S0`` over the events whose risk set holds row ``r`` (a
-    reverse cumulative sum) and ``m = S1 / S0`` per event; then
-    ``grad = sum_events x - X' (w a)`` and
-    ``hess = sum_events m m' - X' diag(w a) X``. One pass costs O(n k^2)
-    time, in BLAS, and O(n k) memory.
+    ``S0``, ``S1`` and ``S2`` are cumulative sums of ``w``, ``x w`` and
+    ``x x' w`` read at ``ends``, and with ``m = S1 / S0`` per event,
+    ``ll = sum_events (eta - log S0)``, ``grad = sum_events (x - m)`` and
+    ``hess = sum_events (m m' - S2 / S0)``. One pass costs O(B n k^2)
+    time and O(B n k) memory.
     """
-    eta = np.clip(X @ beta, -700, 700)
-    w = np.exp(eta)
-    s0 = np.cumsum(w)[ends]
-    ll = float(np.sum(eta[events] - np.log(s0)))
-    if not want_derivs:
-        return ll, None, None
-    mean = np.cumsum(X * w[:, None], axis=0)[ends] / s0[:, None]
-    a = np.cumsum(np.bincount(ends, weights=1.0 / s0, minlength=len(w))[::-1])[::-1]
-    wa = w * a
-    grad = X[events].sum(axis=0) - X.T @ wa
-    hess = mean.T @ mean - (X * wa[:, None]).T @ X
+    k, B, n = X.shape
+    eta = np.zeros((B, n))
+    for j in range(k):
+        eta += beta[:, j, None] * X[j]
+    np.clip(eta, -700, 700, out=eta)
+    eta_events = np.take(eta, events, axis=1)
+    w = np.exp(eta, out=eta)
+
+    def at_ends(terms: np.ndarray) -> np.ndarray:
+        """Cumulative sums of per-row ``terms`` over each event's risk set.
+
+        ``terms`` is overwritten: per-row arrays are as large as the
+        batch's designs, and the fewer of them alive at once, the less
+        memory a pass takes.
+        """
+        return np.take(np.cumsum(terms, axis=1, out=terms), ends, axis=1)
+
+    s0 = at_ends(w.copy())
+    ll = _row_sums(eta_events - np.log(s0))
+    mean = [at_ends(X[j] * w) / s0 for j in range(k)]
+    grad = np.empty((B, k))
+    hess = np.empty((B, k, k))
+    for i in range(k):
+        grad[:, i] = _row_sums(np.take(X[i], events, axis=1) - mean[i])
+        xw = X[i] * w
+        for j in range(i + 1):
+            s2 = at_ends(xw * X[j]) / s0
+            hess[:, i, j] = hess[:, j, i] = _row_sums(mean[i] * mean[j] - s2)
     return ll, grad, hess
+
+
+@dataclass(frozen=True)
+class CoxBatch:
+    """Outcome of :func:`cox_fit_batch`, one row per model.
+
+    ``errors[b]`` is the exception that fitting model b alone raises, or
+    None when it converged. A failed model keeps its last iterate and its
+    likelihood there; ``iterations`` counts the Newton steps a converged
+    model took.
+    """
+
+    coefficients: np.ndarray
+    log_likelihood: np.ndarray
+    null_log_likelihood: float
+    iterations: np.ndarray
+    errors: tuple[NumericError | None, ...]
+
+    def result(self, b: int) -> FitResult:
+        """Model b as a :class:`FitResult`; raises its error if it failed."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        return FitResult(
+            coefficients=self.coefficients[b].copy(),
+            log_likelihood=float(self.log_likelihood[b]),
+            n_params=self.coefficients.shape[1],
+            null_log_likelihood=self.null_log_likelihood,
+            iterations=int(self.iterations[b]),
+        )
+
+
+def _newton_steps(info: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve ``info[b] step[b] = grad[b]`` per model, by least squares
+    for a model whose information matrix is singular."""
+    try:
+        # an explicit (B, k, 1) right-hand side: numpy 1 reads a (B, k) one
+        # as B vectors, numpy 2 as a single (B, k) matrix
+        return np.linalg.solve(info, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(grad)
+        for b in range(len(grad)):
+            try:
+                steps[b] = np.linalg.solve(info[b], grad[b])
+            except np.linalg.LinAlgError:
+                steps[b] = np.linalg.lstsq(info[b], grad[b], rcond=None)[0]
+        return steps
+
+
+def cox_fit_batch(
+    time: np.ndarray,
+    status: np.ndarray,
+    X: np.ndarray,
+    max_iter: int = 50,
+    tol: float = 1e-8,
+) -> CoxBatch:
+    """Cox proportional-hazards fits of B models by Newton-Raphson (Breslow ties).
+
+    ``X`` holds the designs as ``(k, B, n)``: k covariates of B models
+    over the n rows of one survival outcome. The rows are sorted by
+    descending time and the tie-group ends and the null partial
+    likelihood (beta = 0) are found once for all models. Each model then
+    takes its own Newton steps: a step is halved while the likelihood
+    would decrease; coefficients over 50 in magnitude are a
+    :class:`SeparationError`; 30 halvings without an acceptable step or
+    ``max_iter`` steps without convergence are a :class:`ConvergenceError`
+    carrying the last iterate. Derivatives are evaluated at each accepted
+    candidate and reused for the next step, so an iteration is one pass
+    over the models still iterating. Failed models are recorded in
+    ``errors`` and leave the others unchanged.
+
+    Non-finite times, non-positive times, status values outside {0, 1}
+    or no event raise :class:`NumericError` for the whole batch; a model
+    whose design is not finite fails alone.
+    """
+    time = np.asarray(time, dtype=float)
+    status = np.asarray(status, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n = time.shape[0]
+    if X.ndim != 3 or status.shape[0] != n or X.shape[2] != n:
+        raise NumericError("time, status and design rows must agree")
+    if not np.all(np.isfinite(time)):
+        raise NumericError("survival times and design must be finite")
+    if np.any(time <= 0):
+        raise NumericError("survival times must be positive")
+    if not np.all((status == 0) | (status == 1)):
+        raise NumericError("status must be 0 (censored) or 1 (event)")
+    if not np.any(status == 1):
+        raise NumericError("at least one event (status = 1) is required")
+
+    k, B, _ = X.shape
+    order = np.argsort(-time, kind="stable")
+    time = time[order]
+    events = np.flatnonzero(status[order])
+    ends = np.searchsorted(-time, -time[events], side="right") - 1
+    # at beta = 0 every weight is 1, so S0 at an event is its risk-set size;
+    # summed as the kernel sums, a model that stays at beta = 0 keeps ll0
+    ll0 = float(_row_sums(-np.log(ends + 1.0)))
+
+    beta = np.zeros((B, k))
+    ll = np.full(B, ll0)
+    iterations = np.zeros(B, dtype=int)
+    errors: list[NumericError | None] = [None] * B
+    finite = np.all(np.isfinite(X), axis=(0, 2))
+    for b in np.flatnonzero(~finite):
+        errors[b] = NumericError("survival times and design must be finite")
+    live = np.flatnonzero(finite) if k else np.zeros(0, dtype=int)
+    Xl = np.take(X if live.size == B else X[:, live], order, axis=2)
+    _, grad, hess = _cox_loglik_derivs(beta[live], Xl, events, ends)
+
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        base, ll_base = beta[live], ll[live]
+        floor = ll_base - 1e-12 * np.maximum(1.0, np.abs(ll_base))
+        step = _newton_steps(-hess, grad)
+        # halve each model's step until its partial likelihood does not
+        # decrease beyond rounding, which grows with |ll|
+        scale = np.ones(live.size)
+        cand = base.copy()
+        ll_new = np.empty(live.size)
+        trying = np.arange(live.size)
+        for _ in range(30):
+            cand[trying] = base[trying] + scale[trying, None] * step[trying]
+            X_t = Xl if trying.size == live.size else Xl[:, trying]
+            ll_t, grad_t, hess_t = _cox_loglik_derivs(cand[trying], X_t, events, ends)
+            ll_new[trying], grad[trying], hess[trying] = ll_t, grad_t, hess_t
+            trying = trying[~(ll_t >= floor[trying])]
+            if not trying.size:
+                break
+            scale[trying] *= 0.5
+        for t in trying:
+            errors[live[t]] = ConvergenceError(
+                "Cox line search found no step that does not lower the likelihood", base[t].copy()
+            )
+        cand[trying], ll_new[trying] = base[trying], ll_base[trying]
+
+        failed = np.zeros(live.size, dtype=bool)
+        failed[trying] = True
+        delta = np.max(np.abs(cand - base), axis=1)
+        beta[live], ll[live] = cand, ll_new
+        diverged = ~failed & np.any(np.abs(cand) > 50, axis=1)
+        for t in np.flatnonzero(diverged):
+            errors[live[t]] = SeparationError(
+                "coefficients diverged; covariate likely separates the event times"
+            )
+        converged = ~failed & ~diverged & (delta < tol)
+        iterations[live[converged]] = it
+        keep = ~(failed | diverged | converged)
+        if not keep.all():
+            live, Xl, grad, hess = live[keep], Xl[:, keep], grad[keep], hess[keep]
+    for b in live:
+        errors[b] = ConvergenceError(f"Cox fit did not converge in {max_iter} iterations", beta[b].copy())
+    return CoxBatch(beta, ll, ll0, iterations, tuple(errors))
 
 
 def cox_fit(
@@ -141,86 +333,17 @@ def cox_fit(
     max_iter: int = 50,
     tol: float = 1e-8,
 ) -> FitResult:
-    """Cox proportional-hazards fit by Newton-Raphson (Breslow ties).
+    """Cox proportional-hazards fit of one ``n x k`` design: a batch of one.
 
     Returns the partial log-likelihood at the optimum and at beta = 0.
-    Steps are halved when the likelihood would decrease; diverging
-    coefficients raise :class:`SeparationError`, and hitting the iteration
-    budget or 30 halvings without an acceptable step raise
-    :class:`ConvergenceError` with the last iterate.
-    Non-finite times or covariates, non-positive times and status values
-    outside {0, 1} raise :class:`NumericError`. The rows are sorted by
-    descending time and the tie-group end of each event is found once per
-    fit; each likelihood evaluation then costs O(n k^2).
+    Raises what :func:`cox_fit_batch` records for the model:
+    :class:`SeparationError` for diverging coefficients,
+    :class:`ConvergenceError` with the last iterate, and
+    :class:`NumericError` for invalid times, status or design.
     """
-    time = np.asarray(time, dtype=float)
-    status = np.asarray(status, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    n = time.shape[0]
-    if status.shape[0] != n or X.shape[0] != n:
+    if X.ndim != 2:
         raise NumericError("time, status and design rows must agree")
-    if not (np.all(np.isfinite(time)) and np.all(np.isfinite(X))):
-        raise NumericError("survival times and design must be finite")
-    if np.any(time <= 0):
-        raise NumericError("survival times must be positive")
-    if not np.all((status == 0) | (status == 1)):
-        raise NumericError("status must be 0 (censored) or 1 (event)")
-    if not np.any(status == 1):
-        raise NumericError("at least one event (status = 1) is required")
-
-    order = np.argsort(-time, kind="stable")
-    time, X = time[order], X[order]
-    events = np.flatnonzero(status[order])
-    ends = np.searchsorted(-time, -time[events], side="right") - 1
-    k = X.shape[1]
-
-    ll0, _, _ = _cox_loglik_derivs(np.zeros(k), X, events, ends, want_derivs=False)
-    if k == 0:
-        return FitResult(
-            coefficients=np.zeros(0),
-            log_likelihood=ll0,
-            n_params=0,
-            null_log_likelihood=ll0,
-        )
-
-    beta = np.zeros(k)
-    ll = ll0
-    for it in range(1, max_iter + 1):
-        _, grad, hess = _cox_loglik_derivs(beta, X, events, ends)
-        info = -hess
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, grad, rcond=None)[0]
-
-        # halve the step until the partial likelihood does not decrease
-        # beyond rounding, which grows with |ll|
-        scale = 1.0
-        for _ in range(30):
-            candidate = beta + scale * step
-            ll_new, _, _ = _cox_loglik_derivs(candidate, X, events, ends, want_derivs=False)
-            if ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "Cox line search found no step that does not lower the likelihood", beta
-            )
-
-        delta = float(np.max(np.abs(candidate - beta)))
-        beta, ll = candidate, ll_new
-        if np.any(np.abs(beta) > 50):
-            raise SeparationError(
-                "coefficients diverged; covariate likely separates the event times"
-            )
-        if delta < tol:
-            return FitResult(
-                coefficients=beta,
-                log_likelihood=ll,
-                n_params=k,
-                null_log_likelihood=ll0,
-                iterations=it,
-            )
-    raise ConvergenceError(f"Cox fit did not converge in {max_iter} iterations", beta)
+    return cox_fit_batch(time, status, X.T[:, None, :], max_iter, tol).result(0)

@@ -23,7 +23,11 @@ from .core import (
     ParentConstraints,
     subsets_up_to,
 )
-from .numeric import NumericError, cox_fit, least_squares, log_mvgamma
+from .numeric import NumericError, cox_fit_batch, least_squares, log_mvgamma
+
+# ``cox_fit`` stays a name in this module: the benchmark tracer
+# (benchmarks/tracer.py) wraps ``bndp.scoring.cox_fit`` by name.
+from .numeric import cox_fit  # noqa: F401
 
 NEG_INF = float("-inf")
 
@@ -209,34 +213,55 @@ def bge_local(
 
 
 def cox_bic(node: int, parents: int, data: Dataset) -> float:
-    """Cox-BIC local score for the survival sink.
+    """Cox-BIC local score for the survival sink: a batch of one.
 
     Partial log-likelihood at the optimum minus (|parents|/2) ln n; the
-    empty parent set scores the null partial likelihood. Failed fits
-    yield the -inf sentinel with a warning.
+    empty parent set scores the null partial likelihood. A failed fit
+    yields the -inf sentinel with a warning.
+    """
+    return _cox_bic_scores(node, [parents], data)[parents]
+
+
+def _cox_bic_scores(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
+    """Cox-BIC scores of the survival sink for each parent set in ``masks``.
+
+    The sets of one size are fitted together by :func:`cox_fit_batch`.
+    Parents are standardised, and a constant parent enters as a zero
+    column. One set's failed fit scores -inf with a warning and leaves
+    the others unchanged.
     """
     col = data.column(node)
     if col.kind != SURVIVAL:
         raise ScoringError(f"node {node} is not the survival column")
     time = col.values[:, 0]
     status = col.values[:, 1]
-    members = list(NodeSubset(parents))
     n = data.n_rows
-    X = np.zeros((n, len(members)))
-    for k, j in enumerate(members):
+    members = sorted({j for mask in masks for j in NodeSubset(mask)})
+    row = {j: r for r, j in enumerate(members)}
+    Z = np.zeros((len(members), n))
+    for j in members:
         x = data.numeric_values(j)
         sd = x.std()
-        X[:, k] = (x - x.mean()) / sd if sd > 0 else 0.0
-    try:
-        fit = cox_fit(time, status, X)
-    except NumericError as exc:
-        warnings.warn(
-            f"Cox fit failed for parents {members} of node {node}: {exc}",
-            ScoringWarning,
-            stacklevel=2,
-        )
-        return NEG_INF
-    return fit.log_likelihood - 0.5 * len(members) * math.log(n)
+        if sd > 0:
+            Z[row[j]] = (x - x.mean()) / sd
+    by_size: dict[int, list[int]] = {}
+    for mask in masks:
+        by_size.setdefault(NodeSubset(mask).count(), []).append(mask)
+    scores: dict[int, float] = {}
+    for size, group in by_size.items():
+        sets = np.array([[row[j] for j in NodeSubset(mask)] for mask in group], dtype=int)
+        batch = cox_fit_batch(time, status, Z[sets.T])
+        for mask, ll, exc in zip(group, batch.log_likelihood, batch.errors):
+            if exc is None:
+                scores[mask] = float(ll) - 0.5 * size * math.log(n)
+            else:
+                warnings.warn(
+                    f"Cox fit failed for parents {list(NodeSubset(mask))} of node {node}: {exc}",
+                    ScoringWarning,
+                    stacklevel=2,
+                )
+                scores[mask] = NEG_INF
+    return {mask: scores[mask] for mask in masks}
 
 
 class LocalScoreTable:
@@ -380,10 +405,12 @@ def compute_local_scores(
         if scores[i]:
             continue
         kind = data.column(i).kind
-        table: dict[int, float] = {}
-        for mask in subsets_up_to(constraints.pp[i], d):
-            table[mask] = _score_one(i, mask, kind, data, cfg, bge_state)
-        scores[i] = table
+        masks = list(subsets_up_to(constraints.pp[i], d))
+        if kind == SURVIVAL:
+            scores[i] = _cox_bic_scores(i, masks, data)
+            continue
+        for mask in masks:
+            scores[i][mask] = _score_one(i, mask, kind, data, cfg, bge_state)
     return LocalScoreTable(scores, data.names, d, cfg.family)
 
 
@@ -395,8 +422,6 @@ def _score_one(
     cfg: ScoreConfig,
     bge_state: _BgeState | None,
 ) -> float:
-    if kind == SURVIVAL:
-        return cox_bic(node, mask, data)
     if cfg.family == "bge":
         return bge_local(node, mask, data, cfg, _state=bge_state)
     if kind == CONTINUOUS:

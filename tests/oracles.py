@@ -2,11 +2,13 @@
 
 None of these is part of the package: each enumerates what the engine
 computes by dynamic programming, or evaluates a closed form the package
-itself no longer needs.
+itself no longer needs. ``_close`` is the engine's tie rule for one pair
+of scores, which the package applies only elementwise (``engine._near``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -14,9 +16,18 @@ from typing import Iterator
 from scipy import special
 
 from bndp.core import Dataset, Network, ParentConstraints, subsets_up_to, validate_dag
-from bndp.engine import EngineError, _close
+from bndp.engine import TIE_EPS, EngineError
 from bndp.numeric import NumericError
 from bndp.scoring import NEG_INF, ScoreConfig, compute_local_scores
+
+
+def _close(a: float, b: float) -> bool:
+    """Score equality within the engine's relative tie tolerance."""
+    if a == b:
+        return True
+    if math.isinf(a) or math.isinf(b):
+        return False
+    return abs(a - b) <= TIE_EPS * max(1.0, abs(a), abs(b))
 
 
 def student_t_sf(t: float, df: float) -> float:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bndp.assoc import (
     AssocError,
@@ -17,6 +17,7 @@ from bndp.assoc import (
     cox_screen,
 )
 from bndp.core import Column, Dataset, NodeSubset, StructureError
+from bndp.numeric import NumericError, chisq_sf, cox_fit
 from bndp.simulate import simulate_survival
 
 
@@ -182,6 +183,69 @@ class TestCoxScreen:
         assert p[0] == 1.0
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=30, max_value=150),
+        m=st.integers(min_value=1, max_value=12),
+        n_times=st.sampled_from([4, 25, None]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batched_screen_equals_solo_fits(self, n, m, n_times, seed):
+        """Each candidate's p-value is its solo ``cox_fit`` test, and the BH
+        pass set is the solo tests' pass set.
+
+        A p-value within rounding of the BH cutoff could pass on one side
+        and fail on the other, so examples with an adjusted p-value within
+        a relative 1e-6 of alpha are discarded (``assume``): the pass sets
+        are compared where the decision is not a question of rounding.
+        """
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, m))
+        G[:, rng.random(m) < 0.2] = 0.5  # constant candidates
+        eta = (G - G.mean(axis=0)) @ rng.choice([0.0, 0.4, 0.8], size=m)
+        time, status = simulate_survival(eta, seed=seed % 1000)
+        if n_times is not None:  # tied times
+            time = np.ceil(time * n_times / time.max())
+        names = [f"g{j}" for j in range(m)]
+        cols = [Column(name, "continuous", G[:, j].copy()) for j, name in enumerate(names)]
+        data = Dataset(cols + [Column("os", "survival", np.column_stack([time, status]))])
+
+        solo, failed = [], []
+        for j in range(m):
+            x = G[:, j]
+            if np.ptp(x) == 0:
+                solo.append(np.nan)
+                continue
+            try:
+                fit = cox_fit(time, status, ((x - x.mean()) / x.std())[:, None])
+            except NumericError:
+                solo.append(1.0)
+                failed.append(names[j])
+                continue
+            lr = 2.0 * (fit.log_likelihood - fit.null_log_likelihood)
+            solo.append(chisq_sf(max(lr, 0.0), 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = cox_screen(data, m, list(range(m)))
+        np.testing.assert_allclose(p, solo, rtol=1e-10, atol=0)
+        assert [str(w.message).split("'")[1] for w in caught] == failed
+
+        alpha = 0.05
+        adjusted = bh_adjust(np.where(np.isnan(solo), 1.0, solo))
+        assume(np.all(np.abs(adjusted - alpha) > 1e-6 * alpha))
+        expected = {names[j] for j in range(m) if adjusted[j] <= alpha and not np.isnan(solo[j])}
+        opts = ScreenOptions(mode="phenotype", outcome="os", alpha=alpha, levels=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScreeningWarning)
+            if not expected:
+                with pytest.raises(EmptyFeasSetError):
+                    build_constraints(data, opts, indegree=2)
+                return
+            constraints, reduced = build_constraints(data, opts, indegree=2)
+        io = reduced.index_of("os")
+        assert {reduced.names[i] for i in constraints.pp[io]} == expected
+
+
 class TestBuildConstraints:
     def test_user_pp_paper_example(self):
         rng = np.random.default_rng(0)
@@ -319,13 +383,13 @@ class TestBuildConstraints:
         cols = [Column(f"g{i}", "continuous", genes[:, i].copy()) for i in range(5)]
         data = Dataset(cols + [Column("os", "survival", np.column_stack([time, status]))])
         fits = []
-        real_fit = bndp.assoc.cox_fit
+        real_fit = bndp.assoc.cox_fit_batch
 
-        def counting_fit(*args, **kwargs):
-            fits.append(1)
-            return real_fit(*args, **kwargs)
+        def counting_fit(time, status, X, *args, **kwargs):
+            fits.extend(X.shape[1] * [1])  # X is (covariates, models, rows)
+            return real_fit(time, status, X, *args, **kwargs)
 
-        monkeypatch.setattr(bndp.assoc, "cox_fit", counting_fit)
+        monkeypatch.setattr(bndp.assoc, "cox_fit_batch", counting_fit)
         opts = ScreenOptions(mode="phenotype", alpha=0.01, outcome="os", levels=2, top_k=2)
         constraints, reduced = build_constraints(data, opts, indegree=2)
         io = reduced.index_of("os")
@@ -457,13 +521,14 @@ def test_constant_column_never_passes_cox(monkeypatch):
         ]
     )
     fitted = []
-    real_fit = bndp.assoc.cox_fit
+    real_fit = bndp.assoc.cox_fit_batch
 
     def counting_fit(time, status, X):
-        fitted.append(np.ptp(X))
+        # X is (covariates, models, rows): one range per model fitted
+        fitted.extend(np.ptp(X, axis=(0, 2)))
         return real_fit(time, status, X)
 
-    monkeypatch.setattr(bndp.assoc, "cox_fit", counting_fit)
+    monkeypatch.setattr(bndp.assoc, "cox_fit_batch", counting_fit)
     for mode in ("all_pairs", "phenotype"):
         fitted.clear()
         opts = ScreenOptions(mode=mode, alpha=1.0, outcome="os", levels=2)

@@ -91,6 +91,9 @@ class TestLearnCommand:
         # recovery fills only reachable subsets
         assert 1 <= report["n_recover_subsets"] <= report["n_reachable_subsets"]
         assert len(report["level_ms"]) == len(report["level_sizes"])
+        counts = report["warning_counts"]
+        assert sum(c["count"] for c in counts.values()) == len(report["warnings"])
+        assert all(c["first"] in report["warnings"] for c in counts.values())
         dot = (out / "network_000.dot").read_text()
         assert dot.startswith("digraph")
 

@@ -12,7 +12,6 @@ from bndp.core import Column, Dataset, Network, NodeSubset, ParentConstraints, s
 from bndp.engine import (
     TIE_EPS,
     EngineError,
-    _close,
     best_parents,
     best_sinks,
     learn,
@@ -20,7 +19,7 @@ from bndp.engine import (
 )
 from bndp.scoring import LocalScoreTable, ScoreConfig, compute_local_scores
 from bndp.simulate import simulate_survival
-from oracles import best_subsets_in_pool, enumerate_dags, exhaustive_search
+from oracles import _close, best_subsets_in_pool, enumerate_dags, exhaustive_search
 
 PAPER_PP = ([1, 3], [2, 0], [1], [0])  # 0-indexed worked-example pp sets
 
@@ -1079,6 +1078,18 @@ class TestLearn:
         assert report["optimal_score"] == res.networks[0].total_score
         # the orientations tie: recovery fills {x, y} and both singletons
         assert report["n_recover_subsets"] == 3
+        assert report["warnings"] == [] and report["warning_counts"] == {}
+
+        # two constant columns: warnings counted by category, first message kept
+        data = cont(np.column_stack([x, y, np.ones(300), np.zeros(300)]), ["x", "y", "K", "L"])
+        report = learn(data, ScreenOptions(alpha=0.01), ScoreConfig("bic"), 2).report
+        assert report["warning_counts"] == {
+            "ScreeningWarning": {
+                "count": 2,
+                "first": "column 'K' is constant; treated as unassociated",
+            }
+        }
+        assert len(report["warnings"]) == 2
 
     def test_tied_sinks_recover_in_one_pass(self):
         # 10 independent columns, complete possible parents: every node is a

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import bndp.numeric
@@ -12,6 +13,7 @@ from bndp.numeric import (
     _cox_loglik_derivs,
     chisq_sf,
     cox_fit,
+    cox_fit_batch,
     least_squares,
     log_mvgamma,
 )
@@ -97,13 +99,16 @@ def loop_cox_loglik_derivs(beta, time, status, X):
 def sorted_cox_inputs(time, status, X):
     """Rows by descending time, and the kernel's arguments for them.
 
-    Tie-group ends come from a direct scan, independent of ``cox_fit``.
+    ``X`` is one ``n x k`` design or a stack of B of them, ``(B, n, k)``;
+    the kernel takes the stack as ``(k, B, n)``. Tie-group ends come from a
+    direct scan, independent of ``cox_fit_batch``.
     """
     order = np.argsort(-time, kind="stable")
-    time, status, X = time[order], status[order], X[order]
+    time, status, X = time[order], status[order], X[..., order, :]
     events = np.flatnonzero(status == 1)
     ends = np.array([np.flatnonzero(time == time[e]).max() for e in events], dtype=int)
-    return (time, status, X), (X, events, ends)
+    stack = X if X.ndim == 3 else X[None]
+    return (time, status, X), (np.ascontiguousarray(stack.transpose(2, 0, 1)), events, ends)
 
 
 def fd_gradient(f, beta, h=1e-5):
@@ -269,67 +274,208 @@ class TestLogMvGamma:
 # -------------------------------------------------------------------- cox
 
 
-def random_cox_case(rng, n, k, n_times):
-    """Rows with ``n_times`` distinct times, mixed status, at least one event."""
+def random_cox_case(rng, n, k, n_times, B=None):
+    """Rows with ``n_times`` distinct times, mixed status, at least one event.
+
+    With ``B``, a stack of B designs ``(B, n, k)`` and coefficients
+    ``(B, k)`` over the same rows.
+    """
     time = rng.integers(1, n_times + 1, n).astype(float)
     status = (rng.random(n) < 0.6).astype(float)
     status[rng.integers(n)] = 1.0
-    X = rng.standard_normal((n, k))
-    beta = 0.7 * rng.standard_normal(k)
+    shape = () if B is None else (B,)
+    X = rng.standard_normal(shape + (n, k))
+    beta = 0.7 * rng.standard_normal(shape + (k,))
     return beta, time, status, X
 
 
 class TestCoxKernel:
     def check_against_loop(self, beta, time, status, X):
+        """Each model of the batch against the row loop, and against
+        itself evaluated alone."""
         rows, args = sorted_cox_inputs(time, status, X)
         ll, grad, hess = _cox_loglik_derivs(beta, *args)
-        ll_ref, grad_ref, hess_ref = loop_cox_loglik_derivs(beta, *rows)
-        assert_close_rel(ll, ll_ref, 1e-10)
-        assert_close_rel(grad, grad_ref, 1e-10)
-        assert_close_rel(hess, hess_ref, 1e-10)
-        ll_only, g, h = _cox_loglik_derivs(beta, *args, want_derivs=False)
-        assert g is None and h is None
-        assert ll_only == ll
+        B, k = beta.shape
+        assert ll.shape == (B,) and grad.shape == (B, k) and hess.shape == (B, k, k)
+        time_s, status_s, X_s = rows
+        Xk, events, ends = args
+        for b in range(B):
+            ll_ref, grad_ref, hess_ref = loop_cox_loglik_derivs(beta[b], time_s, status_s, X_s[b])
+            assert_close_rel(ll[b], ll_ref, 1e-10)
+            assert_close_rel(grad[b], grad_ref, 1e-10)
+            assert_close_rel(hess[b], hess_ref, 1e-10)
+            alone = _cox_loglik_derivs(beta[b : b + 1], Xk[:, b : b + 1], events, ends)
+            assert alone[0][0] == ll[b]
+            assert np.array_equal(alone[1][0], grad[b]) and np.array_equal(alone[2][0], hess[b])
 
     def test_matches_loop_random(self):
         rng = np.random.default_rng(31)
         for k in range(4):
             for n_times in (2, 5, 40):
-                for _ in range(5):
-                    self.check_against_loop(*random_cox_case(rng, 40, k, n_times))
+                for B in (1, 5):
+                    self.check_against_loop(*random_cox_case(rng, 40, k, n_times, B))
 
     def test_matches_loop_mixed_and_all_censored_tie_groups(self):
         time = np.array([5.0, 5.0, 5.0, 4.0, 4.0, 3.0, 3.0, 3.0, 2.0, 1.0, 1.0])
         status = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(32)
         for k in range(4):
-            X = rng.standard_normal((len(time), k))
+            X = rng.standard_normal((4, len(time), k))
             perm = rng.permutation(len(time))
-            beta = rng.standard_normal(k)
-            self.check_against_loop(beta, time[perm], status[perm], X[perm])
+            beta = rng.standard_normal((4, k))
+            self.check_against_loop(beta, time[perm], status[perm], X[:, perm])
 
     def test_matches_loop_single_row(self):
         for k in range(4):
-            X = np.arange(1.0, k + 1.0)[None, :]
+            X = np.stack([np.arange(1.0, k + 1.0)[None, :], -np.ones((1, k))])
+            beta = np.full((2, k), 0.3)
             _, args = sorted_cox_inputs(np.ones(1), np.ones(1), X)
-            ll, grad, hess = _cox_loglik_derivs(np.full(k, 0.3), *args)
+            ll, grad, hess = _cox_loglik_derivs(beta, *args)
             # a lone row is its own risk set: likelihood and derivatives vanish
-            assert abs(ll) < 1e-15
+            assert np.all(np.abs(ll) < 1e-15)
             assert np.all(np.abs(grad) < 1e-15) and np.all(np.abs(hess) < 1e-15)
-            self.check_against_loop(np.full(k, 0.3), np.ones(1), np.ones(1), X)
+            self.check_against_loop(beta, np.ones(1), np.ones(1), X)
 
     def test_derivatives_match_central_differences(self):
         rng = np.random.default_rng(33)
         for k in (1, 2, 3):
             for n_times in (3, 30):
-                beta, time, status, X = random_cox_case(rng, 30, k, n_times)
+                beta, time, status, X = random_cox_case(rng, 30, k, n_times, B=3)
                 _, grad, hess = _cox_loglik_derivs(beta, *sorted_cox_inputs(time, status, X)[1])
+                for b in range(3):
 
-                def f(b):
-                    return naive_cox_loglik(b, time, status, X)
+                    def f(c):
+                        return naive_cox_loglik(c, time, status, X[b])
 
-                assert_close_rel(grad, fd_gradient(f, beta), 1e-7)
-                assert_close_rel(hess, fd_hessian(f, beta), 1e-5)
+                    assert_close_rel(grad[b], fd_gradient(f, beta[b]), 1e-7)
+                    assert_close_rel(hess[b], fd_hessian(f, beta[b]), 1e-5)
+
+
+def assert_fit_matches_solo(batch, b, time, status, design):
+    """Model b of a batch fits as ``cox_fit`` fits its design alone: the
+    same likelihoods, coefficients and iterations, or the same error."""
+    try:
+        solo = cox_fit(time, status, design)
+    except NumericError as exc:
+        err = batch.errors[b]
+        assert type(err) is type(exc) and str(err) == str(exc)
+        if isinstance(exc, ConvergenceError):
+            assert np.array_equal(err.last_beta, exc.last_beta)
+        with pytest.raises(type(exc)):
+            batch.result(b)
+        return
+    fit = batch.result(b)
+    assert_close_rel(fit.log_likelihood, solo.log_likelihood, 1e-10)
+    assert fit.null_log_likelihood == solo.null_log_likelihood
+    assert fit.iterations == solo.iterations
+    assert np.allclose(fit.coefficients, solo.coefficients, rtol=1e-8, atol=1e-10)
+
+
+class TestCoxFitBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        k=st.integers(min_value=0, max_value=3),
+        B=st.integers(min_value=1, max_value=6),
+        n_times=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batch_equals_solo_fits(self, n, k, B, n_times, seed):
+        rng = np.random.default_rng(seed)
+        _, time, status, X = random_cox_case(rng, n, k, n_times, B)
+        batch = cox_fit_batch(time, status, X.transpose(2, 0, 1))
+        for b in range(B):
+            assert_fit_matches_solo(batch, b, time, status, X[b])
+
+    # each tie group of rows 5..1 repeated four times: mixed groups, and
+    # all-censored groups at times 4 and 2
+    TIMES = np.tile([5.0, 5.0, 5.0, 4.0, 4.0, 3.0, 3.0, 3.0, 2.0, 1.0, 1.0], 4)
+    STATUS = np.tile([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0], 4)
+    # values that mark the designs whose line search is made to fail: by a
+    # flipped gradient, and by a likelihood that reads NaN away from beta = 0
+    DOWNHILL, NAN_LL = 0.123456789, 0.987654321
+
+    def mixed_batch(self):
+        """Columns: two ordinary, one separating, one all zero, one
+        whose line search will fail, one ordinary, one whose likelihood
+        will read NaN."""
+        rng = np.random.default_rng(8)
+        n = len(self.TIMES)
+        cols = [
+            rng.standard_normal(n),
+            rng.standard_normal(n) + 0.5 * self.TIMES,
+            # the earliest times have the largest x; close levels of x make
+            # the coefficient pass 50 well before the likelihood flattens
+            -self.TIMES / (4 * self.TIMES.std()),
+            np.zeros(n),
+            # associated with time, so a step the wrong way is a clear loss
+            rng.standard_normal(n) - self.TIMES,
+            rng.standard_normal(n),
+            rng.standard_normal(n) - self.TIMES,
+        ]
+        cols[4][0] = self.DOWNHILL
+        cols[6][0] = self.NAN_LL
+        return np.array(cols)
+
+    def test_mixed_batch(self, monkeypatch):
+        real = bndp.numeric._cox_loglik_derivs
+
+        def failing_for_marked(beta, X, events, ends):
+            # a flipped gradient points every Newton step downhill, and a
+            # NaN likelihood is never an acceptable step
+            ll, grad, hess = real(beta, X, events, ends)
+            grad[np.any(X == self.DOWNHILL, axis=(0, 2))] *= -1
+            ll[np.any(X == self.NAN_LL, axis=(0, 2)) & np.any(beta != 0, axis=1)] = np.nan
+            return ll, grad, hess
+
+        monkeypatch.setattr(bndp.numeric, "_cox_loglik_derivs", failing_for_marked)
+        cols = self.mixed_batch()
+        batch = cox_fit_batch(self.TIMES, self.STATUS, cols[None])
+        kinds = [type(e).__name__ if e is not None else None for e in batch.errors]
+        assert kinds == [None, None, "SeparationError", None, "ConvergenceError", None, "ConvergenceError"]
+        for b in (4, 6):
+            assert "line search" in str(batch.errors[b])
+            assert np.all(batch.errors[b].last_beta == 0.0)
+        # the all-zero column has a singular information matrix: the
+        # least-squares step is zero and the fit stops at the null
+        assert batch.result(3).log_likelihood == batch.null_log_likelihood
+        for b, x in enumerate(cols):
+            assert_fit_matches_solo(batch, b, self.TIMES, self.STATUS, x[:, None])
+
+        # the failing models leave their neighbours exactly as without them
+        ok = [0, 1, 3, 5]
+        alone = cox_fit_batch(self.TIMES, self.STATUS, cols[None, ok])
+        assert np.array_equal(alone.log_likelihood, batch.log_likelihood[ok])
+        assert np.array_equal(alone.coefficients, batch.coefficients[ok])
+        assert np.array_equal(alone.iterations, batch.iterations[ok])
+
+    def test_non_finite_design_fails_alone(self):
+        cols = self.mixed_batch()[[0, 1]]
+        cols[1, 3] = np.nan
+        batch = cox_fit_batch(self.TIMES, self.STATUS, cols[None])
+        assert isinstance(batch.errors[1], NumericError) and "finite" in str(batch.errors[1])
+        assert batch.errors[0] is None
+        alone = cox_fit_batch(self.TIMES, self.STATUS, cols[None, :1])
+        assert alone.log_likelihood[0] == batch.log_likelihood[0]
+
+    def test_two_covariate_batch_with_a_singular_design(self):
+        # one model's second column is all zero: its information matrix is
+        # singular at every step, and only that model takes the
+        # least-squares path, which leaves the zero column's coefficient at 0
+        rng = np.random.default_rng(9)
+        n = len(self.TIMES)
+        x = rng.standard_normal(n)
+        designs = np.stack([rng.standard_normal((n, 2)), np.column_stack([x, np.zeros(n)])])
+        batch = cox_fit_batch(self.TIMES, self.STATUS, designs.transpose(2, 0, 1))
+        for b in range(2):
+            assert_fit_matches_solo(batch, b, self.TIMES, self.STATUS, designs[b])
+        assert batch.coefficients[1, 1] == 0.0
+        one = cox_fit(self.TIMES, self.STATUS, x[:, None])
+        assert_close_rel(batch.log_likelihood[1], one.log_likelihood, 1e-10)
+
+    def test_empty_batch(self):
+        batch = cox_fit_batch(self.TIMES, self.STATUS, np.zeros((1, 0, len(self.TIMES))))
+        assert batch.log_likelihood.shape == (0,) and batch.errors == ()
 
 
 class TestCoxFit:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,43 @@ class TestCoxBic:
         )
         with pytest.warns(ScoringWarning):
             assert cox_bic(1, 0b01, data) == NEG_INF
+
+
+    def test_batched_table_equals_solo_scores(self):
+        # the survival node's parent sets are fitted one batch per size; each
+        # score equals cox_bic of that set alone, a separating gene fails
+        # only the sets that hold it, and a constant gene enters as a zero column
+        rng = np.random.default_rng(31)
+        n = 60
+        time = rng.permutation(np.arange(1.0, n + 1))
+        status = np.ones(n)
+        genes = np.column_stack(
+            [
+                rng.standard_normal(n) - 0.02 * time,
+                rng.standard_normal(n),
+                -time / time.std(),  # orders the event times: separates
+                np.full(n, 2.0),
+            ]
+        )
+        cols = [Column(f"g{i}", "continuous", genes[:, i].copy()) for i in range(4)]
+        data = Dataset(cols + [Column("os", "survival", np.column_stack([time, status]))])
+        pp = [0, 0, 0, 0, 0b1111]
+        constraints = ParentConstraints(tuple(NodeSubset(m) for m in pp), 2)
+        with pytest.warns(ScoringWarning) as batch_warnings:
+            table = compute_local_scores(data, constraints, ScoreConfig("bic"))
+        scores = table.subsets(4)
+        assert len(scores) == 1 + 4 + 6
+        solo_messages = []
+        for mask, got in scores.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = cox_bic(4, mask, data)
+            solo_messages += [str(w.message) for w in caught]
+            assert got == want
+            assert (got == NEG_INF) == bool(mask & 0b0100)
+        cox_messages = [str(w.message) for w in batch_warnings if "Cox" in str(w.message)]
+        assert cox_messages == solo_messages
+        assert len(solo_messages) == 4  # {g2} and its three pairs
 
 
 # ------------------------------------------------------- bulk computation
