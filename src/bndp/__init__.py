@@ -4,91 +4,58 @@ Dynamic programming over generational orderings finds globally optimal
 DAGs under screened possible-parent sets and an in-degree bound, with
 BIC / BGe scoring for continuous and categorical data and a Cox-scored
 survival sink.
+
+The package exports:
+
+- the entry point: :func:`learn`, its :class:`LearnResult`, and its
+  settings :class:`ScreenOptions` and :class:`ScoreConfig`;
+- the data types: :class:`Dataset`, :class:`Column` and the column kinds,
+  :class:`Network`, :class:`ParentConstraints` and :class:`NodeSubset`;
+- the simulator: :class:`SimSpec`, :func:`simulate_dag`,
+  :func:`simulate_data` and :func:`simulate_survival`;
+- the metrics :func:`fdr` and :func:`hamming`;
+- the error and warning classes.
+
+The pipeline stages, the local-score functions, the DP tables and the
+numeric kernels are imported from their own modules (``bndp.assoc``,
+``bndp.scoring``, ``bndp.engine``, ``bndp.numeric``, ...).
 """
 
-from .assoc import (
-    AssocError,
-    EmptyFeasSetError,
-    ScreenOptions,
-    ScreeningWarning,
-    bh_adjust,
-    build_constraints,
-    cox_screen,
-)
+from .assoc import AssocError, EmptyFeasSetError, ScreenOptions, ScreeningWarning
 from .core import (
     CATEGORICAL,
     CONTINUOUS,
     SURVIVAL,
     Column,
-    DagCheck,
     Dataset,
     Network,
     NodeSubset,
     ParentConstraints,
     StructureError,
-    skeleton,
-    validate_dag,
 )
-from .engine import (
-    BestParentsTable,
-    BestSinkTable,
-    EngineError,
-    LearnResult,
-    RecoveryResult,
-    best_parents,
-    best_sinks,
-    learn,
-    recover_networks,
-)
-from .metrics import EdgeConfusion, MetricsError, edge_confusion, fdr, hamming
-from .numeric import (
-    ConvergenceError,
-    FitResult,
-    NumericError,
-    SeparationError,
-    chisq_sf,
-    cox_fit,
-    least_squares,
-    log_mvgamma,
-)
-from .scoring import (
-    LocalScoreTable,
-    ScoreConfig,
-    ScoringError,
-    ScoringWarning,
-    bge_local,
-    bic_categorical,
-    bic_gaussian,
-    compute_local_scores,
-    cox_bic,
-)
-from .simulate import Dag, SimError, SimSpec, simulate_dag, simulate_data, simulate_survival
+from .engine import EngineError, LearnResult, learn
+from .metrics import MetricsError, fdr, hamming
+from .numeric import ConvergenceError, NumericError, SeparationError
+from .scoring import ScoreConfig, ScoringError, ScoringWarning
+from .simulate import SimError, SimSpec, simulate_dag, simulate_data, simulate_survival
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssocError",
-    "BestParentsTable",
-    "BestSinkTable",
     "CATEGORICAL",
     "CONTINUOUS",
     "Column",
     "ConvergenceError",
-    "Dag",
-    "DagCheck",
     "Dataset",
-    "EdgeConfusion",
     "EmptyFeasSetError",
     "EngineError",
-    "FitResult",
     "LearnResult",
-    "LocalScoreTable",
     "MetricsError",
     "Network",
     "NodeSubset",
     "NumericError",
     "ParentConstraints",
-    "RecoveryResult",
     "SURVIVAL",
     "ScoreConfig",
     "ScoringError",
@@ -99,28 +66,10 @@ __all__ = [
     "SimError",
     "SimSpec",
     "StructureError",
-    "bge_local",
-    "best_parents",
-    "best_sinks",
-    "bh_adjust",
-    "bic_categorical",
-    "bic_gaussian",
-    "build_constraints",
-    "chisq_sf",
-    "compute_local_scores",
-    "cox_bic",
-    "cox_fit",
-    "cox_screen",
-    "edge_confusion",
     "fdr",
     "hamming",
     "learn",
-    "least_squares",
-    "log_mvgamma",
-    "recover_networks",
     "simulate_dag",
     "simulate_data",
     "simulate_survival",
-    "skeleton",
-    "validate_dag",
 ]

@@ -240,9 +240,9 @@ def build_constraints(
                 stacklevel=2,
             )
         if opts.mode == "all_pairs":
-            pp = _screen_all_pairs(data, opts, outcome_idx)
+            pp = _screen_all_pairs(data, M, idx, opts, outcome_idx)
         else:
-            pp = _screen_phenotype(data, opts)
+            pp = _screen_phenotype(data, M, idx, opts)
 
     members = 0
     for m in pp:
@@ -280,11 +280,12 @@ def _pp_from_user(data: Dataset, user_pp: dict[str, list[str]]) -> list[int]:
     return pp
 
 
-def _screen_all_pairs(data: Dataset, opts: ScreenOptions, outcome_idx: int | None) -> list[int]:
+def _screen_all_pairs(
+    data: Dataset, M: np.ndarray, idx: list[int], opts: ScreenOptions, outcome_idx: int | None
+) -> list[int]:
     """Test every unordered pair of non-survival columns as one BH family;
     the survival column's Cox tests form a family of their own. The
-    outcome never becomes a parent."""
-    M, idx = _encoded_matrix(data)
+    outcome never becomes a parent. ``M, idx`` is :func:`_encoded_matrix`."""
     rows, cols = np.triu_indices(len(idx), k=1)
     r = _corr_against(M, M)[rows, cols]
     keep = _passes(_statistic(r, data.n_rows, opts), opts)
@@ -298,24 +299,31 @@ def _screen_all_pairs(data: Dataset, opts: ScreenOptions, outcome_idx: int | Non
 
     s = data.survival_index
     if s is not None:
-        found, _ = _screen_level(data, [s], {s}, opts)
+        found, _ = _screen_level(data, M, idx, [s], {s}, opts)
         pp[s] = found[s]
     return pp
 
 
 def _screen_level(
     data: Dataset,
+    M: np.ndarray,
+    idx: list[int],
     targets: list[int],
     excluded: set[int],
     opts: ScreenOptions,
 ) -> tuple[dict[int, int], dict[tuple[int, int], float]]:
     """Screen possible parents for each target; one BH family per level.
 
+    ``M, idx`` is :func:`_encoded_matrix`; the correlations of all
+    non-survival targets come from one :func:`_corr_against` call.
     Returns the kept candidates per target as a bitmask, and the
     statistic of every (target, candidate) test: the unadjusted p-value
     under ``alpha``, |r| under ``corr_cutoff``, NaN where undefined.
     """
-    M, idx = _encoded_matrix(data)
+    col = {i: k for k, i in enumerate(idx)}
+    row = {t: r for r, t in enumerate(t for t in targets if data.column(t).kind != SURVIVAL)}
+    if row:  # a level of only the survival outcome needs no correlations
+        corr_stat = _statistic(_corr_against(M[:, [col[t] for t in row]], M), data.n_rows, opts)
     tests: list[tuple[int, int]] = []
     stats: list[np.ndarray] = []
     for t in targets:
@@ -328,8 +336,7 @@ def _screen_level(
                 )
             stat = cox_screen(data, t, [idx[k] for k in cands])
         else:
-            r = _corr_against(data.numeric_values(t)[:, None], M)[0]
-            stat = _statistic(r, data.n_rows, opts)[cands]
+            stat = corr_stat[row[t], cands]
         tests += [(t, idx[k]) for k in cands]
         stats.append(stat)
 
@@ -341,12 +348,14 @@ def _screen_level(
     return result, dict(zip(tests, stat.tolist()))
 
 
-def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:
+def _screen_phenotype(
+    data: Dataset, M: np.ndarray, idx: list[int], opts: ScreenOptions
+) -> list[int]:
     outcome = data.index_of(opts.outcome)
     pp = [0] * data.p
     excluded = {outcome}
 
-    found, stats = _screen_level(data, [outcome], excluded, opts)
+    found, stats = _screen_level(data, M, idx, [outcome], excluded, opts)
     level1 = found[outcome]
     if opts.top_k is not None and level1.bit_count() > opts.top_k:
         level1 = _trim_top_k(data, outcome, level1, stats, opts)
@@ -358,7 +367,7 @@ def _screen_phenotype(data: Dataset, opts: ScreenOptions) -> list[int]:
         frontier = [t for t in frontier if t not in assigned]
         if not frontier:
             break
-        found, _ = _screen_level(data, frontier, excluded, opts)
+        found, _ = _screen_level(data, M, idx, frontier, excluded, opts)
         next_members = 0
         for t in frontier:
             pp[t] = found[t]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -354,7 +355,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         outdir / "truth_edges.csv", [(names[a], names[b]) for a, b in dag.edges()]
     )
     meta = {
-        "spec": json.loads(spec.to_json()),
+        "spec": dataclasses.asdict(spec),
         "names": list(names),
         "roles": list(dag.roles),
         "order": [int(v) for v in dag.order],

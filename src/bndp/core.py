@@ -6,6 +6,7 @@ an integer bitmask, which doubles as the key type of every DP table.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -42,12 +43,6 @@ class NodeSubset(int):
             bits |= 1 << i
         return cls(bits)
 
-    def add(self, i: int) -> "NodeSubset":
-        return NodeSubset(self | (1 << i))
-
-    def remove(self, i: int) -> "NodeSubset":
-        return NodeSubset(self & ~(1 << i))
-
     def __contains__(self, i: int) -> bool:
         return (self >> i) & 1 == 1
 
@@ -60,9 +55,6 @@ class NodeSubset(int):
 
     def count(self) -> int:
         return int(self).bit_count()
-
-    def isdisjoint(self, other: int) -> bool:
-        return self & other == 0
 
     def issubset(self, other: int) -> bool:
         return self & ~int(other) == 0
@@ -206,27 +198,21 @@ class ParentConstraints:
     pp: tuple[NodeSubset, ...]
     indegree: int
     po: tuple[NodeSubset, ...] = field(init=False)
-    feas_set: NodeSubset = field(init=False)
 
     def __post_init__(self) -> None:
         p = len(self.pp)
         if self.indegree < 1:
             raise StructureError("indegree must be a positive integer")
-        full = (1 << p) - 1
         po = [0] * p
         for i, mask in enumerate(self.pp):
             if mask >> p:
                 raise StructureError(f"pp[{i}] references a node index out of range")
             if (mask >> i) & 1:
                 raise StructureError(f"node {i} lists itself as a possible parent")
-            m = int(mask)
-            while m:
-                lsb = m & -m
-                po[lsb.bit_length() - 1] |= 1 << i
-                m ^= lsb
+            for j in NodeSubset(mask):
+                po[j] |= 1 << i
         object.__setattr__(self, "pp", tuple(NodeSubset(m) for m in self.pp))
         object.__setattr__(self, "po", tuple(NodeSubset(m) for m in po))
-        object.__setattr__(self, "feas_set", NodeSubset(full))
 
     @property
     def n_nodes(self) -> int:
@@ -264,13 +250,8 @@ def validate_dag(parents: Sequence[int]) -> DagCheck:
     indeg = [m.bit_count() for m in masks]
     children = [0] * p
     for i, m in enumerate(masks):
-        mm = m
-        while mm:
-            lsb = mm & -mm
-            children[lsb.bit_length() - 1] |= 1 << i
-            mm ^= lsb
-
-    import heapq
+        for j in NodeSubset(m):
+            children[j] |= 1 << i
 
     ready = [i for i in range(p) if indeg[i] == 0]
     heapq.heapify(ready)
@@ -278,14 +259,10 @@ def validate_dag(parents: Sequence[int]) -> DagCheck:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        m = children[v]
-        while m:
-            lsb = m & -m
-            c = lsb.bit_length() - 1
+        for c in NodeSubset(children[v]):
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
-            m ^= lsb
     if len(order) == p:
         return DagCheck(True, order=tuple(order))
 
@@ -297,30 +274,23 @@ def validate_dag(parents: Sequence[int]) -> DagCheck:
     while v not in seen:
         seen[v] = len(path)
         path.append(v)
-        m = masks[v]
-        while m:
-            lsb = m & -m
-            u = lsb.bit_length() - 1
+        for u in NodeSubset(masks[v]):
             if u in remaining:
                 v = u
                 break
-            m ^= lsb
     cycle = path[seen[v]:]
     cycle.reverse()  # parent-of-next orientation
     return DagCheck(False, cycle=tuple(cycle))
 
 
+def edges(parents: Sequence[int]) -> list[tuple[int, int]]:
+    """Directed edges of a parent-mask vector as (parent, child) pairs, sorted."""
+    return sorted((par, child) for child, m in enumerate(parents) for par in NodeSubset(m))
+
+
 def skeleton(parents: Sequence[int]) -> set[tuple[int, int]]:
     """Undirected edge set: ``{min(i,j), max(i,j)}`` for every edge j -> i."""
-    edges: set[tuple[int, int]] = set()
-    for child, m in enumerate(parents):
-        m = int(m)
-        while m:
-            lsb = m & -m
-            par = lsb.bit_length() - 1
-            m ^= lsb
-            edges.add((par, child) if par < child else (child, par))
-    return edges
+    return {(min(e), max(e)) for e in edges(parents)}
 
 
 @dataclass(frozen=True)
@@ -363,12 +333,7 @@ class Network:
 
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (parent, child) pairs, sorted."""
-        out = []
-        for child, mask in enumerate(self.parents):
-            for par in mask:
-                out.append((par, child))
-        out.sort()
-        return out
+        return edges(self.parents)
 
     def skeleton(self) -> set[tuple[int, int]]:
         return skeleton(self.parents)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import skeleton
+from .core import edges, skeleton
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
@@ -37,17 +37,7 @@ def _edge_sets(predicted, truth, mode: str) -> tuple[set, set]:
             f"graphs live on different node universes ({len(pred)} vs {len(true)})"
         )
     if mode == DIRECTED:
-        def edges(masks):
-            out = set()
-            for child, m in enumerate(masks):
-                mm = m
-                while mm:
-                    lsb = mm & -mm
-                    out.add((lsb.bit_length() - 1, child))
-                    mm ^= lsb
-            return out
-
-        return edges(pred), edges(true)
+        return set(edges(pred)), set(edges(true))
     if mode == UNDIRECTED:
         return skeleton(pred), skeleton(true)
     raise MetricsError(f"unknown mode {mode!r}")

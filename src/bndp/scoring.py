@@ -7,7 +7,6 @@ needs special cases.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -295,40 +294,6 @@ class LocalScoreTable:
     def entry_count(self) -> int:
         return sum(len(t) for t in self._scores)
 
-    def to_json(self) -> str:
-        entries = []
-        for i, table in enumerate(self._scores):
-            for mask, value in sorted(table.items()):
-                entries.append(
-                    {
-                        "node": self.node_names[i],
-                        "parents": sorted(self.node_names[j] for j in NodeSubset(mask)),
-                        "score": value,
-                    }
-                )
-        return json.dumps(
-            {
-                "nodes": list(self.node_names),
-                "indegree": self.indegree,
-                "family": self.family,
-                "entries": entries,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LocalScoreTable":
-        doc = json.loads(text)
-        names = tuple(doc["nodes"])
-        index = {name: i for i, name in enumerate(names)}
-        scores: list[dict[int, float]] = [{} for _ in names]
-        for entry in doc["entries"]:
-            mask = 0
-            for parent in entry["parents"]:
-                mask |= 1 << index[parent]
-            scores[index[entry["node"]]][mask] = float(entry["score"])
-        return cls(scores, names, int(doc["indegree"]), doc["family"])
-
 
 def _gaussian_gram_scores(
     data: Dataset, constraints: ParentConstraints, nodes: list[int]
@@ -404,29 +369,26 @@ def compute_local_scores(
     for i in range(p):
         if scores[i]:
             continue
-        kind = data.column(i).kind
         masks = list(subsets_up_to(constraints.pp[i], d))
-        if kind == SURVIVAL:
+        if data.column(i).kind == SURVIVAL:
             scores[i] = _cox_bic_scores(i, masks, data)
             continue
         for mask in masks:
-            scores[i][mask] = _score_one(i, mask, kind, data, cfg, bge_state)
+            scores[i][mask] = _score_one(i, mask, data, cfg, bge_state)
     return LocalScoreTable(scores, data.names, d, cfg.family)
 
 
 def _score_one(
     node: int,
     mask: int,
-    kind: str,
     data: Dataset,
     cfg: ScoreConfig,
     bge_state: _BgeState | None,
 ) -> float:
     if cfg.family == "bge":
         return bge_local(node, mask, data, cfg, _state=bge_state)
-    if kind == CONTINUOUS:
-        return bic_gaussian(node, mask, data)
-    # categorical node: only categorical parents are supported
+    # categorical node (continuous ones are scored by _gaussian_gram_scores):
+    # only categorical parents are supported
     for j in NodeSubset(mask):
         if data.column(j).kind != CATEGORICAL:
             warnings.warn(

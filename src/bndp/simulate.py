@@ -3,12 +3,11 @@ linear-Gaussian data with controllable effect sizes."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Column, Dataset, NodeSubset, validate_dag
+from .core import Column, Dataset, NodeSubset, edges, validate_dag
 
 INDEPENDENT = "independent"
 SOURCE = "source"
@@ -66,19 +65,6 @@ class SimSpec:
         elif self.effect_size < 0:
             raise SimError("fixed effect size must be nonnegative")
 
-    def to_json(self) -> str:
-        doc = asdict(self)
-        if isinstance(self.effect_size, tuple):
-            doc["effect_size"] = list(self.effect_size)
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimSpec":
-        doc = json.loads(text)
-        if isinstance(doc.get("effect_size"), list):
-            doc["effect_size"] = tuple(doc["effect_size"])
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class Dag:
@@ -88,17 +74,9 @@ class Dag:
     roles: tuple[str, ...]
     order: tuple[int, ...]  # connected nodes, generation order
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.parents)
-
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for child, mask in enumerate(self.parents):
-            for par in mask:
-                out.append((par, child))
-        out.sort()
-        return out
+        """Directed edges as (parent, child) pairs, sorted."""
+        return edges(self.parents)
 
 
 def _dag_rng(spec: SimSpec) -> np.random.Generator:
@@ -162,12 +140,9 @@ def simulate_dag(spec: SimSpec) -> Dag:
                 parents[v] |= 1 << pool[u]
 
         child_count = [0] * spec.p
-        for v in range(spec.p):
-            mm = parents[v]
-            while mm:
-                lsb = mm & -mm
-                child_count[lsb.bit_length() - 1] += 1
-                mm ^= lsb
+        for m in parents:
+            for u in NodeSubset(m):
+                child_count[u] += 1
         for pos, v in enumerate(order):
             if roles[v] != INTERMEDIATE or child_count[v] > 0:
                 continue

@@ -11,7 +11,9 @@ from bndp.assoc import (
     ScreenOptions,
     ScreeningWarning,
     _corr_against,
+    _encoded_matrix,
     _pvalues_from_r,
+    _screen_level,
     bh_adjust,
     build_constraints,
     cox_screen,
@@ -468,6 +470,29 @@ def test_duality_invariant_after_screening(seed):
         assert i not in constraints.pp[i]
         for j in range(q):
             assert (j in constraints.pp[i]) == (i in constraints.po[j])
+
+
+@pytest.mark.parametrize("opts", [ScreenOptions(alpha=0.05), ScreenOptions(corr_cutoff=0.2)])
+def test_multi_target_level_matches_solo_screens(opts):
+    """A level's correlations come from one kernel call over all its
+    targets; each target's statistics equal those of screening it alone."""
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((150, 7))
+    X[:, 1] += 0.6 * X[:, 0]
+    X[:, 3] += 0.5 * X[:, 1] - 0.4 * X[:, 2]
+    X[:, 5] = 1.5  # constant: its tests are undefined (NaN)
+    data = continuous_dataset(X)
+    M, idx = _encoded_matrix(data)
+    targets, excluded = [0, 1, 3, 5], {6}
+    _, multi = _screen_level(data, M, idx, targets, excluded, opts)
+    assert len(multi) == len(targets) * 5
+    for t in targets:
+        _, solo = _screen_level(data, M, idx, [t], excluded, opts)
+        keys = sorted(solo)
+        assert sorted(k for k in multi if k[0] == t) == keys
+        np.testing.assert_allclose(
+            [multi[k] for k in keys], [solo[k] for k in keys], rtol=0, atol=1e-12
+        )
 
 
 def _chain_with_constant(k_value, n=300, seed=17):

@@ -42,6 +42,15 @@ class TestSimulateCommand:
         meta = json.loads((out / "sim_meta.json").read_text())
         assert len(meta["names"]) == 10
 
+    def test_meta_records_spec(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run("simulate", "--p", 10, "--n", 60, "--seed", 5, "--out", out) == 0
+        meta = json.loads((out / "sim_meta.json").read_text())
+        assert meta["spec"] == {
+            "p": 10, "p0": 2, "p1": 3, "p2": 3, "p3": 2, "n": 60,
+            "effect_size": [0.5, 1.5], "noise_sd": 1.0, "max_parents": 2, "seed": 5,
+        }
+
     def test_byte_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

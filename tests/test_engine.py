@@ -1137,3 +1137,79 @@ class TestLearn:
             running += net.local_scores[v]
             stored = bst.entries[prefix][0]
             assert abs(stored - running) <= 1e-9 * max(1.0, abs(stored))
+
+
+class TestTracerContract:
+    """The benchmark tracer (benchmarks/tracer.py) reaches into ``bndp`` by
+    name: it swaps the five stage functions on ``bndp.engine``, wraps the
+    ``cox_fit`` names of ``bndp.assoc`` and ``bndp.scoring``, and the
+    benchmark scripts import their names from ``bndp``."""
+
+    STAGES = (
+        "build_constraints",
+        "compute_local_scores",
+        "best_parents",
+        "best_sinks",
+        "recover_networks",
+    )
+
+    @pytest.mark.parametrize("survival", [False, True])
+    def test_learn_calls_each_stage_once(self, monkeypatch, survival):
+        calls = dict.fromkeys(self.STAGES, 0)
+        for name in self.STAGES:
+            def counted(*args, _name=name, _real=getattr(bndp.engine, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(bndp.engine, name, counted)
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((200, 4))
+        M[:, 1] += M[:, 0]
+        M[:, 2] += M[:, 1]
+        cols = list(cont(M).columns)
+        if survival:
+            time, status = simulate_survival(M[:, 2], seed=21)
+            cols.append(Column("os", "survival", np.column_stack([time, status])))
+        learn(Dataset(cols), ScreenOptions(alpha=0.01), ScoreConfig("bic"), 2)
+        assert calls == dict.fromkeys(self.STAGES, 1)
+
+    def test_cox_fit_names_resolve(self):
+        import bndp.assoc
+        import bndp.scoring
+
+        assert callable(bndp.assoc.cox_fit)
+        assert callable(bndp.scoring.cox_fit)
+
+    def test_public_names_cover_benchmark_imports(self):
+        import ast
+        import re
+        import types
+        from pathlib import Path
+
+        import bndp
+
+        assert all(hasattr(bndp, name) for name in bndp.__all__)
+        root = Path(__file__).resolve().parents[1]
+        used = set()
+        for path in sorted((root / "benchmarks").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "bndp":
+                    used.update(alias.name for alias in node.names)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "bndp"
+                ):
+                    used.add(node.attr)
+        ci = (root / ".github" / "workflows" / "tests.yml").read_text()
+        for names in re.findall(r"from bndp import ([\w, ]+)", ci):
+            used.update(name.strip() for name in names.split(","))
+        # submodules (``bndp.engine``) and dunders (``bndp.__file__``) are not exports
+        used = {
+            name
+            for name in used
+            if not name.startswith("__")
+            and not isinstance(getattr(bndp, name, None), types.ModuleType)
+        }
+        assert {"learn", "EngineError", "CONTINUOUS", "SimSpec", "simulate_survival"} <= used
+        assert used <= set(bndp.__all__)

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -10,7 +9,6 @@ from bndp.core import Column, Dataset, NodeSubset, ParentConstraints
 from bndp.numeric import cox_fit
 from bndp.scoring import (
     NEG_INF,
-    LocalScoreTable,
     ScoreConfig,
     ScoringError,
     ScoringWarning,
@@ -561,20 +559,6 @@ class TestComputeLocalScores:
         pp = (NodeSubset(0b10), NodeSubset(0))  # survival as a parent of x
         with pytest.raises(ScoringError):
             compute_local_scores(data, ParentConstraints(pp, 1), ScoreConfig("bic"))
-
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(47)
-        data = cont(rng.standard_normal((40, 3)), list("xyz"))
-        constraints = ParentConstraints.complete(3, 2)
-        table = compute_local_scores(data, constraints, ScoreConfig("bic"))
-        text = table.to_json()
-        back = LocalScoreTable.from_json(text)
-        assert back.node_names == table.node_names
-        assert back.indegree == table.indegree
-        for i in range(3):
-            assert back.subsets(i) == table.subsets(i)
-        doc = json.loads(text)
-        assert {e["node"] for e in doc["entries"]} == {"x", "y", "z"}
 
     def test_decomposability_identity(self):
         rng = np.random.default_rng(48)
