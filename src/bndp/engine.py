@@ -6,8 +6,9 @@ The search sweeps reachable subsets level by level, one level per
 cardinality, and records best sinks. Each level is held as arrays: its
 subsets as one sorted mask array, their best scores and a bitmask of
 their tied best sinks (Silander & Myllymäki 2006, UAI; Malone, Yuan &
-Hansen 2011, AAAI). Masks are ``uint64`` for up to 64 nodes and Python
-ints (``object`` arrays) above that; both take the same code path.
+Hansen 2011, AAAI). Masks are ``uint32`` for up to 32 nodes, ``uint64``
+for up to 64 and Python ints (``object`` arrays) above that; all take
+the same code path.
 
 A level is built from its extension pairs (W, v), W in the level below
 and v outside W with a possible parent in W. As ``po`` is the transpose
@@ -56,8 +57,8 @@ def _near(x: np.ndarray, best: np.ndarray) -> np.ndarray:
 
 
 def _mask_array(masks, p: int) -> np.ndarray:
-    """Node-set bitmasks as ``uint64`` for up to 64 nodes, else Python ints."""
-    return np.array(masks, dtype=np.uint64 if p <= 64 else object)
+    """Node-set bitmasks: ``uint32`` up to 32 nodes, ``uint64`` up to 64, else Python ints."""
+    return np.array(masks, dtype=np.uint32 if p <= 32 else np.uint64 if p <= 64 else object)
 
 
 class BestParentsTable:
@@ -70,8 +71,8 @@ class BestParentsTable:
     vectorised first fit serves single lookups and the sweep's batches of
     pools. Tie rule: the best sets within U are the maximum and every
     fitting set within ``TIE_EPS`` of it, whatever the order of the list,
-    returned in ascending order. Scores and tie sets are memoised per node
-    and pool; :meth:`pool_count` counts the pools scored.
+    returned in ascending order. First fits and tie sets are memoised per
+    node and pool; :meth:`pool_count` counts the pools scored.
     """
 
     def __init__(self, local: LocalScoreTable, constraints: ParentConstraints):
@@ -85,12 +86,16 @@ class BestParentsTable:
         self._pp = _mask_array([int(m) for m in constraints.pp], p)
         self._sets = _mask_array([[g for g, _ in r] for r in rows], p).reshape(p, width)
         self._scores = np.array([[x for _, x in r] for r in rows], dtype=float).reshape(p, width)
-        # The pool-score memo: sorted keys ``node << p | pool`` with their best
-        # scores, plus the pairs scored since the last merge. The keys are
-        # uint64 while they fit in 64 bits (p <= 58), Python ints above.
-        self._key_dtype = np.dtype(np.uint64 if p + 6 <= 64 else object)
+        # The pool memo: sorted keys ``node << p | pool`` with the index of
+        # their first fit in the node's list, plus the pairs scored since the
+        # last merge. The keys are uint32 while they fit in 32 bits (p <= 27),
+        # uint64 in 64 (p <= 58) and Python ints above; the indices take the
+        # narrowest dtype that holds the list width.
+        bits = p + (p - 1).bit_length()
+        self._key_dtype = np.dtype(np.uint32 if bits <= 32 else np.uint64 if bits <= 64 else object)
+        self._fit_dtype = np.min_scalar_type(width)
         self._memo_keys = np.empty(0, dtype=self._key_dtype)
-        self._memo_scores = np.empty(0)
+        self._memo_fits = np.empty(0, dtype=self._fit_dtype)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._ties: list[dict[int, tuple[int, ...]]] = [{} for _ in range(p)]
 
@@ -116,31 +121,34 @@ class BestParentsTable:
             raise EngineError(f"no parent set of node {nodes[todo[0]]} fits, not even the empty set")
         return index
 
-    def _score_pairs(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
-        """Best scores of (node, pool) pairs: memo hits, and a first fit for the rest.
+    def _fit_pairs(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
+        """First-fit indices of (node, pool) pairs: memo hits, and a first fit for the rest.
 
-        Newly scored pairs wait in ``_pending`` until :meth:`_merge`, which
-        the sweep calls once per level. A new pair met again in a later
-        pair chunk of the same level is scored again. That is rare: a pool
-        U of s first shows up with the one subset ``U | bit(s)`` when that
-        subset is reachable (on the ``sweep`` benchmark no pair is scored
-        twice).
+        A pair's best score is ``_scores[node, index]``. Newly scored pairs
+        wait in ``_pending`` until :meth:`_merge`, which the sweep calls
+        once per level. A new pair met again in a later pair chunk of the
+        same level is scored again. That is rare: a pool U of s first shows
+        up with the one subset ``U | bit(s)`` when that subset is reachable
+        (the ``sweep`` benchmark makes 10,263 first fits for its 10,248
+        pools).
         """
         kd = self._key_dtype
         keys = (nodes.astype(kd) << kd.type(len(self._pp))) | pools.astype(kd)
-        at = np.searchsorted(self._memo_keys, keys)
-        known = at < len(self._memo_keys)
-        known[known] = self._memo_keys[at[known]] == keys[known]
-        scores = np.empty(len(keys))
-        scores[known] = self._memo_scores[at[known]]
-        miss = np.flatnonzero(~known)
+        if len(self._memo_keys):
+            at = np.searchsorted(self._memo_keys, keys)
+            np.minimum(at, len(self._memo_keys) - 1, out=at)  # a key past the last one misses
+            fits = self._memo_fits[at]
+            miss = np.flatnonzero(self._memo_keys[at] != keys)
+        else:
+            fits = np.empty(len(keys), dtype=self._fit_dtype)
+            miss = np.arange(len(keys))
         if len(miss):
             distinct, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
             fresh = miss[first]
-            new = self._scores[nodes[fresh], self._first_fit(nodes[fresh], pools[fresh])]
-            scores[miss] = new[inverse.ravel()]
+            new = self._first_fit(nodes[fresh], pools[fresh]).astype(self._fit_dtype)
+            fits[miss] = new[inverse.ravel()]
             self._pending.append((distinct, new))
-        return scores
+        return fits
 
     def _merge(self) -> None:
         """Fold the pending pairs, all absent from the memo, into it.
@@ -151,28 +159,28 @@ class BestParentsTable:
         """
         if self._pending:
             keys = np.concatenate([k for k, _ in self._pending])
-            order = keys.argsort()  # a pair scored in two chunks has one score, so either copy will do
+            order = keys.argsort()  # a pair fitted in two chunks has one first fit: either copy will do
             keys = keys[order]
-            scores = np.concatenate([s for _, s in self._pending])[order]
+            fits = np.concatenate([f for _, f in self._pending])[order]
             self._pending = []
             fresh = np.ones(len(keys), dtype=bool)
             fresh[1:] = keys[1:] != keys[:-1]
-            keys, scores = keys[fresh], scores[fresh]
+            keys, fits = keys[fresh], fits[fresh]
             at = np.searchsorted(self._memo_keys, keys) + np.arange(len(keys))
             old = np.ones(len(self._memo_keys) + len(keys), dtype=bool)
             old[at] = False
             merged_keys = np.empty(len(old), dtype=keys.dtype)
             merged_keys[at], merged_keys[old] = keys, self._memo_keys
             self._memo_keys = merged_keys
-            merged_scores = np.empty(len(old))
-            merged_scores[at], merged_scores[old] = scores, self._memo_scores
-            self._memo_scores = merged_scores
+            merged_fits = np.empty(len(old), dtype=fits.dtype)
+            merged_fits[at], merged_fits[old] = fits, self._memo_fits
+            self._memo_fits = merged_fits
 
     def score(self, node: int, pool: int) -> float:
         pools = np.array([pool], dtype=self._pp.dtype)
-        hit = float(self._score_pairs(np.array([node]), pools)[0])
+        fit = self._fit_pairs(np.array([node]), pools)[0]
         self._merge()
-        return hit
+        return float(self._scores[node, fit])
 
     def best_subsets(self, node: int, pool: int) -> tuple[int, ...]:
         hit = self._ties[node].get(pool)
@@ -277,14 +285,17 @@ def best_sinks(
     sweep order.
 
     A pair's candidate is W's best score plus the first-fit score of v
-    within ``pp[v] & W``. A subset's best sinks are the maximum and every
-    candidate within ``TIE_EPS`` of it (the rule :class:`BestParentsTable`
-    states), and its score is the candidate of its lowest-numbered best
-    sink, as in the per-subset sweep this replaced, so every score keeps
-    every bit. That sink is found as a minimum over the group: the sort is
-    not stable, since a stable argsort needs a buffer of half the level's
-    pairs. Pairs are scored in chunks of whole groups. ``level_ms`` records
-    the time to generate and score each level.
+    within ``pp[v] & W``. The first fits are looked up after the cap check,
+    in the order the pairs were generated, which is node by node, as the
+    memo is sorted; they are kept as one index a pair into v's list and
+    permuted with the pairs. A subset's best sinks are the maximum and
+    every candidate within ``TIE_EPS`` of it (the rule
+    :class:`BestParentsTable` states), and its score is the candidate of
+    its lowest-numbered best sink, as in the per-subset sweep this
+    replaced, so every score keeps every bit. That sink is found as a
+    minimum over the group: the sort is not stable, since a stable argsort
+    needs more memory at the cap. Candidates are formed in chunks of whole
+    groups. ``level_ms`` records the time to generate and score each level.
     """
     p = constraints.n_nodes
     pp = _mask_array([int(m) for m in constraints.pp], p)
@@ -325,7 +336,11 @@ def best_sinks(
                 f"subsets per level: {sizes}; "
                 "use a stricter screening cutoff or raise max_subsets"
             )
-        src, node = src[order], node[order]
+        fit = np.empty(len(src), dtype=bpt._fit_dtype)  # first fits, in generation order
+        for lo in range(0, len(src), _PAIR_CHUNK):
+            at = slice(lo, lo + _PAIR_CHUNK)
+            fit[at] = bpt._fit_pairs(node[at], masks[src[at]] & pp[node[at]])
+        src, node, fit = src[order], node[order], fit[order]
         del order
         starts = np.flatnonzero(lead)
         po_acc = po_acc[src[starts]] | po[node[starts]]
@@ -336,23 +351,18 @@ def best_sinks(
         cuts = np.unique(np.searchsorted(starts, np.arange(0, len(src), _PAIR_CHUNK)))
         for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(starts)]):
             at = slice(edges[lo], edges[hi])
-            w, v = src[at], node[at]
-            by_node = v.argsort(kind="stable")  # the memo is searched faster node by node
-            cand = scores[w]
-            cand[by_node] += bpt._score_pairs(v[by_node], (masks[w] & pp[v])[by_node])
+            v = node[at]
+            cand = scores[src[at]] + bpt._scores[v, fit[at]]
             group = np.cumsum(lead[at]) - 1
             offsets = starts[lo:hi] - edges[lo]
-            best = np.maximum.reduceat(cand, offsets)
-            tied = _near(cand, best[group])
+            tied = _near(cand, np.maximum.reduceat(cand, offsets)[group])
             low = np.minimum.reduceat(np.where(tied, v, p), offsets)  # lowest tied sink
-            lowest = tied & (v == low[group])
-            new_scores[lo:hi] = best
-            new_scores[lo + group[lowest]] = cand[lowest]
+            new_scores[lo:hi] = cand[v == low[group]]  # a subset has one pair per sink
             tied_bits = bit[v]
             tied_bits[~tied] = 0
             new_sinks[lo:hi] = np.bitwise_or.reduceat(tied_bits, offsets)
         masks, scores, sinks = new_masks, new_scores, new_sinks
-        del src, node, lead  # freed before the merge, which has large temporaries too
+        del src, node, fit, lead  # freed before the merge, which has large temporaries too
         bpt._merge()
     return BestSinkTable(levels, maximal, level_ms)
 

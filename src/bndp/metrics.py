@@ -13,7 +13,8 @@ UNDIRECTED = "undirected"
 
 
 class MetricsError(ValueError):
-    """Predicted and true graphs disagree on the node universe."""
+    """Predicted and true graphs disagree on the node universe, or a parent
+    mask names a node outside it."""
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,13 @@ class EdgeConfusion:
 
 
 def _parent_masks(graph) -> Sequence[int]:
-    masks = getattr(graph, "parents", graph)
-    return [int(m) for m in masks]
+    masks = [int(m) for m in getattr(graph, "parents", graph)]
+    for i, m in enumerate(masks):
+        if m < 0 or m >> len(masks):
+            raise MetricsError(
+                f"parents[{i}] = {m} names a node outside the {len(masks)}-node universe"
+            )
+    return masks
 
 
 def _edge_sets(predicted, truth, mode: str) -> tuple[set, set]:

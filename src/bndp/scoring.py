@@ -266,17 +266,8 @@ def _cox_bic_scores(node: int, masks: list[int], data: Dataset) -> dict[int, flo
 class LocalScoreTable:
     """Per-node map from parent-set bitmask to local score."""
 
-    def __init__(
-        self,
-        scores: list[dict[int, float]],
-        node_names: tuple[str, ...],
-        indegree: int,
-        family: str,
-    ):
+    def __init__(self, scores: list[dict[int, float]]):
         self._scores = scores
-        self.node_names = node_names
-        self.indegree = indegree
-        self.family = family
 
     @property
     def n_nodes(self) -> int:
@@ -375,7 +366,7 @@ def compute_local_scores(
             continue
         for mask in masks:
             scores[i][mask] = _score_one(i, mask, data, cfg, bge_state)
-    return LocalScoreTable(scores, data.names, d, cfg.family)
+    return LocalScoreTable(scores)
 
 
 def _score_one(

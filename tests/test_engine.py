@@ -37,7 +37,7 @@ def cont(matrix, names=None):
     )
 
 
-def random_local_table(pp, d, rng, names=None):
+def random_local_table(pp, d, rng):
     """Random score tables over all parent subsets within pp and d."""
     p = len(pp)
     scores = []
@@ -51,8 +51,7 @@ def random_local_table(pp, d, rng, names=None):
                     mask |= 1 << j
                 table[mask] = float(rng.normal())
         scores.append(table)
-    names = names or tuple(f"V{i}" for i in range(p))
-    return LocalScoreTable(scores, names, d, "bic")
+    return LocalScoreTable(scores)
 
 
 def random_constraints(p, rng, density=0.5, indegree=2):
@@ -321,10 +320,7 @@ class TestBestParents:
 
     def test_exact_ties_all_kept(self):
         local = LocalScoreTable(
-            [{0: -1.0, 0b10: -0.5, 0b100: -0.5, 0b110: -3.0}, {0: 0.0}, {0: 0.0}],
-            ("a", "b", "c"),
-            2,
-            "bic",
+            [{0: -1.0, 0b10: -0.5, 0b100: -0.5, 0b110: -3.0}, {0: 0.0}, {0: 0.0}]
         )
         c = ParentConstraints(
             (NodeSubset(0b110), NodeSubset(0), NodeSubset(0)), indegree=2
@@ -370,7 +366,7 @@ def score_tables(draw):
         for i in range(p)
     ]
     c = ParentConstraints(tuple(pp), indegree=d)
-    return c, LocalScoreTable(tables, tuple(f"V{i}" for i in range(p)), d, "bic")
+    return c, LocalScoreTable(tables)
 
 
 class TestFirstFitLookup:
@@ -397,10 +393,7 @@ class TestFirstFitLookup:
         # not within TIE_EPS of 2; the tie set is taken about the maximum
         eps = TIE_EPS
         local = LocalScoreTable(
-            [{0: 0.0, 0b10: 0.6 * eps, 0b100: 1.2 * eps}, {0: 0.0}, {0: 0.0}],
-            ("a", "b", "c"),
-            1,
-            "bic",
+            [{0: 0.0, 0b10: 0.6 * eps, 0b100: 1.2 * eps}, {0: 0.0}, {0: 0.0}]
         )
         c = ParentConstraints((NodeSubset(0b110), NodeSubset(0), NodeSubset(0)), indegree=1)
         bpt = best_parents(local, c)
@@ -568,10 +561,7 @@ class TestBestSinks:
         # when sink 1 came, and sink 2 then replaced both.
         eps = TIE_EPS
         local = LocalScoreTable(
-            [{0: 0.6 * eps, 0b010: 0.25}, {0: 1.2 * eps, 0b100: 0.25}, {0: 0.0, 0b001: 0.25}],
-            ("a", "b", "c"),
-            1,
-            "bic",
+            [{0: 0.6 * eps, 0b010: 0.25}, {0: 1.2 * eps, 0b100: 0.25}, {0: 0.0, 0b001: 0.25}]
         )
         c = ParentConstraints(
             (NodeSubset(0b010), NodeSubset(0b100), NodeSubset(0b001)), indegree=1
@@ -591,7 +581,7 @@ class TestBestSinks:
             {0: -1.0, 0b0010: -10.0},
             {0: -1.0, 0b0001: -1.0 + bonus},
         ]
-        local = LocalScoreTable(scores, ("a", "b", "c", "d"), 2, "bic")
+        local = LocalScoreTable(scores)
         bpt = best_parents(local, c)
         bst = best_sinks(bpt, c, local)
         full = 0b1111
@@ -620,7 +610,7 @@ def sweep_cases(draw):
     values = draw(st.lists(SCORE_VALUES, min_size=1, max_size=6))
     tables = [{g: rnd.choice(values) for g in subsets_up_to(int(pp[i]), d)} for i in range(p)]
     c = ParentConstraints(tuple(pp), indegree=d)
-    return c, LocalScoreTable(tables, tuple(f"V{i}" for i in range(p)), d, "bic")
+    return c, LocalScoreTable(tables)
 
 
 class TestSweepAgainstDictOracle:
@@ -636,17 +626,44 @@ class TestSweepAgainstDictOracle:
         assert list(bst.entries.items()) == list(entries.items())
         assert bst.maximal == maximal
 
-    @pytest.mark.parametrize("p", [64, 70])
+    @pytest.mark.parametrize("p", [27, 28, 32, 33, 64, 70])
     def test_path_constraints(self, p):
-        # p = 64 uses the top bit of uint64 masks; p = 70 takes Python-int masks
+        # the dtype edges: memo keys ``node << p | pool`` are uint32 up to
+        # p = 27 and uint64 from 28; masks are uint32 up to p = 32 (32 uses
+        # their top bit), uint64 from 33 to 64 and Python ints at 70
         c, local = path_case(p, seed=p)
-        bst = best_sinks(best_parents(local, c), c, local)
+        bpt = best_parents(local, c)
+        bst = best_sinks(bpt, c, local)
         entries, maximal = dict_best_sinks(c, local)
         full = (1 << p) - 1
-        assert bst.levels[0][0].dtype == (np.uint64 if p <= 64 else object)
+        assert bst.levels[0][0].dtype == (np.uint32 if p <= 32 else np.uint64 if p <= 64 else object)
+        assert bpt._key_dtype == (np.uint32 if p <= 27 else np.uint64 if p <= 58 else object)
         assert bst.n_subsets == p * (p + 1) // 2  # the intervals of the path
         assert list(bst.entries.items()) == list(entries.items())
         assert bst.maximal == maximal == [full]
+
+    def test_wide_lists_take_wide_indices(self):
+        # node 0 may take any one or two of nodes 1-23, which have no possible
+        # parents: its 277 listed sets need uint16 first-fit indices. Every
+        # two-parent set ranks first (list positions 0-252), then the
+        # singletons (253-275), then the empty set, so every pool {u} of
+        # node 0 first fits past index 255.
+        p = 24
+        pairs = [g for g in subsets_up_to((1 << p) - 2, 2) if g.bit_count() == 2]
+        table = {g: -k / 8 for k, g in enumerate(pairs)}
+        table.update({1 << u: -32 - u / 8 for u in range(1, p)})
+        table[0] = -40.0
+        local = LocalScoreTable([table] + [{0: -1.0}] * (p - 1))
+        c = ParentConstraints((NodeSubset((1 << p) - 2),) + (NodeSubset(0),) * (p - 1), indegree=2)
+        bpt = best_parents(local, c)
+        bst = best_sinks(bpt, c, local)
+        entries, maximal = dict_best_sinks(c, local)
+        assert bpt._fit_dtype == np.uint16
+        assert bst.n_subsets == p + (p - 1)  # the singletons and each {0, u}
+        assert list(bst.entries.items()) == list(entries.items())
+        assert bst.maximal == maximal
+        for u in range(1, p):
+            assert bpt.score(0, 1 << u) == best_subsets_in_pool(table, 1 << u, 2)[0] == -32 - u / 8
 
     def test_recovery_with_python_int_masks(self):
         # 70 nodes, a path over the top ten and no possible parents elsewhere:
@@ -742,7 +759,7 @@ class TestRecoveryAgainstOrderingOracle:
 class TestRecoverNetworks:
     def test_single_node(self):
         c = ParentConstraints((NodeSubset(0),), indegree=1)
-        local = LocalScoreTable([{0: -2.0}], ("x",), 1, "bic")
+        local = LocalScoreTable([{0: -2.0}])
         bpt = best_parents(local, c)
         bst = best_sinks(bpt, c, local)
         result = recover_networks(bst, bpt, c, local)

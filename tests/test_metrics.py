@@ -45,8 +45,20 @@ class TestFdr:
         with pytest.raises(MetricsError):
             fdr([0, 0], [0, 0, 0], DIRECTED)
 
+    def test_negative_mask_rejected(self):
+        # -1 has every bit set, so a loop over its set bits never ends
+        with pytest.raises(MetricsError, match="outside the 2-node universe"):
+            fdr([-1, 0], [0, 0], DIRECTED)
+
 
 class TestHamming:
+    def test_mask_beyond_universe_rejected(self):
+        # bit 2 is a third node in a 2-node universe, in either graph
+        with pytest.raises(MetricsError, match="outside the 2-node universe"):
+            hamming([0b100, 0], [0, 0], DIRECTED)
+        with pytest.raises(MetricsError, match="outside the 2-node universe"):
+            hamming([0, 0], [0, 0b100], UNDIRECTED)
+
     def test_identical(self):
         g = masks_from_edges(5, [(0, 1), (2, 3)])
         assert hamming(g, g, DIRECTED) == 0
