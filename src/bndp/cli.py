@@ -71,9 +71,9 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) ->
 
     The schema maps column names to one of ``continuous``,
     ``categorical``, ``survival_time``, ``survival_status``. Without a
-    schema, numeric columns are continuous except that at most 10
-    distinct integer values make a column categorical. Missing cells are
-    rejected.
+    schema, numeric columns are continuous except that 2 to 10 distinct
+    integer values make a column categorical; a constant column stays
+    continuous, for screening to drop. Missing cells are rejected.
     """
     path = Path(csv_path)
     with path.open(newline="") as fh:
@@ -132,7 +132,7 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) ->
         vals = np.array([_parse_float(v, name, r + 2) for r, v in enumerate(raw[c])])
         if kind == "infer":
             distinct = np.unique(vals)
-            if distinct.size <= 10 and np.all(distinct == np.round(distinct)):
+            if 2 <= distinct.size <= 10 and np.all(distinct == np.round(distinct)):
                 code = {v: k for k, v in enumerate(distinct)}
                 coded = np.array([code[v] for v in vals], dtype=float)
                 columns.append(Column(name, CATEGORICAL, coded, levels=distinct.size))
@@ -255,6 +255,8 @@ def _screen_options(
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    if args.optima_cap < 1:
+        raise InputError(f"--optima-cap must be at least 1, got {args.optima_cap}")
     data = load_dataset(args.data, args.schema)
     user_pp = load_pp_file(args.pp_file) if args.pp_file else None
     opts = _screen_options(args, 0.05, args.outcome, user_pp)
@@ -343,6 +345,8 @@ def write_data_csv(path: Path, data: Dataset) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     roles = (args.p0, args.p1, args.p2, args.p3)
+    if None in roles and any(r is not None for r in roles):
+        raise InputError("--p0, --p1, --p2 and --p3 go together: give all four or none")
     spec = _sim_spec(args, args.p, args.n, args.seed, None if None in roles else roles)
     dag = simulate_dag(spec)
     data = simulate_data(dag, spec)

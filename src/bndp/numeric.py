@@ -1,20 +1,24 @@
-"""Statistical kernels: least squares, distribution tails, Cox regression.
+"""Statistical kernels: distribution tails and Cox regression.
 
 These are deterministic, side-effect-free functions shared by the
 screening and scoring layers. Tail probabilities delegate to scipy's
 regularized incomplete gamma routine. Cox regression has one partial
 likelihood, batched over models: :func:`cox_fit_batch` fits every model
 of one survival outcome and one design width in a single Newton loop,
-and :func:`cox_fit` is a batch of one.
+and :func:`cox_fit` is a batch of one. A fit takes at most
+``_COX_MAX_ITER = 50`` Newton steps and has converged when no
+coefficient moves by ``_COX_TOL = 1e-8`` or more.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+_COX_MAX_ITER = 50
+_COX_TOL = 1e-8
 
 
 class NumericError(ValueError):
@@ -35,53 +39,15 @@ class SeparationError(NumericError):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a model fit.
-
-    ``rss`` is populated for Gaussian fits only. ``null_log_likelihood``
-    is populated by :func:`cox_fit` (partial log-likelihood at beta = 0)
-    so callers can form likelihood-ratio statistics.
-    """
+    """Outcome of one Cox fit, with the partial log-likelihood at the
+    optimum and at beta = 0 so callers can form likelihood-ratio
+    statistics."""
 
     coefficients: np.ndarray
     log_likelihood: float
     n_params: int
-    rss: float | None = None
-    null_log_likelihood: float | None = None
-    rank_deficient: bool = False
-    iterations: int = 0
-
-
-def least_squares(y: np.ndarray, X: np.ndarray) -> FitResult:
-    """Ordinary least squares of ``y`` on the columns of ``X``.
-
-    The caller supplies the intercept column. The Gaussian log-likelihood
-    is evaluated at the MLE variance ``rss / n``; an exact fit (rss = 0)
-    yields a +inf sentinel that scoring rejects. Rank-deficient designs
-    are solved by pseudo-inverse and flagged rather than rejected.
-    """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise NumericError("design matrix rows must match response length")
-    n, k = X.shape
-    if k >= n:
-        raise NumericError(f"need more rows ({n}) than columns ({k})")
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    rss = float(resid @ resid)
-    # residue below double precision of the fit is an exact fit
-    if rss <= 1e-24 * max(float(y @ y), 1.0):
-        rss = 0.0
-        ll = math.inf
-    else:
-        ll = -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
-    return FitResult(
-        coefficients=beta,
-        log_likelihood=ll,
-        n_params=k + 1,
-        rss=rss,
-        rank_deficient=rank < k,
-    )
+    null_log_likelihood: float
+    iterations: int
 
 
 def chisq_sf(x: float | np.ndarray, df: float) -> float | np.ndarray:
@@ -219,13 +185,7 @@ def _newton_steps(info: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return steps
 
 
-def cox_fit_batch(
-    time: np.ndarray,
-    status: np.ndarray,
-    X: np.ndarray,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-) -> CoxBatch:
+def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBatch:
     """Cox proportional-hazards fits of B models by Newton-Raphson (Breslow ties).
 
     ``X`` holds the designs as ``(k, B, n)``: k covariates of B models
@@ -235,7 +195,7 @@ def cox_fit_batch(
     takes its own Newton steps: a step is halved while the likelihood
     would decrease; coefficients over 50 in magnitude are a
     :class:`SeparationError`; 30 halvings without an acceptable step or
-    ``max_iter`` steps without convergence are a :class:`ConvergenceError`
+    ``_COX_MAX_ITER`` steps without convergence are a :class:`ConvergenceError`
     carrying the last iterate. Derivatives are evaluated at each accepted
     candidate and reused for the next step, so an iteration is one pass
     over the models still iterating. Failed models are recorded in
@@ -280,7 +240,7 @@ def cox_fit_batch(
     Xl = np.take(X if live.size == B else X[:, live], order, axis=2)
     _, grad, hess = _cox_loglik_derivs(beta[live], Xl, events, ends)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _COX_MAX_ITER + 1):
         if not live.size:
             break
         base, ll_base = beta[live], ll[live]
@@ -316,23 +276,19 @@ def cox_fit_batch(
             errors[live[t]] = SeparationError(
                 "coefficients diverged; covariate likely separates the event times"
             )
-        converged = ~failed & ~diverged & (delta < tol)
+        converged = ~failed & ~diverged & (delta < _COX_TOL)
         iterations[live[converged]] = it
         keep = ~(failed | diverged | converged)
         if not keep.all():
             live, Xl, grad, hess = live[keep], Xl[:, keep], grad[keep], hess[keep]
     for b in live:
-        errors[b] = ConvergenceError(f"Cox fit did not converge in {max_iter} iterations", beta[b].copy())
+        errors[b] = ConvergenceError(
+            f"Cox fit did not converge in {_COX_MAX_ITER} iterations", beta[b].copy()
+        )
     return CoxBatch(beta, ll, ll0, iterations, tuple(errors))
 
 
-def cox_fit(
-    time: np.ndarray,
-    status: np.ndarray,
-    X: np.ndarray,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-) -> FitResult:
+def cox_fit(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> FitResult:
     """Cox proportional-hazards fit of one ``n x k`` design: a batch of one.
 
     Returns the partial log-likelihood at the optimum and at beta = 0.
@@ -346,4 +302,4 @@ def cox_fit(
         X = X[:, None]
     if X.ndim != 2:
         raise NumericError("time, status and design rows must agree")
-    return cox_fit_batch(time, status, X.T[:, None, :], max_iter, tol).result(0)
+    return cox_fit_batch(time, status, X.T[:, None, :]).result(0)

@@ -3,6 +3,13 @@
 All scores are oriented so that higher is better. Degenerate fits become
 a -inf sentinel, an ordinary table value, so the dynamic program never
 needs special cases.
+
+The BGe prior is fixed at the usual defaults (Geiger & Heckerman 2002,
+*Ann. Statist.*; bnlearn's ``iss.mu = 1``, ``iss.w = p + 2``): alpha_mu
+= 1, alpha_w = p + 2, the prior mean at the column means and the prior
+scale t = alpha_mu (alpha_w - p - 1) / (alpha_mu + 1) = 1/2 times the
+identity. Cox-BIC fits stop after 50 Newton steps or once no
+coefficient moves by 1e-8 (see :mod:`bndp.numeric`).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .core import (
     ParentConstraints,
     subsets_up_to,
 )
-from .numeric import NumericError, cox_fit_batch, least_squares, log_mvgamma
+from .numeric import NumericError, cox_fit_batch, log_mvgamma
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.scoring.cox_fit`` by name.
@@ -32,13 +39,15 @@ NEG_INF = float("-inf")
 
 # relative residual-variance floor below which a Gaussian fit is degenerate
 _DEGENERATE_REL = 1e-12
+# a residual sum of squares this far below y'y is rounding: an exact fit
+_EXACT_FIT_REL = 1e-24
 # the normal equations lose about log10(syy / rss) of their ~16 digits;
 # below this residual share the direct least-squares path scores the fit
 _GRAM_MIN_REL = 1e-6
 
 
 class ScoringError(ValueError):
-    """Score family is incompatible with the data or hyperparameters."""
+    """Score family is unknown or incompatible with the data."""
 
 
 class ScoringWarning(UserWarning):
@@ -47,31 +56,37 @@ class ScoringWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Score family selection plus BGe hyperparameters.
+    """Score family selection: ``"bic"`` or ``"bge"``.
 
-    BGe defaults follow common software practice: ``alpha_mu = 1``,
-    ``alpha_w = p + 2``, prior mean at the per-column sample mean, and
-    prior scale ``t = alpha_mu * (alpha_w - p - 1) / (alpha_mu + 1)``
-    times the identity.
+    BGe takes the fixed prior of :class:`_BgeState`: alpha_mu = 1,
+    alpha_w = p + 2, the prior mean at the column means and the prior
+    scale t = 1/2 times the identity.
     """
 
     family: str = "bic"
-    alpha_mu: float = 1.0
-    alpha_w: float | None = None
-    prior_mean: np.ndarray | None = None
-    prior_scale_t: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in ("bic", "bge"):
             raise ScoringError(f"unknown score family {self.family!r}")
-        if self.alpha_mu <= 0:
-            raise ScoringError("alpha_mu must be positive")
+
+
+# BGe prior scale t = alpha_mu (alpha_w - p - 1) / (alpha_mu + 1) at
+# alpha_mu = 1 and alpha_w = p + 2
+_BGE_T = 0.5
 
 
 class _BgeState:
-    """Posterior scale matrix and constants shared by all BGe lookups."""
+    """Posterior scale matrix and constants shared by all BGe lookups.
 
-    def __init__(self, data: Dataset, cfg: ScoreConfig):
+    The prior is fixed: alpha_mu = 1, alpha_w = p + 2, prior mean mu0 at
+    the column means and prior scale ``_BGE_T`` times the identity. With
+    mu0 at the sample mean the prior-mean term
+    ``(n alpha_mu / (n + alpha_mu)) (xbar - mu0)(xbar - mu0)'`` is zero,
+    so the posterior scale matrix is ``t I`` plus the centred
+    cross-products.
+    """
+
+    def __init__(self, data: Dataset):
         for c in data.columns:
             if c.kind != CONTINUOUS:
                 raise ScoringError(
@@ -79,30 +94,9 @@ class _BgeState:
                     f"{c.name!r} is {c.kind}"
                 )
         X = np.column_stack([c.values for c in data.columns]).astype(float)
-        n, p = X.shape
-        self.n = n
-        self.p = p
-        self.alpha_mu = cfg.alpha_mu
-        self.alpha_w = cfg.alpha_w if cfg.alpha_w is not None else p + 2.0
-        if self.alpha_w <= p + 1:
-            raise ScoringError(f"alpha_w must exceed p + 1 = {p + 1}, got {self.alpha_w}")
-        if cfg.prior_scale_t is not None:
-            self.t = cfg.prior_scale_t
-        else:
-            self.t = self.alpha_mu * (self.alpha_w - p - 1.0) / (self.alpha_mu + 1.0)
-        if self.t <= 0:
-            raise ScoringError("prior scale t must be positive")
-        mean = X.mean(axis=0)
-        mu0 = mean if cfg.prior_mean is None else np.asarray(cfg.prior_mean, dtype=float)
-        if mu0.shape != (p,):
-            raise ScoringError("prior mean vector length must match the column count")
-        centered = X - mean
-        d = (mean - mu0)[:, None]
-        self.R = (
-            self.t * np.eye(p)
-            + centered.T @ centered
-            + (n * self.alpha_mu / (n + self.alpha_mu)) * (d @ d.T)
-        )
+        self.n, p = X.shape
+        centered = X - X.mean(axis=0)
+        self.R = _BGE_T * np.eye(p) + centered.T @ centered
         self._marg_cache: dict[int, float] = {0: 0.0}
 
     def log_marginal(self, mask: int) -> float:
@@ -112,23 +106,29 @@ class _BgeState:
             return cached
         idx = list(NodeSubset(mask))
         l = len(idx)
-        n, p = self.n, self.p
-        a_post = 0.5 * (n + self.alpha_w - p + l)
-        a_prior = 0.5 * (self.alpha_w - p + l)
+        n = self.n
+        # with alpha_mu = 1 and alpha_w = p + 2: alpha_w - p = 2, n + alpha_mu
+        # = n + 1, and the log(alpha_mu) term is 0
+        a_post = 0.5 * (n + 2 + l)
+        a_prior = 0.5 * (2 + l)
         sign, logdet = np.linalg.slogdet(self.R[np.ix_(idx, idx)])
         if sign <= 0:
             names = ",".join(map(str, idx))
             raise NumericError(f"posterior scale matrix not positive definite for {{{names}}}")
         value = (
             -0.5 * n * l * math.log(math.pi)
-            + 0.5 * l * (math.log(self.alpha_mu) - math.log(n + self.alpha_mu))
+            - 0.5 * l * math.log(n + 1)
             + log_mvgamma(a_post, l)
             - log_mvgamma(a_prior, l)
-            + a_prior * l * math.log(self.t)
+            + a_prior * l * math.log(_BGE_T)
             - a_post * logdet
         )
         self._marg_cache[mask] = value
         return value
+
+    def local(self, node: int, parents: int) -> float:
+        """BGe local score: log marginal-likelihood ratio of family vs parents."""
+        return self.log_marginal(parents | (1 << node)) - self.log_marginal(parents)
 
 
 def _centred(M: np.ndarray) -> np.ndarray:
@@ -142,24 +142,33 @@ def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     """Gaussian BIC local score: LL - (k/2) ln n with k = |parents| + 2.
 
     Parents enter as regressors with an intercept, on centred columns as
-    in the Gram path; categorical parents are integer-coded. A (near-)zero
-    residual variance yields the -inf sentinel with a warning.
+    in the Gram path; categorical parents are integer-coded. The
+    least-squares fit needs more rows than regressors
+    (:class:`NumericError` otherwise); collinear parents are solved by
+    pseudo-inverse. The log-likelihood is taken at the MLE variance
+    ``rss / n``. A residual sum of squares within rounding of zero
+    (``rss <= 1e-24 max(y'y, 1)``) or a residual variance within
+    ``_DEGENERATE_REL`` of zero yields the -inf sentinel with a warning.
     """
     n = data.n_rows
     M = _centred(np.column_stack([data.numeric_values(j) for j in (node, *NodeSubset(parents))]))
     y = M[:, 0]
-    fit = least_squares(y, np.column_stack([np.ones(n), M[:, 1:]]))
-    var_y = float(y.var())
-    sigma2 = fit.rss / n
-    if sigma2 <= _DEGENERATE_REL * max(var_y, 1e-300):
+    X = np.column_stack([np.ones(n), M[:, 1:]])
+    if X.shape[1] >= n:
+        raise NumericError(f"need more rows ({n}) than columns ({X.shape[1]})")
+    resid = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    rss = float(resid @ resid)
+    exact = rss <= _EXACT_FIT_REL * max(float(y @ y), 1.0)
+    if exact or rss / n <= _DEGENERATE_REL * max(float(y.var()), 1e-300):
         warnings.warn(
             f"degenerate Gaussian fit for node {node} (zero residual variance)",
             ScoringWarning,
             stacklevel=2,
         )
         return NEG_INF
-    k = NodeSubset(parents).count() + 2
-    return fit.log_likelihood - 0.5 * k * math.log(n)
+    ll = -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
+    k = X.shape[1] + 1  # the regressors and the variance
+    return ll - 0.5 * k * math.log(n)
 
 
 def bic_categorical(node: int, parents: int, data: Dataset) -> float:
@@ -198,36 +207,20 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
     return ll - 0.5 * (r - 1) * q * math.log(n)
 
 
-def bge_local(
-    node: int,
-    parents: int,
-    data: Dataset,
-    cfg: ScoreConfig | None = None,
-    _state: _BgeState | None = None,
-) -> float:
-    """BGe local score: log marginal-likelihood ratio of family vs parents."""
-    state = _state if _state is not None else _BgeState(data, cfg or ScoreConfig(family="bge"))
-    family = parents | (1 << node)
-    return state.log_marginal(family) - state.log_marginal(parents)
+def bge_local(node: int, parents: int, data: Dataset) -> float:
+    """BGe local score of one parent set: see :meth:`_BgeState.local`."""
+    return _BgeState(data).local(node, parents)
 
 
-def cox_bic(node: int, parents: int, data: Dataset) -> float:
-    """Cox-BIC local score for the survival sink: a batch of one.
-
-    Partial log-likelihood at the optimum minus (|parents|/2) ln n; the
-    empty parent set scores the null partial likelihood. A failed fit
-    yields the -inf sentinel with a warning.
-    """
-    return _cox_bic_scores(node, [parents], data)[parents]
-
-
-def _cox_bic_scores(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
+def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
     """Cox-BIC scores of the survival sink for each parent set in ``masks``.
 
-    The sets of one size are fitted together by :func:`cox_fit_batch`.
-    Parents are standardised, and a constant parent enters as a zero
-    column. One set's failed fit scores -inf with a warning and leaves
-    the others unchanged.
+    A score is the partial log-likelihood at the optimum minus
+    (|parents|/2) ln n; the empty parent set scores the null partial
+    likelihood. The sets of one size are fitted together by
+    :func:`cox_fit_batch`. Parents are standardised, and a constant
+    parent enters as a zero column. One set's failed fit scores -inf
+    with a warning and leaves the others unchanged.
     """
     col = data.column(node)
     if col.kind != SURVIVAL:
@@ -346,7 +339,7 @@ def compute_local_scores(
             raise ScoringError("the survival column can only be a sink, never a parent")
     scores: list[dict[int, float]] = [{} for _ in range(p)]
 
-    bge_state = _BgeState(data, cfg) if cfg.family == "bge" else None
+    bge = _BgeState(data) if cfg.family == "bge" else None
     gaussian_nodes = [
         i
         for i in range(p)
@@ -362,24 +355,20 @@ def compute_local_scores(
             continue
         masks = list(subsets_up_to(constraints.pp[i], d))
         if data.column(i).kind == SURVIVAL:
-            scores[i] = _cox_bic_scores(i, masks, data)
-            continue
-        for mask in masks:
-            scores[i][mask] = _score_one(i, mask, data, cfg, bge_state)
+            scores[i] = cox_bic(i, masks, data)
+        elif bge is not None:
+            scores[i] = {mask: bge.local(i, mask) for mask in masks}
+        else:
+            # a loop: a comprehension is a frame of its own before Python
+            # 3.12, which would move the location the warnings report
+            for mask in masks:
+                scores[i][mask] = _categorical_bic(i, mask, data)
     return LocalScoreTable(scores)
 
 
-def _score_one(
-    node: int,
-    mask: int,
-    data: Dataset,
-    cfg: ScoreConfig,
-    bge_state: _BgeState | None,
-) -> float:
-    if cfg.family == "bge":
-        return bge_local(node, mask, data, cfg, _state=bge_state)
-    # categorical node (continuous ones are scored by _gaussian_gram_scores):
-    # only categorical parents are supported
+def _categorical_bic(node: int, mask: int, data: Dataset) -> float:
+    # continuous nodes are scored by _gaussian_gram_scores: only
+    # categorical parents are supported
     for j in NodeSubset(mask):
         if data.column(j).kind != CATEGORICAL:
             warnings.warn(

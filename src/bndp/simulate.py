@@ -15,6 +15,7 @@ INTERMEDIATE = "intermediate"
 SINK = "sink"
 
 _ORDER_TRIES = 1000
+_CENSOR_QUANTILE = 0.8
 
 
 class SimError(ValueError):
@@ -189,20 +190,19 @@ def simulate_data(dag: Dag, spec: SimSpec) -> Dataset:
     return Dataset(cols)
 
 
-def simulate_survival(
-    eta: np.ndarray, censor_quantile: float = 0.8, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def simulate_survival(eta: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exponential survival times with log-hazard ``eta`` and uniform censoring.
 
     Used by the Cox scoring tests; returns (time, status) with censoring
-    times uniform on (0, c) where c is set from the given survival-time
-    quantile so a reasonable fraction of events is observed.
+    times uniform on (0, c), c twice the ``_CENSOR_QUANTILE`` = 0.8
+    quantile of the survival times, so a reasonable fraction of events
+    is observed.
     """
     rng = np.random.default_rng([seed, 2])
     n = eta.shape[0]
     rate = np.exp(np.clip(eta, -30, 30))
     t_event = rng.exponential(1.0 / rate)
-    c = np.quantile(t_event, censor_quantile) * 2.0
+    c = np.quantile(t_event, _CENSOR_QUANTILE) * 2.0
     t_cens = rng.uniform(0, c, size=n)
     time = np.minimum(t_event, t_cens)
     status = (t_event <= t_cens).astype(float)

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bndp.cli import main
+from bndp.assoc import ScreenOptions
+from bndp.cli import load_dataset, main
 from bndp.core import NodeSubset, ParentConstraints
+from bndp.engine import learn
 from bndp.scoring import ScoreConfig, compute_local_scores
-from bndp.cli import load_dataset
 
 
 def run(*argv):
@@ -68,6 +69,12 @@ class TestSimulateCommand:
             == 0
         )
         assert (out / "truth_edges.csv").read_text().splitlines() == ["parent,child"]
+
+    def test_partial_role_counts_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run("simulate", "--p", 10, "--n", 60, "--p0", 3, "--out", out) == 2
+        assert "--p0, --p1, --p2 and --p3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_spec_exit_code(self, tmp_path):
         code = run(
@@ -186,6 +193,38 @@ class TestLearnCommand:
         )
         assert code == 2
 
+    def test_optima_cap_below_one_exit_2(self, tmp_path, capsys):
+        # rejected before the data is read: the CSV does not exist
+        for cap in (0, -1):
+            code = run(
+                "learn", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o",
+                "--optima-cap", cap,
+            )
+            assert code == 2
+            assert f"--optima-cap must be at least 1, got {cap}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bge_matches_in_process_learn(self, tmp_path):
+        sim = self._make_data(tmp_path, seed=4)
+        out = tmp_path / "run"
+        assert run(
+            "learn", "--data", sim / "data.csv", "--out", out,
+            "--score", "bge", "--alpha", 0.01,
+        ) == 0
+        doc = json.loads((out / "networks.json").read_text())
+        assert doc["score_family"] == "bge"
+        want = learn(
+            load_dataset(sim / "data.csv"), ScreenOptions(alpha=0.01), ScoreConfig("bge"), 2
+        )
+        names = want.data.names
+        assert doc["nodes"] == list(names)
+        assert len(doc["networks"]) == len(want.networks)
+        for got, net in zip(doc["networks"], want.networks):
+            assert got["total_score"] == net.total_score
+            assert [(e["parent"], e["child"]) for e in got["edges"]] == [
+                (names[a], names[b]) for a, b in net.edges()
+            ]
+
     def test_pp_file(self, tmp_path):
         sim = self._make_data(tmp_path, seed=21)
         meta = json.loads((sim / "sim_meta.json").read_text())
@@ -255,6 +294,31 @@ class TestSchemaLoading:
         assert data.column(0).kind == "continuous"
         assert data.column(1).kind == "categorical"
         assert data.column(1).levels == 3
+
+    def test_constant_integer_column_screened_out(self, tmp_path):
+        # an all-1 column is continuous, so screening warns once and drops it
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(80)
+        y = x + 0.5 * rng.standard_normal(80)
+        csv_path = tmp_path / "const.csv"
+        csv_path.write_text(
+            "x,y,k\n" + "".join(f"{float(a)!r},{float(b)!r},1\n" for a, b in zip(x, y))
+        )
+        assert load_dataset(csv_path).column(2).kind == "continuous"
+        out = tmp_path / "run"
+        assert run("learn", "--data", csv_path, "--out", out, "--alpha", 0.05) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["warning_counts"]["ScreeningWarning"]["count"] == 1
+        assert "'k' is constant" in report["warning_counts"]["ScreeningWarning"]["first"]
+        assert "k" not in report["feas_names"]
+
+    def test_one_level_categorical_schema_rejected(self, tmp_path, capsys):
+        csv_path = tmp_path / "const.csv"
+        csv_path.write_text("x,k\n" + "".join(f"{i / 7!r},1\n" for i in range(20)))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"k": "categorical"}))
+        assert run("learn", "--data", csv_path, "--schema", schema, "--out", tmp_path / "o") == 2
+        assert "needs level_count >= 2" in capsys.readouterr().err
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -14,9 +14,10 @@ from bndp.numeric import (
     chisq_sf,
     cox_fit,
     cox_fit_batch,
-    least_squares,
     log_mvgamma,
 )
+from bndp.core import Column, Dataset
+from bndp.scoring import NEG_INF, ScoringWarning, bic_gaussian
 from bndp.simulate import simulate_survival
 from oracles import student_t_sf
 
@@ -140,57 +141,54 @@ def assert_close_rel(got, want, rel):
 # ------------------------------------------------------------- least squares
 
 
+def gaussian_data(y, X):
+    """Node 0 holds ``y``, nodes 1.. the columns of ``X``."""
+    cols = [y, *np.asarray(X, dtype=float).reshape(len(y), -1).T]
+    return Dataset([Column(f"V{i}", "continuous", np.asarray(c)) for i, c in enumerate(cols)])
+
+
 class TestLeastSquares:
+    """The least-squares fit inside the Gaussian BIC score, :func:`bic_gaussian`."""
+
     def test_exact_fit(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(20)
-        fit = least_squares(x.copy(), x[:, None])
-        assert abs(fit.coefficients[0] - 1.0) < 1e-12
-        assert fit.rss < 1e-20
+        data = gaussian_data(2.0 * x + 1.0, x)
+        with pytest.warns(ScoringWarning):
+            assert bic_gaussian(0, 0b10, data) == NEG_INF
 
     def test_intercept_only_mean(self):
-        y = np.array([1.0, 2.0, 3.0])
-        fit = least_squares(y, np.ones((3, 1)))
-        assert abs(fit.coefficients[0] - 2.0) < 1e-12
-        assert abs(fit.rss - 2.0) < 1e-12
-        assert fit.n_params == 2
+        # the mean of 1, 2, 3 leaves rss = 2
+        data = gaussian_data(np.array([1.0, 2.0, 3.0]), np.zeros((3, 0)))
+        expect = -1.5 * (math.log(2 * math.pi * 2.0 / 3) + 1) - 0.5 * 2 * math.log(3)
+        assert abs(bic_gaussian(0, 0, data) - expect) < 1e-12
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(42)
-        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+        X = rng.standard_normal((50, 2))
         y = rng.standard_normal(50)
-        fit = least_squares(y, X)
-        beta, rss = normal_equations(y, X)
-        assert np.allclose(fit.coefficients, beta, atol=1e-8)
-        assert abs(fit.rss - rss) < 1e-8
+        _, rss = normal_equations(y, np.column_stack([np.ones(50), X]))
         n = 50
-        assert abs(
-            fit.log_likelihood - (-0.5 * n * (math.log(2 * math.pi * rss / n) + 1))
-        ) < 1e-9
+        expect = -0.5 * n * (math.log(2 * math.pi * rss / n) + 1) - 0.5 * 4 * math.log(n)
+        assert abs(bic_gaussian(0, 0b110, gaussian_data(y, X)) - expect) < 1e-9
 
     def test_zero_variance_sentinel(self):
-        y = np.full(10, 3.0)
-        fit = least_squares(y, np.ones((10, 1)))
-        assert fit.rss == 0.0
-        assert math.isinf(fit.log_likelihood)
-
-    def test_rank_deficient_flag(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(30)
-        X = np.column_stack([np.ones(30), x, x])
-        fit = least_squares(rng.standard_normal(30), X)
-        assert fit.rank_deficient
+        data = gaussian_data(np.full(10, 3.0), np.zeros((10, 0)))
+        with pytest.warns(ScoringWarning):
+            assert bic_gaussian(0, 0, data) == NEG_INF
 
     def test_too_few_rows(self):
+        rng = np.random.default_rng(2)
+        data = gaussian_data(np.array([0.0, 1.0]), rng.standard_normal((2, 2)))
         with pytest.raises(NumericError):
-            least_squares(np.zeros(2), np.ones((2, 3)))
+            bic_gaussian(0, 0b110, data)
 
     def test_rss_invariant_to_column_order(self):
         rng = np.random.default_rng(3)
-        X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
+        X = rng.standard_normal((40, 2))
         y = rng.standard_normal(40)
-        a = least_squares(y, X).rss
-        b = least_squares(y, X[:, [2, 0, 1]]).rss
+        a = bic_gaussian(0, 0b110, gaussian_data(y, X))
+        b = bic_gaussian(0, 0b110, gaussian_data(y, X[:, [1, 0]]))
         assert abs(a - b) < 1e-9
 
 
