@@ -248,9 +248,6 @@ def build_constraints(
     for m in pp:
         members |= m
     feas = [i for i in range(data.p) if pp[i] or (members >> i) & 1]
-    if outcome_idx is not None and outcome_idx not in feas and pp[outcome_idx]:
-        feas.append(outcome_idx)
-        feas.sort()
     if data.p == 1:
         feas = [0]
     if not feas:

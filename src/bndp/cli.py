@@ -1,13 +1,16 @@
 """Command-line interface: learn on real data, simulate benchmarks,
 evaluate predictions, and run benchmark sweeps.
 
-Exit codes: 0 success, 2 input error, 3 empty feasible set (no
-associations at the cutoff), 4 numeric or search failure.
+Exit codes: 0 success, 2 input error (a usage error such as a malformed
+``--effect`` or ``--p-grid``, a malformed CSV or JSON file, an unknown
+column, inconsistent options), 3 empty feasible set (no associations at
+the cutoff), 4 numeric or search failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -35,17 +38,8 @@ from .numeric import NumericError
 from .scoring import ScoreConfig, ScoringError
 from .simulate import SINK, SimError, SimSpec, simulate_dag, simulate_data
 
-BENCH_HEADER = [
-    "p",
-    "N",
-    "replicate",
-    "score_family",
-    "fdr_directed",
-    "fdr_undirected",
-    "hamming_directed",
-    "hamming_undirected",
-    "runtime_ms",
-]
+METRICS = ["fdr_directed", "fdr_undirected", "hamming_directed", "hamming_undirected"]
+BENCH_HEADER = ["p", "N", "replicate", "score_family", *METRICS, "runtime_ms"]
 
 # defaults for the benchmark sweep; chosen so screened components stay
 # small enough for the subset sweep while keeping discoveries plentiful
@@ -59,11 +53,15 @@ class InputError(ValueError):
 # ---------------------------------------------------------------- loading
 
 
-def _parse_float(cell: str, col: str, row: int) -> float:
+def _read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; InputError if the file holds anything else."""
     try:
-        return float(cell)
-    except ValueError as exc:
-        raise InputError(f"column {col!r}, row {row}: {cell!r} is not numeric") from exc
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) -> Dataset:
@@ -97,53 +95,50 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) ->
                 )
             raw[c].append(cell)
 
-    schema: dict[str, str] = {}
-    if schema_path is not None:
-        schema = json.loads(Path(schema_path).read_text())
-        unknown = set(schema) - set(header)
-        if unknown:
-            raise InputError(f"schema names absent from the CSV: {sorted(unknown)}")
-
-    kinds: list[str] = []
-    for name in header:
-        kind = schema.get(name)
-        if kind is None:
-            kind = "infer"
-        elif kind not in ("continuous", "categorical", "survival_time", "survival_status"):
+    schema = _read_json(schema_path) if schema_path is not None else {}
+    unknown = set(schema) - set(header)
+    if unknown:
+        raise InputError(f"schema names absent from the CSV: {sorted(unknown)}")
+    kinds = [schema.get(name, "infer") for name in header]
+    for name, kind in zip(header, kinds):
+        if name in schema and kind not in (
+            "continuous", "categorical", "survival_time", "survival_status"
+        ):
             raise InputError(f"unknown kind {kind!r} for column {name!r}")
-        kinds.append(kind)
-
-    time_cols = [i for i, k in enumerate(kinds) if k == "survival_time"]
-    status_cols = [i for i, k in enumerate(kinds) if k == "survival_status"]
-    if len(time_cols) > 1 or len(status_cols) > 1 or len(time_cols) != len(status_cols):
+    n_time, n_status = kinds.count("survival_time"), kinds.count("survival_status")
+    if n_time > 1 or n_time != n_status:
         raise InputError("survival outcome needs exactly one time and one status column")
 
+    def floats(c: int) -> np.ndarray:
+        vals = []
+        for row, cell in enumerate(raw[c], start=2):
+            try:
+                vals.append(float(cell))
+            except ValueError as exc:
+                raise InputError(
+                    f"column {header[c]!r}, row {row}: {cell!r} is not numeric"
+                ) from exc
+        return np.array(vals)
+
     columns: list[Column] = []
-    for c, name in enumerate(header):
-        kind = kinds[c]
-        if kind in ("survival_time", "survival_status"):
-            continue
+    for c, (name, kind) in enumerate(zip(header, kinds)):
         if kind == "categorical":
             levels = sorted(set(raw[c]))
             code = {v: k for k, v in enumerate(levels)}
             vals = np.array([code[v] for v in raw[c]], dtype=float)
             columns.append(Column(name, CATEGORICAL, vals, levels=len(levels)))
-            continue
-        vals = np.array([_parse_float(v, name, r + 2) for r, v in enumerate(raw[c])])
-        if kind == "infer":
-            distinct = np.unique(vals)
-            if 2 <= distinct.size <= 10 and np.all(distinct == np.round(distinct)):
-                code = {v: k for k, v in enumerate(distinct)}
-                coded = np.array([code[v] for v in vals], dtype=float)
-                columns.append(Column(name, CATEGORICAL, coded, levels=distinct.size))
-                continue
-        columns.append(Column(name, CONTINUOUS, vals))
+        elif kind in ("continuous", "infer"):
+            vals = floats(c)
+            distinct = np.unique(vals) if kind == "infer" else []
+            if 2 <= len(distinct) <= 10 and np.all(distinct == np.round(distinct)):
+                coded = np.searchsorted(distinct, vals).astype(float)
+                columns.append(Column(name, CATEGORICAL, coded, levels=len(distinct)))
+            else:
+                columns.append(Column(name, CONTINUOUS, vals))
 
-    if time_cols:
-        tcol, scol = time_cols[0], status_cols[0]
-        tvals = np.array([_parse_float(v, header[tcol], r + 2) for r, v in enumerate(raw[tcol])])
-        svals = np.array([_parse_float(v, header[scol], r + 2) for r, v in enumerate(raw[scol])])
-        surv = Column(header[scol], SURVIVAL, np.column_stack([tvals, svals]))
+    if n_time:
+        tcol, scol = kinds.index("survival_time"), kinds.index("survival_status")
+        surv = Column(header[scol], SURVIVAL, np.column_stack([floats(tcol), floats(scol)]))
         columns.insert(min(tcol, scol), surv)
 
     try:
@@ -152,18 +147,21 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) ->
         raise InputError(f"{path}: {exc}") from exc
 
 
-def load_pp_file(path: str | Path) -> dict[str, list[str]]:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise InputError("pp-sets file must map variable names to name lists")
-    return {str(k): [str(v) for v in vs] for k, vs in doc.items()}
-
-
 # ---------------------------------------------------------------- writing
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x):
+    """A CSV cell: floats (numpy ones too) by ``repr``, anything else as is."""
+    return repr(float(x)) if isinstance(x, float) else x
+
+
+def _write_csv(path: str | Path | None, header: list[str], rows) -> None:
+    """Write a CSV with newline line ends, to stdout when ``path`` is None."""
+    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with out as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def networks_to_json(result: LearnResult, cfg: ScoreConfig, indegree: int) -> dict:
@@ -206,18 +204,10 @@ def network_to_dot(net: Network, names: tuple[str, ...], outcome: str | None) ->
     return "\n".join(lines) + "\n"
 
 
-def write_edge_csv(path: Path, edges: list[tuple[str, str]]) -> None:
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["parent", "child"])
-        writer.writerows(edges)
-
-
 def read_edge_names(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
-        nets = doc.get("networks")
+        nets = _read_json(path).get("networks")
         if not nets:
             return []
         return [(e["parent"], e["child"]) for e in nets[0]["edges"]]
@@ -258,7 +248,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.optima_cap < 1:
         raise InputError(f"--optima-cap must be at least 1, got {args.optima_cap}")
     data = load_dataset(args.data, args.schema)
-    user_pp = load_pp_file(args.pp_file) if args.pp_file else None
+    user_pp = None
+    if args.pp_file:
+        user_pp = {str(k): [str(v) for v in vs] for k, vs in _read_json(args.pp_file).items()}
     opts = _screen_options(args, 0.05, args.outcome, user_pp)
     cfg = ScoreConfig(family=args.score)
     result = learn(
@@ -302,8 +294,9 @@ def _default_roles(p: int) -> tuple[int, int, int, int]:
     p1 = base + (1 if rem > 0 else 0)
     p2 = base + (1 if rem > 1 else 0)
     p3 = base
-    if rest > 0 and p3 == 0:
-        # tiny graphs still need a sink (and a source feeding it)
+    if rest > 1 and p3 == 0:
+        # tiny graphs still need a sink (and a source feeding it); a
+        # single connected node is a lone source
         p1 = max(p1, 1)
         p3 = max(rest - p1 - p2, 1)
         p2 = rest - p1 - p3
@@ -319,28 +312,17 @@ def _sim_spec(
 ) -> SimSpec:
     """The simulation spec of ``simulate`` and of each ``bench`` replicate.
 
-    ``roles`` defaults to :func:`_default_roles`; ``--effect`` is a fixed
-    value or a ``low,high`` range.
+    ``roles`` defaults to :func:`_default_roles`.
     """
-    effect = tuple(float(x) for x in args.effect.split(","))
     return SimSpec(
         p,
         *(roles or _default_roles(p)),
         n=n,
-        effect_size=effect[0] if len(effect) == 1 else effect,
+        effect_size=args.effect,
         noise_sd=args.noise_sd,
         max_parents=args.max_parents,
         seed=seed,
     )
-
-
-def write_data_csv(path: Path, data: Dataset) -> None:
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(data.names)
-        cols = [data.column(i).values for i in range(data.p)]
-        for r in range(data.n_rows):
-            writer.writerow([_fmt(col[r]) for col in cols])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -353,10 +335,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    write_data_csv(outdir / "data.csv", data)
     names = data.names
-    write_edge_csv(
-        outdir / "truth_edges.csv", [(names[a], names[b]) for a, b in dag.edges()]
+    columns = [data.column(i).values for i in range(data.p)]
+    _write_csv(outdir / "data.csv", names, zip(*columns))
+    _write_csv(
+        outdir / "truth_edges.csv",
+        ["parent", "child"],
+        [(names[a], names[b]) for a, b in dag.edges()],
     )
     meta = {
         "spec": dataclasses.asdict(spec),
@@ -390,7 +375,9 @@ def _load_universe(args: argparse.Namespace, *edge_lists) -> dict[str, int]:
     if args.nodes:
         path = Path(args.nodes)
         if path.suffix == ".json":
-            names = json.loads(path.read_text())["names"]
+            names = _read_json(path).get("names")
+            if not isinstance(names, list):
+                raise InputError(f'{path}: expected a "names" list')
         else:
             names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     else:
@@ -407,12 +394,12 @@ def _load_universe(args: argparse.Namespace, *edge_lists) -> dict[str, int]:
 
 
 def metrics_row(pred_masks: list[int], true_masks: list[int]) -> dict[str, float]:
-    return {
-        "fdr_directed": fdr(pred_masks, true_masks, DIRECTED),
-        "fdr_undirected": fdr(pred_masks, true_masks, UNDIRECTED),
-        "hamming_directed": hamming(pred_masks, true_masks, DIRECTED),
-        "hamming_undirected": hamming(pred_masks, true_masks, UNDIRECTED),
-    }
+    values = [
+        metric(pred_masks, true_masks, mode)
+        for metric in (fdr, hamming)
+        for mode in (DIRECTED, UNDIRECTED)
+    ]
+    return dict(zip(METRICS, values))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -422,13 +409,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     row = metrics_row(
         _edges_to_masks(predicted, universe), _edges_to_masks(truth, universe)
     )
-    header = ["fdr_directed", "fdr_undirected", "hamming_directed", "hamming_undirected"]
-    line = ",".join(_fmt(row[h]) if "fdr" in h else str(int(row[h])) for h in header)
-    text = ",".join(header) + "\n" + line + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out or None, METRICS, [[row[m] for m in METRICS]])
     return 0
 
 
@@ -462,34 +443,28 @@ def _bench_one(
         return None, f"{type(exc).__name__}: {exc}"
     runtime_ms = (time.perf_counter() - t0) * 1000.0
 
-    orig_index = {name: i for i, name in enumerate(data.names)}
-    pred_masks = [0] * data.p
-    best = result.networks[0]
     names = result.data.names
-    for a, b in best.edges():
-        pred_masks[orig_index[names[b]]] |= 1 << orig_index[names[a]]
-    true_masks = [int(m) for m in dag.parents]
-    row = metrics_row(pred_masks, true_masks)
+    pred_masks = _edges_to_masks(
+        [(names[a], names[b]) for a, b in result.networks[0].edges()],
+        {name: i for i, name in enumerate(data.names)},
+    )
+    row = metrics_row(pred_masks, [int(m) for m in dag.parents])
     row.update(
-        {
-            "p": spec.p,
-            "N": spec.n,
-            "replicate": replicate,
-            "score_family": args.score,
-            "runtime_ms": round(runtime_ms, 3),
-        }
+        p=spec.p,
+        N=spec.n,
+        replicate=replicate,
+        score_family=args.score,
+        runtime_ms=round(runtime_ms, 3),
     )
     return row, None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    p_grid = [int(x) for x in args.p_grid.split(",")]
-    n_grid = [int(x) for x in args.n_grid.split(",")]
     specs, reps = [], []
-    for ci, p in enumerate(p_grid):
-        for cj, n in enumerate(n_grid):
+    for ci, p in enumerate(args.p_grid):
+        for cj, n in enumerate(args.n_grid):
             for rep in range(args.replicates):
-                seed = args.seed + 7919 * (ci * len(n_grid) + cj) + rep
+                seed = args.seed + 7919 * (ci * len(args.n_grid) + cj) + rep
                 specs.append(_sim_spec(args, p, n, seed))
                 reps.append(rep)
 
@@ -512,34 +487,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BENCH_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["p"],
-                    row["N"],
-                    row["replicate"],
-                    row["score_family"],
-                    _fmt(row["fdr_directed"]),
-                    _fmt(row["fdr_undirected"]),
-                    int(row["hamming_directed"]),
-                    int(row["hamming_undirected"]),
-                    _fmt(row["runtime_ms"]),
-                ]
-            )
+    _write_csv(out, BENCH_HEADER, [[row[h] for h in BENCH_HEADER] for row in rows])
 
-    summary = _summarize(rows)
+    cells = sorted({(p, n) for p in args.p_grid for n in args.n_grid})
+    summary = _summarize(rows, cells)
     if args.summary:
-        spath = Path(args.summary)
-        with spath.open("w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["p", "N", "n_ok"]
-                + [f"{m}_{s}" for m in BENCH_HEADER[4:8] for s in ("mean", "sd")]
-            )
-            writer.writerows(summary)
+        header = ["p", "N", "n_ok"] + [f"{m}_{s}" for m in METRICS for s in ("mean", "sd")]
+        _write_csv(args.summary, header, summary)
     for line in summary:
         print(
             f"p={line[0]:>4} N={line[1]:>5} ok={line[2]:>3} "
@@ -549,20 +503,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summarize(rows: list[dict]) -> list[list]:
-    """Mean and sd of each metric per (p, N) cell, then over all rows."""
-    cells: dict[tuple, list[dict]] = {}
-    for row in rows:
-        cells.setdefault((row["p"], row["N"]), []).append(row)
-    groups = sorted(cells.items())
-    if rows:
-        groups.append((("all", "all"), rows))
+def _summarize(rows: list[dict], cells: list[tuple[int, int]]) -> list[list]:
+    """Mean and sd of each metric per (p, N) cell, then over all rows; a
+    cell with no finished replicate reads n_ok 0 and nan."""
+    groups = [(cell, [r for r in rows if (r["p"], r["N"]) == cell]) for cell in cells]
     out = []
-    for (p, n), group in groups:
+    for (p, n), group in groups + [(("all", "all"), rows)]:
         line: list = [p, n, len(group)]
-        for m in BENCH_HEADER[4:8]:
+        for m in METRICS:
             vals = np.array([g[m] for g in group], dtype=float)
-            line += [round(float(vals.mean()), 6), round(float(vals.std()), 6)]
+            if group:
+                line += [round(float(vals.mean()), 6), round(float(vals.std()), 6)]
+            else:
+                line += [np.nan, np.nan]
         out.append(line)
     return out
 
@@ -571,6 +524,17 @@ def _summarize(rows: list[dict]) -> list[list]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse names a type function in its usage error ("invalid effect value")
+    def effect(text: str) -> float | tuple[float, ...]:
+        """A fixed effect size or a ``low,high`` range."""
+        vals = tuple(float(x) for x in text.split(","))
+        if len(vals) > 2:
+            raise ValueError(text)
+        return vals[0] if len(vals) == 1 else vals
+
+    def grid(text: str) -> list[int]:
+        return [int(x) for x in text.split(",")]
+
     parser = argparse.ArgumentParser(
         prog="bndp",
         description="Optimal Bayesian-network structure learning via "
@@ -578,34 +542,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pl = sub.add_parser("learn", help="learn optimal networks from a CSV dataset")
+    # options of learn and bench: screening, score and search
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--score", choices=["bic", "bge"], default="bic")
+    search.add_argument("--alpha", type=float, help="BH-adjusted p-value cutoff")
+    search.add_argument("--corr-cutoff", type=float, help="absolute-correlation cutoff")
+    search.add_argument("--phenotype", action="store_true", help="phenotype-driven screening")
+    search.add_argument("--levels", type=int, default=3, choices=[2, 3])
+    search.add_argument("--top-k", type=int, help="keep only the k best level-1 parents")
+    search.add_argument("--indegree", type=int, default=2)
+    search.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
+
+    # options of simulate and bench: the simulated data
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--effect", type=effect, default="0.5,1.5", help="fixed value or low,high range")
+    sim.add_argument("--noise-sd", type=float, default=1.0)
+    sim.add_argument("--max-parents", type=int, default=2)
+    sim.add_argument("--seed", type=int, default=0)
+
+    pl = sub.add_parser("learn", parents=[search], help="learn optimal networks from a CSV dataset")
     pl.add_argument("--data", required=True, help="input CSV with header row")
     pl.add_argument("--schema", help="column-kind schema JSON")
     pl.add_argument("--out", required=True, help="output directory")
-    pl.add_argument("--score", choices=["bic", "bge"], default="bic")
-    pl.add_argument("--alpha", type=float, help="BH-adjusted p-value cutoff")
-    pl.add_argument("--corr-cutoff", type=float, help="absolute-correlation cutoff")
-    pl.add_argument("--phenotype", action="store_true", help="phenotype-driven screening")
-    pl.add_argument("--levels", type=int, default=3, choices=[2, 3])
     pl.add_argument("--outcome", help="outcome column name")
-    pl.add_argument("--top-k", type=int, help="keep only the k best level-1 parents")
     pl.add_argument("--pp-file", help="JSON possible-parent sets (skips screening)")
-    pl.add_argument("--indegree", type=int, default=2)
     pl.add_argument("--optima-cap", type=int, default=32)
-    pl.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
     pl.set_defaults(func=cmd_learn)
 
-    ps = sub.add_parser("simulate", help="generate a synthetic dataset + truth graph")
+    ps = sub.add_parser("simulate", parents=[sim], help="generate a synthetic dataset + truth graph")
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--p0", type=int)
     ps.add_argument("--p1", type=int)
     ps.add_argument("--p2", type=int)
     ps.add_argument("--p3", type=int)
-    ps.add_argument("--effect", default="0.5,1.5", help="fixed value or low,high range")
-    ps.add_argument("--noise-sd", type=float, default=1.0)
-    ps.add_argument("--max-parents", type=int, default=2)
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True, help="output directory")
     ps.set_defaults(func=cmd_simulate)
 
@@ -616,23 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", help="write the metrics row here instead of stdout")
     pe.set_defaults(func=cmd_eval)
 
-    pb = sub.add_parser("bench", help="simulate/learn/eval sweep over a grid")
-    pb.add_argument("--p-grid", default="10,20,40")
-    pb.add_argument("--n-grid", default="500,1000,2000")
+    pb = sub.add_parser(
+        "bench", parents=[search, sim], help="simulate/learn/eval sweep over a grid"
+    )
+    pb.add_argument("--p-grid", type=grid, default="10,20,40")
+    pb.add_argument("--n-grid", type=grid, default="500,1000,2000")
     pb.add_argument("--replicates", type=int, default=20)
-    pb.add_argument("--score", choices=["bic", "bge"], default="bic")
-    pb.add_argument("--alpha", type=float)
-    pb.add_argument("--corr-cutoff", type=float)
-    pb.add_argument("--phenotype", action="store_true")
-    pb.add_argument("--levels", type=int, default=3, choices=[2, 3])
-    pb.add_argument("--top-k", type=int)
-    pb.add_argument("--indegree", type=int, default=2)
-    pb.add_argument("--effect", default="0.5,1.5")
-    pb.add_argument("--noise-sd", type=float, default=1.0)
-    pb.add_argument("--max-parents", type=int, default=2)
-    pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--threads", type=int, default=1)
-    pb.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
     pb.add_argument("--out", default="bench.csv")
     pb.add_argument("--summary", default="bench_summary.csv")
     pb.set_defaults(func=cmd_bench)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from bndp.assoc import ScreenOptions
-from bndp.cli import load_dataset, main
+from bndp.cli import _default_roles, load_dataset, main
 from bndp.core import NodeSubset, ParentConstraints
 from bndp.engine import learn
 from bndp.scoring import ScoreConfig, compute_local_scores
+from bndp.simulate import SimSpec, simulate_dag, simulate_data, simulate_survival
 
 
 def run(*argv):
@@ -419,3 +420,189 @@ class TestBenchCommand:
         assert len(a.read_text().splitlines()) == 5
         assert normalized(a) == normalized(b)
         assert sa.read_text() == sb.read_text()
+
+    def test_phenotype_mode(self, tmp_path, capsys):
+        out, summ = tmp_path / "bench.csv", tmp_path / "summary.csv"
+        assert run(
+            "bench", "--phenotype", "--levels", 2, "--effect", 1.0, "--p-grid", 8,
+            "--n-grid", 200, "--replicates", 2, "--out", out, "--summary", summ,
+        ) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.open()))
+        assert [r["replicate"] for r in rows] == ["0", "1"]
+        assert summ.read_text().splitlines()[1].startswith("8,200,2,")
+
+    def test_failed_replicates_reported(self, tmp_path, capsys):
+        # every replicate stops at the subset cap: the run still exits 0,
+        # names each failure and reports the empty cell with n_ok = 0
+        out, summ = tmp_path / "bench.csv", tmp_path / "summary.csv"
+        assert run(
+            "bench", "--max-subsets", 5, "--p-grid", 8, "--n-grid", 200,
+            "--replicates", 2, "--out", out, "--summary", summ,
+        ) == 0
+        err = capsys.readouterr().err
+        for rep in (0, 1):
+            assert f"replicate failed (p=8, N=200, rep={rep}): EngineError" in err
+        assert len(out.read_text().splitlines()) == 1
+        nan8 = ",".join(["nan"] * 8)
+        assert summ.read_text().splitlines()[1:] == [f"8,200,0,{nan8}", f"all,all,0,{nan8}"]
+
+
+def test_default_roles():
+    # p >= 2 keeps the earlier split; p = 1 is one source
+    before = {
+        2: (0, 1, 0, 1), 3: (1, 1, 0, 1), 4: (1, 1, 1, 1), 5: (1, 2, 1, 1),
+        6: (1, 2, 2, 1), 7: (1, 2, 2, 2), 8: (2, 2, 2, 2), 9: (2, 3, 2, 2),
+        10: (2, 3, 3, 2), 11: (2, 3, 3, 3), 12: (2, 4, 3, 3),
+    }
+    for p in range(1, 13):
+        roles = _default_roles(p)
+        assert min(roles) >= 0 and sum(roles) == p
+        assert roles == before.get(p, (0, 1, 0, 0))
+        SimSpec(p, *roles, n=10)
+
+
+def test_simulate_single_node(tmp_path):
+    out = tmp_path / "s"
+    assert run("simulate", "--p", 1, "--n", 20, "--out", out) == 0
+    assert (out / "truth_edges.csv").read_text() == "parent,child\n"
+    assert json.loads((out / "sim_meta.json").read_text())["roles"] == ["source"]
+
+
+class TestMalformedInput:
+    """Each malformed input exits 2 with a one-line error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--p", 8, "--n", 50, "--effect", "1,2,3"], "effect value: '1,2,3'"),
+            (["simulate", "--p", 8, "--n", 50, "--effect", "abc"], "effect value: 'abc'"),
+            (["bench", "--effect", "abc"], "invalid effect value: 'abc'"),
+            (["bench", "--p-grid", "8,x"], "invalid grid value: '8,x'"),
+            (["bench", "--n-grid", ""], "invalid grid value: ''"),
+        ],
+    )
+    def test_usage_errors(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.fixture
+    def sim(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run("simulate", "--p", 6, "--n", 100, "--seed", 2, "--out", out) == 0
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "list.json").write_text("[1, 2]")
+        return out
+
+    def _exit_2(self, capsys, *argv):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("flag", ["--schema", "--pp-file"])
+    def test_learn_json_files(self, tmp_path, capsys, sim, flag):
+        for name, message in (
+            ("bad.json", "invalid JSON"), ("list.json", "expected a JSON object")
+        ):
+            err = self._exit_2(
+                capsys, "learn", "--data", sim / "data.csv", flag, tmp_path / name,
+                "--out", tmp_path / "o",
+            )
+            assert message in err
+
+    def test_eval_json_files(self, tmp_path, capsys, sim):
+        truth = sim / "truth_edges.csv"
+        bad, listed = tmp_path / "bad.json", tmp_path / "list.json"
+        assert "invalid JSON" in self._exit_2(
+            capsys, "eval", "--predicted", truth, "--truth", truth, "--nodes", bad
+        )
+        assert "invalid JSON" in self._exit_2(
+            capsys, "eval", "--predicted", bad, "--truth", truth
+        )
+        assert "expected a JSON object" in self._exit_2(
+            capsys, "eval", "--predicted", truth, "--truth", truth, "--nodes", listed
+        )
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"names": "V0"}')
+        assert '"names" list' in self._exit_2(
+            capsys, "eval", "--predicted", truth, "--truth", truth, "--nodes", meta
+        )
+
+
+class TestCliPaths:
+    @pytest.fixture(scope="class")
+    def learned(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("learned")
+        assert run("simulate", "--p", 8, "--n", 200, "--seed", 1, "--out", root / "sim") == 0
+        assert run("learn", "--data", root / "sim" / "data.csv", "--out", root / "run") == 0
+        return root
+
+    def test_eval_networks_json_to_stdout(self, learned, tmp_path, capsys):
+        # the best network of networks.json scores as its own edge CSV does
+        doc = json.loads((learned / "run" / "networks.json").read_text())
+        edges = tmp_path / "best.csv"
+        best = doc["networks"][0]["edges"]
+        edges.write_text("parent,child\n" + "".join(f"{e['parent']},{e['child']}\n" for e in best))
+        truth, meta = learned / "sim" / "truth_edges.csv", learned / "sim" / "sim_meta.json"
+        capsys.readouterr()
+        predicted = learned / "run" / "networks.json"
+        assert run("eval", "--predicted", predicted, "--truth", truth, "--nodes", meta) == 0
+        text = capsys.readouterr().out
+        header = "fdr_directed,fdr_undirected,hamming_directed,hamming_undirected"
+        assert text.splitlines()[0] == header
+        m_csv = tmp_path / "m.csv"
+        assert run(
+            "eval", "--predicted", edges, "--truth", truth, "--nodes", meta, "--out", m_csv
+        ) == 0
+        assert m_csv.read_text() == text
+
+    def test_eval_nodes_from_sim_meta(self, learned, tmp_path, capsys):
+        # sim_meta.json names all 8 nodes; an edge outside them is a mismatch
+        pred = tmp_path / "p.csv"
+        pred.write_text("parent,child\nV0,V99\n")
+        truth, meta = learned / "sim" / "truth_edges.csv", learned / "sim" / "sim_meta.json"
+        assert run("eval", "--predicted", pred, "--truth", truth, "--nodes", meta) == 2
+        assert "node-name mismatch" in capsys.readouterr().err
+
+    def test_eval_networks_json_without_networks(self, learned, tmp_path, capsys):
+        empty = tmp_path / "networks.json"
+        empty.write_text(json.dumps({"nodes": [], "networks": []}))
+        truth = learned / "sim" / "truth_edges.csv"
+        n_true = len(truth.read_text().splitlines()) - 1
+        capsys.readouterr()
+        assert run("eval", "--predicted", empty, "--truth", truth) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == f"0.0,0.0,{n_true},{n_true}"
+
+    def test_learn_survival_outcome_marked_in_dot(self, tmp_path):
+        # no --outcome: the survival column is the outcome in the DOT file
+        spec = SimSpec(6, 1, 2, 2, 1, n=300, seed=1)
+        data = simulate_data(simulate_dag(spec), spec)
+        X = np.column_stack([c.values for c in data.columns])
+        t, status = simulate_survival(2.0 * X[:, -1] / X[:, -1].std(), seed=1)
+        csv_path = tmp_path / "surv.csv"
+        np.savetxt(
+            csv_path, np.column_stack([X, t, status]), delimiter=",", comments="",
+            header=",".join([*data.names, "os_time", "os_status"]),
+        )
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"os_time": "survival_time", "os_status": "survival_status"}))
+        out = tmp_path / "run"
+        assert run("learn", "--data", csv_path, "--schema", schema, "--out", out) == 0
+        dot = (out / "network_000.dot").read_text()
+        assert '"os_status" [shape=doublecircle];' in dot
+        assert dot.count("doublecircle") == 1
+
+    def test_search_failure_exit_4(self, learned, tmp_path, capsys):
+        code = run(
+            "learn", "--data", learned / "sim" / "data.csv", "--out", tmp_path / "o",
+            "--max-subsets", 5,
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: best_sinks: reachable-subset count exceeded the cap (5)")
