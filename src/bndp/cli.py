@@ -64,6 +64,11 @@ def _read_json(path: str | Path) -> dict:
     return doc
 
 
+def _is_names(x) -> bool:
+    """Whether ``x`` is a list of strings, as a list of column names is."""
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
 def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) -> Dataset:
     """Read a header-required CSV with optional column-kind schema.
 
@@ -207,16 +212,27 @@ def network_to_dot(net: Network, names: tuple[str, ...], outcome: str | None) ->
 def read_edge_names(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     if path.suffix == ".json":
-        nets = _read_json(path).get("networks")
-        if not nets:
-            return []
-        return [(e["parent"], e["child"]) for e in nets[0]["edges"]]
+        nets = _read_json(path).get("networks", [])
+        if not (isinstance(nets, list) and all(_is_edge_object(net) for net in nets)):
+            raise InputError(f'{path}: expected "networks" with "edges" of parent/child names')
+        return [(e["parent"], e["child"]) for e in nets[0]["edges"]] if nets else []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["parent", "child"]:
             raise InputError(f"{path}: expected an edge list with header parent,child")
-        return [(r[0], r[1]) for r in reader if r]
+        rows = list(reader)
+    for rix, row in enumerate(rows, start=2):
+        if row and len(row) != 2:
+            raise InputError(f"{path}: row {rix} has {len(row)} fields, expected 2")
+    return [(r[0], r[1]) for r in rows if r]
+
+
+def _is_edge_object(net) -> bool:
+    edges = net.get("edges") if isinstance(net, dict) else None
+    return isinstance(edges, list) and all(
+        isinstance(e, dict) and _is_names([e.get("parent"), e.get("child")]) for e in edges
+    )
 
 
 # ---------------------------------------------------------------- learn
@@ -248,9 +264,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.optima_cap < 1:
         raise InputError(f"--optima-cap must be at least 1, got {args.optima_cap}")
     data = load_dataset(args.data, args.schema)
-    user_pp = None
-    if args.pp_file:
-        user_pp = {str(k): [str(v) for v in vs] for k, vs in _read_json(args.pp_file).items()}
+    user_pp = _read_json(args.pp_file) if args.pp_file else None
+    for key, names in (user_pp or {}).items():
+        if not _is_names(names):
+            raise InputError(f"{args.pp_file}: {key!r}: expected a list of column names")
     opts = _screen_options(args, 0.05, args.outcome, user_pp)
     cfg = ScoreConfig(family=args.score)
     result = learn(
@@ -376,20 +393,12 @@ def _load_universe(args: argparse.Namespace, *edge_lists) -> dict[str, int]:
         path = Path(args.nodes)
         if path.suffix == ".json":
             names = _read_json(path).get("names")
-            if not isinstance(names, list):
-                raise InputError(f'{path}: expected a "names" list')
+            if not _is_names(names):
+                raise InputError(f'{path}: expected a "names" list of strings')
         else:
             names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     else:
-        seen: set[str] = set()
-        names = []
-        for edges in edge_lists:
-            for a, b in edges:
-                for v in (a, b):
-                    if v not in seen:
-                        seen.add(v)
-                        names.append(v)
-        names.sort()
+        names = sorted({v for edges in edge_lists for edge in edges for v in edge})
     return {name: i for i, name in enumerate(names)}
 
 

@@ -307,7 +307,7 @@ def best_sinks(
     level_ms: list[float] = []
     start = time.perf_counter()
     masks, po_acc, sinks = bit, po, bit
-    scores = np.array([local.empty_score(v) for v in range(p)], dtype=float)
+    scores = np.array([local.score(v, 0) for v in range(p)], dtype=float)
     while len(masks):
         levels.append((masks, scores, sinks))
         level_ms.append((time.perf_counter() - start) * 1000.0)
@@ -429,7 +429,7 @@ def recover_networks(
         for w in bst.maximal:
             base = 0.0
             for v in NodeSubset(w):
-                base += local.empty_score(v)
+                base += local.score(v, 0)
             gain = bst.score(w) - base
             if math.isnan(gain):
                 gain = 0.0

@@ -4,16 +4,20 @@ All scores are oriented so that higher is better. Degenerate fits become
 a -inf sentinel, an ordinary table value, so the dynamic program never
 needs special cases.
 
-The BGe prior is fixed at the usual defaults (Geiger & Heckerman 2002,
-*Ann. Statist.*; bnlearn's ``iss.mu = 1``, ``iss.w = p + 2``): alpha_mu
-= 1, alpha_w = p + 2, the prior mean at the column means and the prior
-scale t = alpha_mu (alpha_w - p - 1) / (alpha_mu + 1) = 1/2 times the
-identity. Cox-BIC fits stop after 50 Newton steps or once no
-coefficient moves by 1e-8 (see :mod:`bndp.numeric`).
+One scorer per family takes a node and a parent-set bitmask:
+:meth:`_GramState.local` (Gaussian BIC, falling back to the direct least
+squares of :func:`bic_gaussian` near an exact fit), :func:`bic_categorical`
+and :meth:`_BgeState.local`; :func:`cox_bic` scores all of the survival
+sink's parent sets in one batch. :func:`compute_local_scores` is the one
+dispatch, a loop over the nodes.
+
+The BGe prior is fixed (:class:`_BgeState`). Cox-BIC fits stop after 50
+Newton steps or once no coefficient moves by 1e-8 (:mod:`bndp.numeric`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,12 +60,7 @@ class ScoringWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Score family selection: ``"bic"`` or ``"bge"``.
-
-    BGe takes the fixed prior of :class:`_BgeState`: alpha_mu = 1,
-    alpha_w = p + 2, the prior mean at the column means and the prior
-    scale t = 1/2 times the identity.
-    """
+    """Score family selection: ``"bic"`` or ``"bge"`` (fixed prior, :class:`_BgeState`)."""
 
     family: str = "bic"
 
@@ -78,12 +77,13 @@ _BGE_T = 0.5
 class _BgeState:
     """Posterior scale matrix and constants shared by all BGe lookups.
 
-    The prior is fixed: alpha_mu = 1, alpha_w = p + 2, prior mean mu0 at
-    the column means and prior scale ``_BGE_T`` times the identity. With
-    mu0 at the sample mean the prior-mean term
-    ``(n alpha_mu / (n + alpha_mu)) (xbar - mu0)(xbar - mu0)'`` is zero,
-    so the posterior scale matrix is ``t I`` plus the centred
-    cross-products.
+    The prior is fixed at the usual defaults (Geiger & Heckerman 2002,
+    *Ann. Statist.*; bnlearn's ``iss.mu = 1``, ``iss.w = p + 2``):
+    alpha_mu = 1, alpha_w = p + 2, prior mean mu0 at the column means and
+    prior scale ``_BGE_T`` times the identity. With mu0 at the sample mean
+    the prior-mean term ``(n alpha_mu / (n + alpha_mu)) (xbar - mu0)(xbar
+    - mu0)'`` is zero, so the posterior scale matrix is ``t I`` plus the
+    centred cross-products.
     """
 
     def __init__(self, data: Dataset):
@@ -176,7 +176,8 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
 
     Penalty counts (r - 1) * q free parameters, q being the product of
     the parent level counts; parent configurations with no observations
-    contribute nothing to the log-likelihood.
+    contribute nothing to the log-likelihood. A non-categorical parent
+    scores -inf with a warning.
     """
     col = data.column(node)
     if col.kind != CATEGORICAL:
@@ -188,7 +189,13 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
     for j in NodeSubset(parents):
         pc = data.column(j)
         if pc.kind != CATEGORICAL:
-            raise ScoringError(f"categorical node {node} needs categorical parents")
+            warnings.warn(
+                f"categorical node {node} cannot take non-categorical parent {j}; "
+                "scored as -inf",
+                ScoringWarning,
+                stacklevel=3,  # past compute_local_scores to its caller
+            )
+            return NEG_INF
         codes = codes * pc.levels + pc.values.astype(np.int64)
         q *= pc.levels
     if q > n:
@@ -207,11 +214,6 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
     return ll - 0.5 * (r - 1) * q * math.log(n)
 
 
-def bge_local(node: int, parents: int, data: Dataset) -> float:
-    """BGe local score of one parent set: see :meth:`_BgeState.local`."""
-    return _BgeState(data).local(node, parents)
-
-
 def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
     """Cox-BIC scores of the survival sink for each parent set in ``masks``.
 
@@ -228,20 +230,18 @@ def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
     time = col.values[:, 0]
     status = col.values[:, 1]
     n = data.n_rows
-    members = sorted({j for mask in masks for j in NodeSubset(mask)})
-    row = {j: r for r, j in enumerate(members)}
-    Z = np.zeros((len(members), n))
-    for j in members:
+    Z = np.zeros((data.p, n))
+    for j in {j for mask in masks for j in NodeSubset(mask)}:
         x = data.numeric_values(j)
         sd = x.std()
         if sd > 0:
-            Z[row[j]] = (x - x.mean()) / sd
+            Z[j] = (x - x.mean()) / sd
     by_size: dict[int, list[int]] = {}
     for mask in masks:
         by_size.setdefault(NodeSubset(mask).count(), []).append(mask)
     scores: dict[int, float] = {}
     for size, group in by_size.items():
-        sets = np.array([[row[j] for j in NodeSubset(mask)] for mask in group], dtype=int)
+        sets = np.array([list(NodeSubset(mask)) for mask in group], dtype=int)
         batch = cox_fit_batch(time, status, Z[sets.T])
         for mask, ll, exc in zip(group, batch.log_likelihood, batch.errors):
             if exc is None:
@@ -272,53 +272,44 @@ class LocalScoreTable:
     def subsets(self, node: int) -> dict[int, float]:
         return self._scores[node]
 
-    def empty_score(self, node: int) -> float:
-        return self._scores[node][0]
-
     def entry_count(self) -> int:
         return sum(len(t) for t in self._scores)
 
 
-def _gaussian_gram_scores(
-    data: Dataset, constraints: ParentConstraints, nodes: list[int]
-) -> list[dict[int, float]]:
-    """BIC scores for continuous nodes via normal equations on one Gram matrix.
+class _GramState:
+    """Gaussian BIC via normal equations on one centred Gram matrix.
 
-    Columns are centred (:func:`_centred`), which absorbs the intercept.
-    A fit whose residual is within rounding of zero (or whose parents are
-    collinear) is scored by :func:`bic_gaussian` instead, so results
-    match it.
+    Columns are centred (:func:`_centred`), which absorbs the intercept;
+    the survival column, never a regressor, stays zero. A fit whose
+    residual is within rounding of zero (or whose parents are collinear)
+    is scored by :func:`bic_gaussian` instead, so results match it.
     """
-    n = data.n_rows
-    p = data.p
-    M = np.zeros((n, p))
-    for j in range(p):
-        if data.column(j).kind != SURVIVAL:
-            M[:, j] = data.numeric_values(j)
-    M = _centred(M)
-    G = M.T @ M
-    log_n = math.log(n)
-    d = constraints.indegree
-    out: list[dict[int, float]] = [{} for _ in range(p)]
-    for i in nodes:
-        syy = G[i, i]
-        table: dict[int, float] = {}
-        for mask in subsets_up_to(constraints.pp[i], d):
-            cols = list(NodeSubset(mask))
-            rss = syy
-            if cols:
-                try:
-                    z = np.linalg.solve(np.linalg.cholesky(G[np.ix_(cols, cols)]), G[cols, i])
-                    rss -= float(z @ z)
-                except np.linalg.LinAlgError:
-                    rss = 0.0
-            if rss <= _GRAM_MIN_REL * syy:
-                table[mask] = bic_gaussian(i, mask, data)
-                continue
-            ll = -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
-            table[mask] = ll - 0.5 * (len(cols) + 2) * log_n
-        out[i] = table
-    return out
+
+    def __init__(self, data: Dataset):
+        M = np.zeros((data.n_rows, data.p))
+        for j in range(data.p):
+            if data.column(j).kind != SURVIVAL:
+                M[:, j] = data.numeric_values(j)
+        M = _centred(M)
+        self.G = M.T @ M
+        self.data = data
+
+    def local(self, node: int, parents: int) -> float:
+        G = self.G
+        n = self.data.n_rows
+        syy = G[node, node]
+        cols = list(NodeSubset(parents))
+        rss = syy
+        if cols:
+            try:
+                z = np.linalg.solve(np.linalg.cholesky(G[np.ix_(cols, cols)]), G[cols, node])
+                rss -= float(z @ z)
+            except np.linalg.LinAlgError:
+                rss = 0.0
+        if rss <= _GRAM_MIN_REL * syy:
+            return bic_gaussian(node, parents, self.data)
+        ll = -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
+        return ll - 0.5 * (len(cols) + 2) * math.log(n)
 
 
 def compute_local_scores(
@@ -331,51 +322,28 @@ def compute_local_scores(
     """
     if constraints.n_nodes != data.p:
         raise ScoringError("constraints and data disagree on the node count")
-    p = data.p
-    d = constraints.indegree
     if data.survival_index is not None:
         surv_bit = 1 << data.survival_index
         if any(mask & surv_bit for mask in constraints.pp):
             raise ScoringError("the survival column can only be a sink, never a parent")
-    scores: list[dict[int, float]] = [{} for _ in range(p)]
-
-    bge = _BgeState(data) if cfg.family == "bge" else None
-    gaussian_nodes = [
-        i
-        for i in range(p)
-        if cfg.family == "bic" and data.column(i).kind == CONTINUOUS
-    ]
-    if gaussian_nodes:
-        gram = _gaussian_gram_scores(data, constraints, gaussian_nodes)
-        for i in gaussian_nodes:
-            scores[i] = gram[i]
-
-    for i in range(p):
-        if scores[i]:
+    if cfg.family == "bge":
+        scorers = {CONTINUOUS: _BgeState(data).local}
+    else:
+        scorers = {
+            CONTINUOUS: _GramState(data).local,
+            CATEGORICAL: functools.partial(bic_categorical, data=data),
+        }
+    scores: list[dict[int, float]] = []
+    for i in range(data.p):
+        kind = data.column(i).kind
+        masks = list(subsets_up_to(constraints.pp[i], constraints.indegree))
+        if kind == SURVIVAL:
+            scores.append(cox_bic(i, masks, data))
             continue
-        masks = list(subsets_up_to(constraints.pp[i], d))
-        if data.column(i).kind == SURVIVAL:
-            scores[i] = cox_bic(i, masks, data)
-        elif bge is not None:
-            scores[i] = {mask: bge.local(i, mask) for mask in masks}
-        else:
-            # a loop: a comprehension is a frame of its own before Python
-            # 3.12, which would move the location the warnings report
-            for mask in masks:
-                scores[i][mask] = _categorical_bic(i, mask, data)
+        table: dict[int, float] = {}
+        # a loop: a comprehension is a frame of its own before Python
+        # 3.12, which would move the location the warnings report
+        for mask in masks:
+            table[mask] = scorers[kind](i, mask)
+        scores.append(table)
     return LocalScoreTable(scores)
-
-
-def _categorical_bic(node: int, mask: int, data: Dataset) -> float:
-    # continuous nodes are scored by _gaussian_gram_scores: only
-    # categorical parents are supported
-    for j in NodeSubset(mask):
-        if data.column(j).kind != CATEGORICAL:
-            warnings.warn(
-                f"categorical node {node} cannot take non-categorical parent {j}; "
-                "scored as -inf",
-                ScoringWarning,
-                stacklevel=3,
-            )
-            return NEG_INF
-    return bic_categorical(node, mask, data)

@@ -533,6 +533,49 @@ class TestMalformedInput:
             capsys, "eval", "--predicted", truth, "--truth", truth, "--nodes", meta
         )
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"networks": [{"x": 1}]},
+            {"networks": {"edges": []}},
+            {"networks": None},
+            {"networks": [{"edges": [{"parent": "V0"}]}]},
+            {"networks": [{"edges": [{"parent": "V0", "child": 1}]}]},
+            {"networks": [{"edges": []}, {"edges": ["V0"]}]},
+        ],
+    )
+    def test_eval_networks_structure(self, tmp_path, capsys, sim, doc):
+        predicted = tmp_path / "networks.json"
+        predicted.write_text(json.dumps(doc))
+        err = self._exit_2(
+            capsys, "eval", "--predicted", predicted, "--truth", sim / "truth_edges.csv"
+        )
+        assert 'expected "networks"' in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("parent,child\na\n", "row 2 has 1 fields, expected 2"),
+            ("parent,child\nV0,V1\n\nV1,V2,V3\n", "row 4 has 3 fields, expected 2"),
+        ],
+    )
+    def test_edge_csv_field_count(self, tmp_path, capsys, sim, text, message):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text)
+        for argv in (("--predicted", edges, "--truth", sim / "truth_edges.csv"),
+                     ("--predicted", sim / "truth_edges.csv", "--truth", edges)):
+            assert message in self._exit_2(capsys, "eval", *argv)
+
+    @pytest.mark.parametrize("value", ['"V1"', '["V1", 3]', "null", '{"V1": 1}'])
+    def test_pp_file_values_are_name_lists(self, tmp_path, capsys, sim, value):
+        pp = tmp_path / "pp.json"
+        pp.write_text('{"V0": [], "V2": %s}' % value)
+        err = self._exit_2(
+            capsys, "learn", "--data", sim / "data.csv", "--pp-file", pp, "--out", tmp_path / "o"
+        )
+        assert "'V2': expected a list of column names" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliPaths:
     @pytest.fixture(scope="class")

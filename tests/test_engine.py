@@ -99,7 +99,7 @@ def dict_best_sinks(constraints, local):
     entries, maximal = {}, []
     level = []
     for v in range(p):
-        entries[1 << v] = (local.empty_score(v), (v,))
+        entries[1 << v] = (local.score(v, 0), (v,))
         level.append(1 << v)
     while level:
         nxt = set()
@@ -146,7 +146,7 @@ def ordering_recover(bst, c, local, cap):
         for w in bst.maximal:
             base = 0.0
             for v in NodeSubset(w):
-                base += local.empty_score(v)
+                base += local.score(v, 0)
             gain = bst.score(w) - base
             if math.isnan(gain):
                 gain = 0.0
@@ -677,7 +677,7 @@ class TestSweepAgainstDictOracle:
         interval = sum(1 << i for i in top)
         result = recover_networks(bst, bpt, c, local, cap=4)
         assert sorted(result.covered) == sorted([1 << v for v in range(60)] + [interval])
-        expected = bst.score(interval) + sum(local.empty_score(v) for v in range(60))
+        expected = bst.score(interval) + sum(local.score(v, 0) for v in range(60))
         for net in result.networks:
             assert abs(net.total_score - expected) <= 1e-9 * abs(expected)
 

@@ -13,7 +13,6 @@ from bndp.scoring import (
     ScoringError,
     ScoringWarning,
     _BgeState,
-    bge_local,
     bic_categorical,
     bic_gaussian,
     compute_local_scores,
@@ -161,8 +160,8 @@ class TestBicCategorical:
                 Column("x", "continuous", np.arange(10.0)),
             ]
         )
-        with pytest.raises(ScoringError):
-            bic_categorical(0, 0b10, data)
+        with pytest.warns(ScoringWarning, match="non-categorical parent 1"):
+            assert bic_categorical(0, 0b10, data) == NEG_INF
 
 
 # ------------------------------------------------------------------- bge
@@ -247,9 +246,9 @@ class TestBge:
         rng = np.random.default_rng(17)
         x = rng.standard_normal(80)
         y = 0.9 * x + rng.standard_normal(80)
-        data = cont(np.column_stack([x, y]))
-        forward = bge_local(0, 0, data) + bge_local(1, 0b01, data)
-        backward = bge_local(1, 0, data) + bge_local(0, 0b10, data)
+        bge = _BgeState(cont(np.column_stack([x, y])))
+        forward = bge.local(0, 0) + bge.local(1, 0b01)
+        backward = bge.local(1, 0) + bge.local(0, 0b10)
         assert abs(forward - backward) < 1e-8
 
     def test_markov_equivalent_three_node(self):
@@ -257,10 +256,10 @@ class TestBge:
         x = rng.standard_normal(120)
         y = 0.8 * x + rng.standard_normal(120)
         z = 0.8 * y + rng.standard_normal(120)
-        data = cont(np.column_stack([x, y, z]))
+        bge = _BgeState(cont(np.column_stack([x, y, z])))
 
         def total(assignment):
-            return sum(bge_local(i, mask, data) for i, mask in enumerate(assignment))
+            return sum(bge.local(i, mask) for i, mask in enumerate(assignment))
 
         chain = total([0, 0b001, 0b010])       # x->y->z
         reverse = total([0b010, 0b100, 0])     # z->y->x
@@ -274,7 +273,7 @@ class TestBge:
         rng = np.random.default_rng(19)
         x = rng.standard_normal(100)
         data = cont(x[:, None])
-        got = bge_local(0, 0, data)
+        got = _BgeState(data).local(0, 0)
         oracle = bge_quadrature_oracle(x)
         assert abs(got - oracle) < 1e-5
 
@@ -297,9 +296,9 @@ class TestBge:
         for n in (100, 400):
             x = rng.standard_normal(n)
             x2 = x + 0.05 * rng.standard_normal(n)
-            data = cont(np.column_stack([x, x2]))
-            edge = bge_local(0, 0, data) + bge_local(1, 0b01, data)
-            indep = bge_local(0, 0, data) + bge_local(1, 0, data)
+            bge = _BgeState(cont(np.column_stack([x, x2])))
+            edge = bge.local(0, 0) + bge.local(1, 0b01)
+            indep = bge.local(0, 0) + bge.local(1, 0)
             assert edge > indep
 
     def test_rejects_categorical(self):
@@ -310,7 +309,7 @@ class TestBge:
             ]
         )
         with pytest.raises(ScoringError):
-            bge_local(1, 0, data)
+            _BgeState(data)
 
 
 # --------------------------------------------------------------- cox bic
