@@ -499,26 +499,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _write_csv(out, BENCH_HEADER, [[row[h] for h in BENCH_HEADER] for row in rows])
 
     cells = sorted({(p, n) for p in args.p_grid for n in args.n_grid})
-    summary = _summarize(rows, cells)
+    summary = _summarize(rows, cells, args.replicates)
     if args.summary:
-        header = ["p", "N", "n_ok"] + [f"{m}_{s}" for m in METRICS for s in ("mean", "sd")]
+        header = ["p", "N", "n_ok", "n_failed"]
+        header += [f"{m}_{s}" for m in METRICS for s in ("mean", "sd")]
         _write_csv(args.summary, header, summary)
     for line in summary:
         print(
-            f"p={line[0]:>4} N={line[1]:>5} ok={line[2]:>3} "
-            f"fdr_dir={line[3]:.3f}±{line[4]:.3f} fdr_und={line[5]:.3f}±{line[6]:.3f} "
-            f"ham_dir={line[7]:.1f}±{line[8]:.1f} ham_und={line[9]:.1f}±{line[10]:.1f}"
+            f"p={line[0]:>4} N={line[1]:>5} ok={line[2]:>3} failed={line[3]:>3} "
+            f"fdr_dir={line[4]:.3f}±{line[5]:.3f} fdr_und={line[6]:.3f}±{line[7]:.3f} "
+            f"ham_dir={line[8]:.1f}±{line[9]:.1f} ham_und={line[10]:.1f}±{line[11]:.1f}"
         )
     return 0
 
 
-def _summarize(rows: list[dict], cells: list[tuple[int, int]]) -> list[list]:
-    """Mean and sd of each metric per (p, N) cell, then over all rows; a
-    cell with no finished replicate reads n_ok 0 and nan."""
-    groups = [(cell, [r for r in rows if (r["p"], r["N"]) == cell]) for cell in cells]
+def _summarize(rows: list[dict], cells: list[tuple[int, int]], replicates: int) -> list[list]:
+    """Finished and failed replicates and the mean and sd of each metric
+    over the finished ones, per (p, N) cell, then over all cells; a cell
+    with no finished replicate reads n_ok 0 and nan."""
+    groups = [(cell, [r for r in rows if (r["p"], r["N"]) == cell], replicates) for cell in cells]
     out = []
-    for (p, n), group in groups + [(("all", "all"), rows)]:
-        line: list = [p, n, len(group)]
+    for (p, n), group, planned in groups + [(("all", "all"), rows, replicates * len(cells))]:
+        line: list = [p, n, len(group), planned - len(group)]
         for m in METRICS:
             vals = np.array([g[m] for g in group], dtype=float)
             if group:

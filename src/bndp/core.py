@@ -6,7 +6,7 @@ an integer bitmask, which doubles as the key type of every DP table.
 
 from __future__ import annotations
 
-import heapq
+import graphlib
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -225,62 +225,24 @@ class ParentConstraints:
         return cls(tuple(NodeSubset(full & ~(1 << i)) for i in range(p)), indegree)
 
 
-@dataclass(frozen=True)
-class DagCheck:
-    acyclic: bool
-    order: tuple[int, ...] | None = None
-    cycle: tuple[int, ...] | None = None
+def find_cycle(parents: Sequence[int]) -> tuple[int, ...] | None:
+    """A cycle of a parent-mask vector, or None when it is acyclic.
 
-
-def validate_dag(parents: Sequence[int]) -> DagCheck:
-    """Check a parent-set vector for acyclicity.
-
-    Returns a topological order (parents before children, smallest index
-    first among ties) or a witness cycle as a node sequence in which each
-    node is a parent of the next.
+    The cycle is a node sequence in which each node is a parent of the
+    next and the last a parent of the first.
     """
     p = len(parents)
-    masks = []
+    graph = {}
     for i, m in enumerate(parents):
         m = int(m)
         if m < 0 or m >> p:
             raise StructureError(f"parents[{i}] references a node index out of range")
-        masks.append(m)
-
-    indeg = [m.bit_count() for m in masks]
-    children = [0] * p
-    for i, m in enumerate(masks):
-        for j in NodeSubset(m):
-            children[j] |= 1 << i
-
-    ready = [i for i in range(p) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for c in NodeSubset(children[v]):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) == p:
-        return DagCheck(True, order=tuple(order))
-
-    # every remaining node has an unresolved parent; walk until we revisit
-    remaining = {i for i in range(p) if indeg[i] > 0}
-    v = min(remaining)
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    while v not in seen:
-        seen[v] = len(path)
-        path.append(v)
-        for u in NodeSubset(masks[v]):
-            if u in remaining:
-                v = u
-                break
-    cycle = path[seen[v]:]
-    cycle.reverse()  # parent-of-next orientation
-    return DagCheck(False, cycle=tuple(cycle))
+        graph[i] = NodeSubset(m)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return tuple(exc.args[1][:-1])  # the first node is repeated at the end
+    return None
 
 
 def edges(parents: Sequence[int]) -> list[tuple[int, int]]:
@@ -314,9 +276,9 @@ class Network:
         local_scores: Sequence[float],
         ordering: Sequence[int],
     ) -> "Network":
-        check = validate_dag(parents)
-        if not check.acyclic:
-            raise StructureError(f"network contains a cycle: {check.cycle}")
+        cycle = find_cycle(parents)
+        if cycle is not None:
+            raise StructureError(f"network contains a cycle: {cycle}")
         total = 0.0
         for s in local_scores:
             total += s

@@ -24,6 +24,7 @@ sinks peel down to, so ties cost no tied-ordering enumeration.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import warnings
@@ -71,8 +72,8 @@ class BestParentsTable:
     vectorised first fit serves single lookups and the sweep's batches of
     pools. Tie rule: the best sets within U are the maximum and every
     fitting set within ``TIE_EPS`` of it, whatever the order of the list,
-    returned in ascending order. First fits and tie sets are memoised per
-    node and pool; :meth:`pool_count` counts the pools scored.
+    returned in ascending order. First fits are memoised per node and
+    pool; :meth:`pool_count` counts the pools scored.
     """
 
     def __init__(self, local: LocalScoreTable, constraints: ParentConstraints):
@@ -97,7 +98,6 @@ class BestParentsTable:
         self._memo_keys = np.empty(0, dtype=self._key_dtype)
         self._memo_fits = np.empty(0, dtype=self._fit_dtype)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._ties: list[dict[int, tuple[int, ...]]] = [{} for _ in range(p)]
 
     def _first_fit(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
         """Index of the first listed set of each node inside its pool; the empty set fits any.
@@ -151,30 +151,16 @@ class BestParentsTable:
         return fits
 
     def _merge(self) -> None:
-        """Fold the pending pairs, all absent from the memo, into it.
-
-        Each new key goes straight to its merged position, its rank among
-        the new keys plus the memo keys below it, in one pass that holds
-        no index array larger than the new keys.
-        """
+        """Fold the pending pairs, all absent from the memo, into it, in key order."""
         if self._pending:
             keys = np.concatenate([k for k, _ in self._pending])
-            order = keys.argsort()  # a pair fitted in two chunks has one first fit: either copy will do
-            keys = keys[order]
-            fits = np.concatenate([f for _, f in self._pending])[order]
+            # a pair fitted in two chunks has one first fit: either copy will do
+            keys, first = np.unique(keys, return_index=True)
+            fits = np.concatenate([f for _, f in self._pending])[first]
             self._pending = []
-            fresh = np.ones(len(keys), dtype=bool)
-            fresh[1:] = keys[1:] != keys[:-1]
-            keys, fits = keys[fresh], fits[fresh]
-            at = np.searchsorted(self._memo_keys, keys) + np.arange(len(keys))
-            old = np.ones(len(self._memo_keys) + len(keys), dtype=bool)
-            old[at] = False
-            merged_keys = np.empty(len(old), dtype=keys.dtype)
-            merged_keys[at], merged_keys[old] = keys, self._memo_keys
-            self._memo_keys = merged_keys
-            merged_fits = np.empty(len(old), dtype=fits.dtype)
-            merged_fits[at], merged_fits[old] = fits, self._memo_fits
-            self._memo_fits = merged_fits
+            at = np.searchsorted(self._memo_keys, keys)
+            self._memo_keys = np.insert(self._memo_keys, at, keys)
+            self._memo_fits = np.insert(self._memo_fits, at, fits)
 
     def score(self, node: int, pool: int) -> float:
         pools = np.array([pool], dtype=self._pp.dtype)
@@ -183,22 +169,17 @@ class BestParentsTable:
         return float(self._scores[node, fit])
 
     def best_subsets(self, node: int, pool: int) -> tuple[int, ...]:
-        hit = self._ties[node].get(pool)
-        if hit is None:
-            hit = self._tie_sets(np.array([node]), np.array([pool], dtype=self._pp.dtype))[0]
-        return hit
+        return self._tie_sets(np.array([node]), np.array([pool], dtype=self._pp.dtype))[0]
 
     def _tie_sets(self, nodes: np.ndarray, pools: np.ndarray) -> list[tuple[int, ...]]:
-        """The best parent sets of each (node, pool) pair, memoised; ``_TIE_ROWS`` pairs a pass."""
+        """The best parent sets of each (node, pool) pair; ``_TIE_ROWS`` pairs a pass."""
         out = []
         for at in range(0, len(nodes), _TIE_ROWS):
             rows, under = nodes[at : at + _TIE_ROWS], pools[at : at + _TIE_ROWS]
             sets, scores = self._sets[rows], self._scores[rows]
             best = scores[np.arange(len(rows)), self._first_fit(rows, under)]
             tied = _near(scores, best[:, None]) & ((sets & ~under[:, None]) == 0)
-            for node, pool, row, keep in zip(rows.tolist(), under.tolist(), sets, tied):
-                out.append(tuple(sorted(row[keep].tolist())))
-                self._ties[node][pool] = out[-1]
+            out.extend(tuple(sorted(row[keep].tolist())) for row, keep in zip(sets, tied))
         return out
 
     def pool_count(self) -> int:
@@ -501,21 +482,17 @@ def learn(
     message (``warning_counts``).
     """
     report: dict = {}
-
-    def _stage(name: str):
-        return _StageTimer(name, report)
-
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        with _stage("screen"):
+        with _stage(report, "screen"):
             constraints, reduced = build_constraints(data, screen_opts, indegree)
-        with _stage("local_scores"):
+        with _stage(report, "local_scores"):
             local = compute_local_scores(reduced, constraints, score_cfg)
-        with _stage("best_parents"):
+        with _stage(report, "best_parents"):
             bpt = best_parents(local, constraints)
-        with _stage("best_sinks"):
+        with _stage(report, "best_sinks"):
             bst = best_sinks(bpt, constraints, local, max_subsets=max_subsets)
-        with _stage("recover"):
+        with _stage(report, "recover"):
             recovery = recover_networks(bst, bpt, constraints, local, cap=optima_cap)
         caught = [str(w.message) for w in rec]
         counts: dict[str, dict] = {}
@@ -546,18 +523,15 @@ def learn(
     return LearnResult(recovery.networks, report, reduced, constraints, recovery.truncated)
 
 
-class _StageTimer:
-    def __init__(self, name: str, report: dict):
-        self.name = name
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        ms = (time.perf_counter() - self.t0) * 1000.0
-        self.report.setdefault("stage_ms", {})[self.name] = round(ms, 3)
-        if exc is not None and exc.args:
-            exc.args = (f"{self.name}: {exc.args[0]}",) + exc.args[1:]
-        return False
+@contextlib.contextmanager
+def _stage(report: dict, name: str):
+    """Time a stage into ``report["stage_ms"][name]``; an error raised in it names the stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        if exc.args:
+            exc.args = (f"{name}: {exc.args[0]}",) + exc.args[1:]
+        raise
+    finally:
+        report.setdefault("stage_ms", {})[name] = round((time.perf_counter() - t0) * 1000.0, 3)

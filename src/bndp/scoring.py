@@ -139,10 +139,13 @@ def _centred(M: np.ndarray) -> np.ndarray:
 
 
 def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
-    """Gaussian BIC local score: LL - (k/2) ln n with k = |parents| + 2.
+    """Gaussian BIC local score: LL - (k/2) ln n, k counting the regressor
+    columns, the intercept and the variance.
 
     Parents enter as regressors with an intercept, on centred columns as
-    in the Gram path; categorical parents are integer-coded. The
+    in the Gram path. A binary categorical parent is its 0/1 code; one of
+    three or more levels is an indicator column per level but level 0, so
+    relabelling its levels leaves the score unchanged. The
     least-squares fit needs more rows than regressors
     (:class:`NumericError` otherwise); collinear parents are solved by
     pseudo-inverse. The log-likelihood is taken at the MLE variance
@@ -151,7 +154,14 @@ def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     ``_DEGENERATE_REL`` of zero yields the -inf sentinel with a warning.
     """
     n = data.n_rows
-    M = _centred(np.column_stack([data.numeric_values(j) for j in (node, *NodeSubset(parents))]))
+    cols = [data.numeric_values(node)]
+    for j in NodeSubset(parents):
+        c = data.column(j)
+        if c.kind == CATEGORICAL and c.levels > 2:
+            cols.extend(c.values == level for level in range(1, c.levels))
+        else:
+            cols.append(data.numeric_values(j))
+    M = _centred(np.column_stack(cols))
     y = M[:, 0]
     X = np.column_stack([np.ones(n), M[:, 1:]])
     if X.shape[1] >= n:
@@ -281,8 +291,9 @@ class _GramState:
 
     Columns are centred (:func:`_centred`), which absorbs the intercept;
     the survival column, never a regressor, stays zero. A fit whose
-    residual is within rounding of zero (or whose parents are collinear)
-    is scored by :func:`bic_gaussian` instead, so results match it.
+    residual is within rounding of zero (or whose parents are collinear),
+    and a parent set holding a categorical parent of three or more levels,
+    are scored by :func:`bic_gaussian` instead, so results match it.
     """
 
     def __init__(self, data: Dataset):
@@ -293,8 +304,13 @@ class _GramState:
         M = _centred(M)
         self.G = M.T @ M
         self.data = data
+        self._multilevel = sum(
+            1 << j for j, c in enumerate(data.columns) if c.kind == CATEGORICAL and c.levels > 2
+        )
 
     def local(self, node: int, parents: int) -> float:
+        if parents & self._multilevel:
+            return bic_gaussian(node, parents, self.data)
         G = self.G
         n = self.data.n_rows
         syy = G[node, node]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Column, Dataset, NodeSubset, edges, validate_dag
+from .core import Column, Dataset, NodeSubset, edges, find_cycle
 
 INDEPENDENT = "independent"
 SOURCE = "source"
@@ -155,7 +155,7 @@ def simulate_dag(spec: SimSpec) -> Dag:
             child_count[v] += 1
 
     dag = Dag(tuple(NodeSubset(m) for m in parents), tuple(roles), order)
-    if not validate_dag(dag.parents).acyclic:
+    if find_cycle(dag.parents) is not None:
         raise SimError("internal error: generated graph has a cycle")
     return dag
 

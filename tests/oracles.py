@@ -15,7 +15,7 @@ from typing import Iterator
 
 from scipy import special
 
-from bndp.core import Dataset, Network, ParentConstraints, subsets_up_to, validate_dag
+from bndp.core import Dataset, Network, ParentConstraints, find_cycle, subsets_up_to
 from bndp.engine import TIE_EPS, EngineError
 from bndp.numeric import NumericError
 from bndp.scoring import NEG_INF, ScoreConfig, compute_local_scores
@@ -164,7 +164,7 @@ def enumerate_dags(
 
     def rec(i: int, parents: list[int]) -> Iterator[tuple[int, ...]]:
         if i == p:
-            if validate_dag(parents).acyclic:
+            if find_cycle(parents) is None:
                 yield tuple(parents)
             return
         for mask in per_node[i]:

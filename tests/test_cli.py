@@ -434,18 +434,21 @@ class TestBenchCommand:
 
     def test_failed_replicates_reported(self, tmp_path, capsys):
         # every replicate stops at the subset cap: the run still exits 0,
-        # names each failure and reports the empty cell with n_ok = 0
+        # names each failure and reports the empty cell with n_ok = 0 and
+        # n_failed = 2
         out, summ = tmp_path / "bench.csv", tmp_path / "summary.csv"
         assert run(
             "bench", "--max-subsets", 5, "--p-grid", 8, "--n-grid", 200,
             "--replicates", 2, "--out", out, "--summary", summ,
         ) == 0
-        err = capsys.readouterr().err
+        printed = capsys.readouterr()
         for rep in (0, 1):
-            assert f"replicate failed (p=8, N=200, rep={rep}): EngineError" in err
+            assert f"replicate failed (p=8, N=200, rep={rep}): EngineError" in printed.err
         assert len(out.read_text().splitlines()) == 1
         nan8 = ",".join(["nan"] * 8)
-        assert summ.read_text().splitlines()[1:] == [f"8,200,0,{nan8}", f"all,all,0,{nan8}"]
+        assert summ.read_text().splitlines()[0].startswith("p,N,n_ok,n_failed,")
+        assert summ.read_text().splitlines()[1:] == [f"8,200,0,2,{nan8}", f"all,all,0,2,{nan8}"]
+        assert "p=   8 N=  200 ok=  0 failed=  2 " in printed.out
 
 
 def test_default_roles():

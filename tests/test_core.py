@@ -11,9 +11,9 @@ from bndp.core import (
     NodeSubset,
     ParentConstraints,
     StructureError,
+    find_cycle,
     skeleton,
     subsets_up_to,
-    validate_dag,
 )
 
 indices = st.sets(st.integers(min_value=0, max_value=40), max_size=12)
@@ -86,30 +86,32 @@ class TestSubsetsUpTo:
         assert list(subsets_up_to(0, 3)) == [0]
 
 
+def _acyclic_by_peeling(parents) -> bool:
+    """Acyclicity oracle: remove nodes whose parents are all removed until none is left."""
+    left = set(range(len(parents)))
+    while True:
+        free = {v for v in left if not any(u in left for u in NodeSubset(parents[v]))}
+        if not free:
+            return not left
+        left -= free
+
+
 class TestValidateDag:
     def test_chain_order(self):
         # edges 1->0, 2->1, 0->3 (paper's four-node configuration)
         parents = [0b0010, 0b0100, 0, 0b0001]
-        check = validate_dag(parents)
-        assert check.acyclic
-        assert check.order == (2, 1, 0, 3)
+        assert find_cycle(parents) is None
 
     def test_empty_graph(self):
-        check = validate_dag([0] * 5)
-        assert check.acyclic
-        assert sorted(check.order) == list(range(5))
+        assert find_cycle([0] * 5) is None
 
     def test_two_cycle(self):
-        check = validate_dag([0b10, 0b01])
-        assert not check.acyclic
-        assert sorted(check.cycle) == [0, 1]
+        assert sorted(find_cycle([0b10, 0b01])) == [0, 1]
 
     def test_three_cycle_witness_orientation(self):
         # 0 -> 1 -> 2 -> 0
         parents = [0b100, 0b001, 0b010]
-        check = validate_dag(parents)
-        assert not check.acyclic
-        cyc = check.cycle
+        cyc = find_cycle(parents)
         assert sorted(cyc) == [0, 1, 2]
         # each node is a parent of the next, cyclically
         for k, v in enumerate(cyc):
@@ -118,19 +120,25 @@ class TestValidateDag:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(StructureError):
-            validate_dag([0b100])  # only one node
+            find_cycle([0b100])  # only one node
 
-    @given(st.integers(min_value=1, max_value=8), st.randoms())
+    @given(st.integers(min_value=1, max_value=7), st.randoms())
     def test_random_lower_triangular_is_acyclic(self, p, rnd):
+        # arbitrary masks (a few self-loops among them) agree with the
+        # peeling oracle, and any witness is a cycle of distinct nodes
+        q = rnd.random() / 2
+        parents = [
+            sum(1 << j for j in range(p) if rnd.random() < (q if j != i else 0.05))
+            for i in range(p)
+        ]
+        cyc = find_cycle(parents)
+        assert (cyc is None) == _acyclic_by_peeling(parents)
+        if cyc is not None:
+            assert len(set(cyc)) == len(cyc) >= 1
+            for k, v in enumerate(cyc):
+                assert v in NodeSubset(parents[cyc[(k + 1) % len(cyc)]])
         # parents drawn only from earlier indices can never cycle
-        parents = []
-        for i in range(p):
-            mask = 0
-            for j in range(i):
-                if rnd.random() < 0.4:
-                    mask |= 1 << j
-            parents.append(mask)
-        assert validate_dag(parents).acyclic
+        assert find_cycle([m & ((1 << i) - 1) for i, m in enumerate(parents)]) is None
 
 
 class TestSkeleton:
@@ -220,6 +228,11 @@ class TestNetwork:
     def test_build_checks_acyclicity(self):
         with pytest.raises(StructureError):
             Network.build([0b10, 0b01], [0.0, 0.0], (0, 1))
+
+    def test_cycle_error_names_the_cycle(self):
+        # 0 -> 1 -> 2 -> 0, and node 3 hangs off the cycle as a child of 0
+        with pytest.raises(StructureError, match=r"cycle: \((0, 1, 2|1, 2, 0|2, 0, 1)\)$"):
+            Network.build([0b100, 0b001, 0b010, 0b001], [0.0] * 4, (0, 1, 2, 3))
 
     def test_total_is_sum(self):
         net = Network.build([0, 0b01], [-1.5, -2.5], (0, 1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -525,6 +526,29 @@ class TestComputeLocalScores:
             table = compute_local_scores(data, constraints, ScoreConfig("bic"))
         assert table.score(0, 0b10) == NEG_INF  # continuous parent unsupported
         assert np.isfinite(table.score(1, 0b01))  # categorical regressor fine
+
+    def test_multilevel_categorical_parent_ignores_labels(self):
+        # y depends on a 3-level K non-monotonically in its codes: every
+        # relabelling of the levels scores alike, and as much as the two
+        # indicator columns of levels 1 and 2 given as continuous parents
+        rng = np.random.default_rng(49)
+        k = rng.integers(0, 3, 300)
+        y = np.array([0.0, 2.0, 1.0])[k] + rng.standard_normal(300)
+        pp = (NodeSubset(0b10), NodeSubset(0))
+        scores = []
+        for relabel in itertools.permutations(range(3)):
+            data = Dataset(
+                [
+                    Column("y", "continuous", y),
+                    Column("K", "categorical", np.array(relabel)[k].astype(float), levels=3),
+                ]
+            )
+            table = compute_local_scores(data, ParentConstraints(pp, 1), ScoreConfig("bic"))
+            scores.append(table.score(0, 0b10))
+        onehot = cont(np.column_stack([y, k == 1, k == 2]).astype(float))
+        ref = bic_gaussian(0, 0b110, onehot)
+        for score in scores:
+            assert abs(score - ref) <= 1e-9 * abs(ref)
 
     def test_bge_requires_all_continuous(self):
         rng = np.random.default_rng(46)
