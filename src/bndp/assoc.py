@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .core import (
     SURVIVAL,
@@ -27,7 +28,7 @@ from .core import (
     ParentConstraints,
     StructureError,
 )
-from .numeric import chisq_sf, cox_fit_batch
+from .numeric import cox_fit_batch
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.assoc.cox_fit`` by name.
@@ -60,8 +61,8 @@ class ScreenOptions:
     Exactly one of ``alpha`` (BH-adjusted p-value cutoff) and
     ``corr_cutoff`` (absolute-correlation cutoff) must be set. Phenotype
     mode requires ``outcome`` and screens ``levels`` generations of
-    ancestors; ``top_k`` optionally trims the first level to the most
-    significant candidates. ``user_pp`` skips screening entirely.
+    ancestors; ``top_k``, in phenotype mode only, trims the first level to
+    the most significant candidates. ``user_pp`` skips screening entirely.
     """
 
     mode: str = "all_pairs"
@@ -87,8 +88,11 @@ class ScreenOptions:
                 raise AssocError("phenotype mode requires an outcome column")
             if self.levels not in (2, 3):
                 raise AssocError(f"phenotype levels must be 2 or 3, got {self.levels}")
-        if self.top_k is not None and self.top_k < 1:
-            raise AssocError("top_k must be a positive integer")
+        if self.top_k is not None:
+            if self.mode != "phenotype":
+                raise AssocError("top_k applies only in phenotype mode")
+            if self.top_k < 1:
+                raise AssocError("top_k must be a positive integer")
 
 
 def bh_adjust(p_values: np.ndarray) -> np.ndarray:
@@ -135,7 +139,7 @@ def cox_screen(
         Z = (Z - Z.mean(axis=1, keepdims=True)) / Z.std(axis=1, keepdims=True)
         batch = cox_fit_batch(time, status, Z[None])
         lr = 2.0 * (batch.log_likelihood - batch.null_log_likelihood)
-        p = chisq_sf(np.maximum(lr, 0.0), 1)
+        p = special.chdtrc(1, np.maximum(lr, 0.0))
         for b, exc in enumerate(batch.errors):
             if exc is not None:
                 warnings.warn(
@@ -179,8 +183,6 @@ def _corr_against(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _pvalues_from_r(r: np.ndarray, n: int) -> np.ndarray:
     """Vectorized two-sided correlation test; NaN r maps to p = 1."""
-    from scipy import special
-
     r = np.asarray(r, dtype=float)
     out = np.ones_like(r)
     ok = np.isfinite(r)

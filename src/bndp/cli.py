@@ -260,9 +260,16 @@ def _screen_options(
     )
 
 
+def _require_positive(args: argparse.Namespace, *options: str) -> None:
+    """InputError unless each named option is at least 1."""
+    for option in options:
+        value = getattr(args, option)
+        if value < 1:
+            raise InputError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
+
+
 def cmd_learn(args: argparse.Namespace) -> int:
-    if args.optima_cap < 1:
-        raise InputError(f"--optima-cap must be at least 1, got {args.optima_cap}")
+    _require_positive(args, "optima_cap", "max_subsets")
     data = load_dataset(args.data, args.schema)
     user_pp = _read_json(args.pp_file) if args.pp_file else None
     for key, names in (user_pp or {}).items():
@@ -469,6 +476,7 @@ def _bench_one(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _require_positive(args, "max_subsets")
     specs, reps = [], []
     for ci, p in enumerate(args.p_grid):
         for cj, n in enumerate(args.n_grid):

@@ -29,7 +29,9 @@ class NodeSubset(int):
 
     Subclasses ``int`` so instances hash and compare like the underlying
     mask; raw integer masks and NodeSubsets are interchangeable as dict
-    keys. Set operators return NodeSubsets.
+    keys. A NodeSubset adds membership, ascending iteration and a readable
+    ``repr``. Set algebra is the int's (``|``, ``&``, ``& ~``,
+    ``bit_count()``) and returns ints; ``-`` is integer subtraction.
     """
 
     __slots__ = ()
@@ -52,28 +54,6 @@ class NodeSubset(int):
             lsb = m & -m
             yield lsb.bit_length() - 1
             m ^= lsb
-
-    def count(self) -> int:
-        return int(self).bit_count()
-
-    def issubset(self, other: int) -> bool:
-        return self & ~int(other) == 0
-
-    def __or__(self, other: int) -> "NodeSubset":
-        return NodeSubset(int(self) | int(other))
-
-    def __and__(self, other: int) -> "NodeSubset":
-        return NodeSubset(int(self) & int(other))
-
-    def __sub__(self, other: int) -> "NodeSubset":
-        # set difference, not integer subtraction
-        return NodeSubset(int(self) & ~int(other))
-
-    def __xor__(self, other: int) -> "NodeSubset":
-        return NodeSubset(int(self) ^ int(other))
-
-    __ror__ = __or__
-    __rand__ = __and__
 
     def __repr__(self) -> str:
         return f"NodeSubset({{{', '.join(map(str, self))}}})"
@@ -302,7 +282,7 @@ class Network:
 
     def check_constraints(self, constraints: ParentConstraints) -> None:
         for i, mask in enumerate(self.parents):
-            if not mask.issubset(constraints.pp[i]):
+            if mask & ~constraints.pp[i]:
                 raise StructureError(f"node {i} has parents outside its possible-parent set")
-            if mask.count() > constraints.indegree:
+            if mask.bit_count() > constraints.indegree:
                 raise StructureError(f"node {i} exceeds the in-degree bound")

@@ -3,7 +3,6 @@ undirected (skeleton) variants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import edges, skeleton
@@ -15,14 +14,6 @@ UNDIRECTED = "undirected"
 class MetricsError(ValueError):
     """Predicted and true graphs disagree on the node universe, or a parent
     mask names a node outside it."""
-
-
-@dataclass(frozen=True)
-class EdgeConfusion:
-    tp: int
-    fp: int
-    fn: int
-    mode: str
 
 
 def _parent_masks(graph) -> Sequence[int]:
@@ -49,26 +40,17 @@ def _edge_sets(predicted, truth, mode: str) -> tuple[set, set]:
     raise MetricsError(f"unknown mode {mode!r}")
 
 
-def edge_confusion(predicted, truth, mode: str = DIRECTED) -> EdgeConfusion:
-    """Edge-level confusion counts.
-
-    In directed mode a reversed edge counts as one false positive and
-    one false negative; undirected mode compares skeletons.
-    """
-    p_edges, t_edges = _edge_sets(predicted, truth, mode)
-    tp = len(p_edges & t_edges)
-    return EdgeConfusion(tp=tp, fp=len(p_edges) - tp, fn=len(t_edges) - tp, mode=mode)
-
-
 def fdr(predicted, truth, mode: str = DIRECTED) -> float:
-    """False discovery rate FP / (FP + TP); zero when nothing is predicted."""
-    c = edge_confusion(predicted, truth, mode)
-    if c.fp + c.tp == 0:
-        return 0.0
-    return c.fp / (c.fp + c.tp)
+    """False discovery rate: the share of predicted edges not in the truth,
+    zero when nothing is predicted. A reversed edge is a false discovery
+    in directed mode; undirected mode compares skeletons."""
+    pred, true = _edge_sets(predicted, truth, mode)
+    return len(pred - true) / len(pred) if pred else 0.0
 
 
 def hamming(predicted, truth, mode: str = DIRECTED) -> int:
-    """Hamming distance FP + FN between edge sets."""
-    c = edge_confusion(predicted, truth, mode)
-    return c.fp + c.fn
+    """Hamming distance: the edges in one graph only. A reversed edge
+    counts twice in directed mode (a false positive and a false
+    negative); undirected mode compares skeletons."""
+    pred, true = _edge_sets(predicted, truth, mode)
+    return len(pred ^ true)

@@ -1,8 +1,6 @@
-"""Statistical kernels: distribution tails and Cox regression.
+"""Cox proportional-hazards regression for the screening and scoring layers.
 
-These are deterministic, side-effect-free functions shared by the
-screening and scoring layers. Tail probabilities delegate to scipy's
-regularized incomplete gamma routine. Cox regression has one partial
+These are deterministic, side-effect-free functions. There is one partial
 likelihood, batched over models: :func:`cox_fit_batch` fits every model
 of one survival outcome and one design width in a single Newton loop,
 and :func:`cox_fit` is a batch of one. A fit takes at most
@@ -15,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _COX_MAX_ITER = 50
 _COX_TOL = 1e-8
@@ -48,29 +45,6 @@ class FitResult:
     n_params: int
     null_log_likelihood: float
     iterations: int
-
-
-def chisq_sf(x: float | np.ndarray, df: float) -> float | np.ndarray:
-    """P(X > x) for chi-squared with ``df`` degrees of freedom.
-
-    A float for a scalar ``x``, elementwise for an array.
-    """
-    if df <= 0:
-        raise NumericError(f"degrees of freedom must be positive, got {df}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise NumericError(f"chi-squared statistic must be nonnegative, got {x.min()}")
-    sf = special.gammaincc(0.5 * df, 0.5 * x)
-    return float(sf) if sf.ndim == 0 else sf
-
-
-def log_mvgamma(a: float, p: int) -> float:
-    """Log of the multivariate gamma function Gamma_p(a)."""
-    if p < 1:
-        raise NumericError(f"dimension must be a positive integer, got {p}")
-    if a <= 0.5 * (p - 1):
-        raise NumericError(f"log_mvgamma requires a > (p-1)/2, got a={a}, p={p}")
-    return float(special.multigammaln(a, p))
 
 
 def _row_sums(A: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .core import (
     CATEGORICAL,
@@ -33,7 +34,7 @@ from .core import (
     ParentConstraints,
     subsets_up_to,
 )
-from .numeric import NumericError, cox_fit_batch, log_mvgamma
+from .numeric import NumericError, cox_fit_batch
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.scoring.cox_fit`` by name.
@@ -118,8 +119,8 @@ class _BgeState:
         value = (
             -0.5 * n * l * math.log(math.pi)
             - 0.5 * l * math.log(n + 1)
-            + log_mvgamma(a_post, l)
-            - log_mvgamma(a_prior, l)
+            + special.multigammaln(a_post, l)
+            - special.multigammaln(a_prior, l)
             + a_prior * l * math.log(_BGE_T)
             - a_post * logdet
         )
@@ -129,6 +130,16 @@ class _BgeState:
     def local(self, node: int, parents: int) -> float:
         """BGe local score: log marginal-likelihood ratio of family vs parents."""
         return self.log_marginal(parents | (1 << node)) - self.log_marginal(parents)
+
+
+def _regressors(data: Dataset, j: int) -> list[np.ndarray]:
+    """Column j as regression columns: an indicator per level but level 0
+    for a categorical column of three or more levels, so relabelling its
+    levels does not change a fit; any other column as its values."""
+    c = data.column(j)
+    if c.kind == CATEGORICAL and c.levels > 2:
+        return [(c.values == level).astype(float) for level in range(1, c.levels)]
+    return [data.numeric_values(j)]
 
 
 def _centred(M: np.ndarray) -> np.ndarray:
@@ -143,10 +154,8 @@ def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     columns, the intercept and the variance.
 
     Parents enter as regressors with an intercept, on centred columns as
-    in the Gram path. A binary categorical parent is its 0/1 code; one of
-    three or more levels is an indicator column per level but level 0, so
-    relabelling its levels leaves the score unchanged. The
-    least-squares fit needs more rows than regressors
+    in the Gram path; a categorical parent enters as :func:`_regressors`
+    gives it. The least-squares fit needs more rows than regressors
     (:class:`NumericError` otherwise); collinear parents are solved by
     pseudo-inverse. The log-likelihood is taken at the MLE variance
     ``rss / n``. A residual sum of squares within rounding of zero
@@ -156,11 +165,7 @@ def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     n = data.n_rows
     cols = [data.numeric_values(node)]
     for j in NodeSubset(parents):
-        c = data.column(j)
-        if c.kind == CATEGORICAL and c.levels > 2:
-            cols.extend(c.values == level for level in range(1, c.levels))
-        else:
-            cols.append(data.numeric_values(j))
+        cols += _regressors(data, j)
     M = _centred(np.column_stack(cols))
     y = M[:, 0]
     X = np.column_stack([np.ones(n), M[:, 1:]])
@@ -228,11 +233,12 @@ def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
     """Cox-BIC scores of the survival sink for each parent set in ``masks``.
 
     A score is the partial log-likelihood at the optimum minus
-    (|parents|/2) ln n; the empty parent set scores the null partial
-    likelihood. The sets of one size are fitted together by
-    :func:`cox_fit_batch`. Parents are standardised, and a constant
-    parent enters as a zero column. One set's failed fit scores -inf
-    with a warning and leaves the others unchanged.
+    (k/2) ln n, k counting the design columns; the empty parent set
+    scores the null partial likelihood. Parents enter as
+    :func:`_regressors` gives them, each column standardised, and a
+    constant column enters as zeros. The sets of one design width are
+    fitted together by :func:`cox_fit_batch`. One set's failed fit scores
+    -inf with a warning and leaves the others unchanged.
     """
     col = data.column(node)
     if col.kind != SURVIVAL:
@@ -240,22 +246,24 @@ def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
     time = col.values[:, 0]
     status = col.values[:, 1]
     n = data.n_rows
-    Z = np.zeros((data.p, n))
-    for j in {j for mask in masks for j in NodeSubset(mask)}:
-        x = data.numeric_values(j)
+
+    def standardised(x: np.ndarray) -> np.ndarray:
         sd = x.std()
-        if sd > 0:
-            Z[j] = (x - x.mean()) / sd
-    by_size: dict[int, list[int]] = {}
+        return (x - x.mean()) / sd if sd > 0 else np.zeros(n)
+
+    parents = {j for mask in masks for j in NodeSubset(mask)}
+    columns = {j: [standardised(x) for x in _regressors(data, j)] for j in parents}
+    by_width: dict[int, list[tuple[int, list[np.ndarray]]]] = {}
     for mask in masks:
-        by_size.setdefault(NodeSubset(mask).count(), []).append(mask)
+        design = [x for j in NodeSubset(mask) for x in columns[j]]
+        by_width.setdefault(len(design), []).append((mask, design))
     scores: dict[int, float] = {}
-    for size, group in by_size.items():
-        sets = np.array([list(NodeSubset(mask)) for mask in group], dtype=int)
-        batch = cox_fit_batch(time, status, Z[sets.T])
-        for mask, ll, exc in zip(group, batch.log_likelihood, batch.errors):
+    for width, group in by_width.items():
+        X = np.array([design for _, design in group]).reshape(len(group), width, n)
+        batch = cox_fit_batch(time, status, X.transpose(1, 0, 2))
+        for (mask, _), ll, exc in zip(group, batch.log_likelihood, batch.errors):
             if exc is None:
-                scores[mask] = float(ll) - 0.5 * size * math.log(n)
+                scores[mask] = float(ll) - 0.5 * width * math.log(n)
             else:
                 warnings.warn(
                     f"Cox fit failed for parents {list(NodeSubset(mask))} of node {node}: {exc}",

@@ -80,14 +80,6 @@ class Dag:
         return edges(self.parents)
 
 
-def _dag_rng(spec: SimSpec) -> np.random.Generator:
-    return np.random.default_rng([spec.seed, 0])
-
-
-def _data_rng(spec: SimSpec) -> np.random.Generator:
-    return np.random.default_rng([spec.seed, 1])
-
-
 def simulate_dag(spec: SimSpec) -> Dag:
     """Draw a random role-respecting DAG.
 
@@ -96,7 +88,7 @@ def simulate_dag(spec: SimSpec) -> Dag:
     non-source draws 1..max_parents parents from earlier non-sink nodes,
     and childless intermediates are patched with one outgoing edge.
     """
-    rng = _dag_rng(spec)
+    rng = np.random.default_rng([spec.seed, 0])
     k = spec.p1 + spec.p2 + spec.p3
     roles = [INDEPENDENT] * spec.p
     order: tuple[int, ...] = ()
@@ -148,7 +140,7 @@ def simulate_dag(spec: SimSpec) -> Dag:
             if roles[v] != INTERMEDIATE or child_count[v] > 0:
                 continue
             later = [u for u in order[pos + 1 :] if roles[u] != SOURCE]
-            open_slots = [u for u in later if NodeSubset(parents[u]).count() < spec.max_parents]
+            open_slots = [u for u in later if parents[u].bit_count() < spec.max_parents]
             target = open_slots if open_slots else later
             u = target[int(rng.integers(0, len(target)))]
             parents[u] |= 1 << v
@@ -167,7 +159,7 @@ def simulate_data(dag: Dag, spec: SimSpec) -> Dataset:
     effect-weighted sum of its parents plus N(0, noise_sd^2) noise.
     Deterministic under the spec seed.
     """
-    rng = _data_rng(spec)
+    rng = np.random.default_rng([spec.seed, 1])
     n, p = spec.n, spec.p
     X = np.zeros((n, p))
     for v in range(p):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
 from bndp.assoc import (
     AssocError,
@@ -19,7 +20,7 @@ from bndp.assoc import (
     cox_screen,
 )
 from bndp.core import Column, Dataset, NodeSubset, StructureError
-from bndp.numeric import NumericError, chisq_sf, cox_fit
+from bndp.numeric import NumericError, cox_fit
 from bndp.simulate import simulate_survival
 
 
@@ -225,7 +226,7 @@ class TestCoxScreen:
                 failed.append(names[j])
                 continue
             lr = 2.0 * (fit.log_likelihood - fit.null_log_likelihood)
-            solo.append(chisq_sf(max(lr, 0.0), 1))
+            solo.append(stats.chi2.sf(max(lr, 0.0), 1))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             p = cox_screen(data, m, list(range(m)))
@@ -312,7 +313,7 @@ class TestBuildConstraints:
         assert reduced.p == 4
         p = reduced.p
         for i in range(p):
-            assert constraints.pp[i].count() == p - 1
+            assert constraints.pp[i].bit_count() == p - 1
 
     def test_survival_never_a_parent(self):
         rng = np.random.default_rng(21)
@@ -332,7 +333,7 @@ class TestBuildConstraints:
         si = reduced.index_of("os")
         for i in range(reduced.p):
             assert si not in constraints.pp[i]
-        assert constraints.pp[si].count() >= 1
+        assert constraints.pp[si].bit_count() >= 1
 
     def test_phenotype_levels(self):
         rng = np.random.default_rng(31)
@@ -353,7 +354,7 @@ class TestBuildConstraints:
         # outcome appears in nobody's pp
         for i in range(reduced.p):
             assert io not in constraints.pp[i]
-        assert constraints.pp[io].count() >= 1
+        assert constraints.pp[io].bit_count() >= 1
 
     def test_phenotype_top_k(self):
         rng = np.random.default_rng(41)
@@ -447,6 +448,13 @@ class TestScreenOptionsValidation:
     def test_levels_validated(self):
         with pytest.raises(AssocError):
             ScreenOptions(mode="phenotype", alpha=0.05, outcome="y", levels=4)
+
+    def test_top_k_requires_phenotype_mode(self):
+        with pytest.raises(AssocError, match="only in phenotype mode"):
+            ScreenOptions(alpha=0.05, top_k=1)
+        with pytest.raises(AssocError, match="only in phenotype mode"):
+            ScreenOptions(user_pp={}, top_k=2)
+        assert ScreenOptions(mode="phenotype", alpha=0.05, outcome="y", top_k=1).top_k == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -205,6 +205,25 @@ class TestLearnCommand:
             assert f"--optima-cap must be at least 1, got {cap}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_max_subsets_below_one_exit_2(self, tmp_path, capsys):
+        # rejected before the data is read, by learn and by bench alike
+        for argv in (
+            ("learn", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o"),
+            ("bench", "--p-grid", 8, "--n-grid", 200, "--out", tmp_path / "o" / "bench.csv"),
+        ):
+            assert run(*argv, "--max-subsets", 0) == 2
+            assert "--max-subsets must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_top_k_without_phenotype_exit_2(self, tmp_path, capsys):
+        sim = self._make_data(tmp_path)
+        code = run(
+            "learn", "--data", sim / "data.csv", "--out", tmp_path / "o", "--top-k", 1,
+        )
+        assert code == 2
+        assert "top_k applies only in phenotype mode" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bge_matches_in_process_learn(self, tmp_path):
         sim = self._make_data(tmp_path, seed=4)
         out = tmp_path / "run"

@@ -20,11 +20,15 @@ indices = st.sets(st.integers(min_value=0, max_value=40), max_size=12)
 
 
 class TestNodeSubset:
+    """A NodeSubset adds membership and iteration to an int mask; its set
+    algebra is the int's bitwise algebra, which returns plain ints."""
+
     def test_roundtrip(self):
         s = NodeSubset.from_indices([0, 3, 7])
         assert list(s) == [0, 3, 7]
-        assert s.count() == 3
+        assert s.bit_count() == 3
         assert 3 in s and 4 not in s
+        assert repr(s) == "NodeSubset({0, 3, 7})"
 
     def test_int_interop(self):
         s = NodeSubset.from_indices([1, 2])
@@ -36,30 +40,37 @@ class TestNodeSubset:
     def test_union_commutes(self, a, b):
         sa, sb = NodeSubset.from_indices(a), NodeSubset.from_indices(b)
         assert sa | sb == sb | sa
-        assert set(sa | sb) == a | b
+        assert type(sa | sb) is int
+        assert set(NodeSubset(sa | sb)) == a | b
 
     @given(indices, indices)
     def test_intersection_commutes(self, a, b):
         sa, sb = NodeSubset.from_indices(a), NodeSubset.from_indices(b)
         assert sa & sb == sb & sa
-        assert set(sa & sb) == a & b
+        assert set(NodeSubset(sa & sb)) == a & b
 
     @given(indices)
     def test_idempotence(self, a):
         s = NodeSubset.from_indices(a)
         assert s | s == s
         assert s & s == s
-        assert s - s == 0
+        assert s & ~s == 0
 
     @given(indices, indices)
     def test_difference(self, a, b):
         sa, sb = NodeSubset.from_indices(a), NodeSubset.from_indices(b)
-        assert set(sa - sb) == a - b
+        assert set(NodeSubset(sa & ~sb)) == a - b
+        assert sa - sb == int(sa) - int(sb)  # integer subtraction, not set difference
 
     @given(indices, indices)
     def test_subset_relation(self, a, b):
         sa, sb = NodeSubset.from_indices(a), NodeSubset.from_indices(b)
-        assert sa.issubset(sb) == a.issubset(b)
+        assert (sa & ~sb == 0) == a.issubset(b)
+
+    @given(st.integers(min_value=0, max_value=(1 << 200) - 1))
+    def test_iteration_lists_the_set_bits(self, m):
+        # the sweep keeps masks of more than 64 nodes as Python ints
+        assert list(NodeSubset(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
     def test_negative_index_rejected(self):
         with pytest.raises(StructureError):
@@ -244,3 +255,11 @@ class TestNetwork:
         net = Network.build([0b10, 0], [0.0, 0.0], (1, 0))
         with pytest.raises(StructureError):
             net.check_constraints(c)
+
+    def test_constraint_check_indegree(self):
+        # node 2 may take both 0 and 1 as parents, but only one under indegree 1
+        pp = (NodeSubset(0), NodeSubset(0), NodeSubset(0b011))
+        net = Network.build([0, 0, 0b011], [0.0] * 3, (0, 1, 2))
+        net.check_constraints(ParentConstraints(pp, indegree=2))
+        with pytest.raises(StructureError, match="node 2 exceeds the in-degree bound"):
+            net.check_constraints(ParentConstraints(pp, indegree=1))

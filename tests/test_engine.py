@@ -314,7 +314,7 @@ class TestBestParents:
             sub = pool
             while sub:
                 smaller = (sub - 1) & pool
-                if NodeSubset(smaller).issubset(sub):
+                if smaller & ~sub == 0:
                     assert bpt.score(i, smaller) <= bpt.score(i, sub) + 1e-12
                 sub = smaller
 
@@ -540,7 +540,7 @@ class TestBestSinks:
             bpt = best_parents(local, c)
             bst = best_sinks(bpt, c, local)
             for w, (score, sinks) in bst.entries.items():
-                if NodeSubset(w).count() == 1:
+                if w.bit_count() == 1:
                     continue
                 cands = {}
                 for s in NodeSubset(w):

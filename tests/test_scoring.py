@@ -222,7 +222,7 @@ def bge_local_direct(node, parents_mask, data, state):
     the fixed prior alpha_mu = 1, alpha_w = p + 2 and t = 1/2."""
     n, p = data.n_rows, data.p
     alpha_mu, alpha_w, t = 1.0, p + 2.0, 0.5
-    m = NodeSubset(parents_mask).count()
+    m = parents_mask.bit_count()
     fam = sorted(NodeSubset(parents_mask | (1 << node)))
     par = sorted(NodeSubset(parents_mask))
     value = (
@@ -371,6 +371,33 @@ class TestCoxBic:
         with pytest.warns(ScoringWarning):
             assert cox_bic(1, [0b01], data)[0b01] == NEG_INF
 
+    def test_multilevel_categorical_parent_ignores_labels(self):
+        # the hazard depends on a 3-level K non-monotonically in its codes:
+        # every relabelling of the levels scores alike, as the fit on the
+        # standardised indicators of levels 1 and 2 with a penalty of two
+        # columns, alone and beside a continuous parent x
+        rng = np.random.default_rng(49)
+        k = rng.integers(0, 3, 300)
+        x = rng.standard_normal(300)
+        time, status = simulate_survival(np.array([0, 1.5, 0])[k], seed=3)
+        masks = [0, 0b01, 0b10, 0b11]
+        tables = []
+        for relabel in itertools.permutations(range(3)):
+            data = Dataset(
+                [
+                    Column("K", "categorical", np.array(relabel)[k].astype(float), levels=3),
+                    Column("x", "continuous", x),
+                    Column("os", "survival", np.column_stack([time, status])),
+                ]
+            )
+            tables.append(cox_bic(2, masks, data))
+        Z = np.column_stack([k == 1, k == 2]).astype(float)
+        fit = cox_fit(time, status, (Z - Z.mean(axis=0)) / Z.std(axis=0))
+        assert abs(tables[0][0b01] - (fit.log_likelihood - math.log(300))) < 1e-9
+        for table in tables:
+            for mask in masks:
+                assert abs(table[mask] - tables[0][mask]) <= 1e-9 * abs(tables[0][mask])
+
 
     def test_batched_table_equals_solo_scores(self):
         # the survival node's parent sets are fitted one batch per size; each
@@ -450,7 +477,7 @@ class TestComputeLocalScores:
             table = compute_local_scores(data, constraints, ScoreConfig("bic"))
             expect = 0
             for i in range(p):
-                r = pp[i].count()
+                r = pp[i].bit_count()
                 expect += sum(math.comb(r, c) for c in range(min(d, r) + 1))
             assert table.entry_count() == expect
 

@@ -57,7 +57,7 @@ class TestSimulateDag:
                 for par in mask:
                     out_deg[par] += 1
             for v, role in enumerate(dag.roles):
-                ind = dag.parents[v].count()
+                ind = dag.parents[v].bit_count()
                 if role == SOURCE:
                     assert ind == 0
                 elif role == SINK:
