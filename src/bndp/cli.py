@@ -254,10 +254,18 @@ def _screen_options(
         alpha=alpha,
         corr_cutoff=args.corr_cutoff,
         outcome=outcome,
-        levels=args.levels,
+        levels=args.levels or ScreenOptions.levels,
         top_k=args.top_k,
         user_pp=user_pp,
     )
+
+
+def _check_screening(args: argparse.Namespace) -> None:
+    """InputError for screening options that cannot apply to the run."""
+    if args.levels is not None and not args.phenotype:
+        raise InputError("--levels applies only with --phenotype")
+    if getattr(args, "pp_file", None) and (args.alpha, args.corr_cutoff) != (None, None):
+        raise InputError("--alpha and --corr-cutoff do not apply with --pp-file")
 
 
 def _require_positive(args: argparse.Namespace, *options: str) -> None:
@@ -270,6 +278,7 @@ def _require_positive(args: argparse.Namespace, *options: str) -> None:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     _require_positive(args, "optima_cap", "max_subsets")
+    _check_screening(args)
     data = load_dataset(args.data, args.schema)
     user_pp = _read_json(args.pp_file) if args.pp_file else None
     for key, names in (user_pp or {}).items():
@@ -477,6 +486,7 @@ def _bench_one(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     _require_positive(args, "max_subsets")
+    _check_screening(args)
     specs, reps = [], []
     for ci, p in enumerate(args.p_grid):
         for cj, n in enumerate(args.n_grid):
@@ -567,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--alpha", type=float, help="BH-adjusted p-value cutoff")
     search.add_argument("--corr-cutoff", type=float, help="absolute-correlation cutoff")
     search.add_argument("--phenotype", action="store_true", help="phenotype-driven screening")
-    search.add_argument("--levels", type=int, default=3, choices=[2, 3])
+    search.add_argument("--levels", type=int, choices=[2, 3], help="phenotype only (default 3)")
     search.add_argument("--top-k", type=int, help="keep only the k best level-1 parents")
     search.add_argument("--indegree", type=int, default=2)
     search.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)

@@ -14,10 +14,10 @@ A level is built from its extension pairs (W, v), W in the level below
 and v outside W with a possible parent in W. As ``po`` is the transpose
 of ``pp``, each pair is one admissible (subset, sink) candidate and the
 pairs are all of them; a subset's score is the candidate of its
-lowest-numbered best sink, found as a minimum over its pairs. The inner
-step, the best parent set of v within ``pp[v] & W``, is a first-fit
-lookup in v's score-sorted parent sets (:class:`BestParentsTable` states
-the tie rule; the report's ``n_pools`` counts the pools it scored).
+lowest-numbered best sink. The inner step, the best parent set of v
+within ``pp[v] & W``, is a first fit in v's score-sorted parent sets,
+read off prefix bitsets (:class:`BestParentsTable` states the lookup and
+the tie rule; the report's ``n_pool_lookups`` counts the lookups).
 Recovery memoises the distinct partial networks of each subset that best
 sinks peel down to, so ties cost no tied-ordering enumeration.
 """
@@ -57,6 +57,19 @@ def _near(x: np.ndarray, best: np.ndarray) -> np.ndarray:
         return (x == best) | ((np.abs(x - best) <= tol) & np.isfinite(x) & np.isfinite(best))
 
 
+def _group_ties(cand: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Ascending indices of the candidates that tie their group's maximum b.
+
+    Groups are the runs starting at ``offsets``; candidates are finite or
+    -inf. A tie needs ``cand >= b - 2 TIE_EPS max(1, |b|)``, checked per
+    group, and :func:`_near` decides the candidates past that bound."""
+    sizes = np.diff(offsets, append=len(cand))
+    best = np.maximum.reduceat(cand, offsets)
+    bound = best - 2 * TIE_EPS * np.maximum(1.0, np.abs(best))  # -inf for -inf
+    near = np.flatnonzero(cand >= np.repeat(bound, sizes))
+    return near[_near(cand[near], np.repeat(best, sizes)[near])]
+
+
 def _mask_array(masks, p: int) -> np.ndarray:
     """Node-set bitmasks: ``uint32`` up to 32 nodes, ``uint64`` up to 64, else Python ints."""
     return np.array(masks, dtype=np.uint32 if p <= 32 else np.uint64 if p <= 64 else object)
@@ -68,12 +81,17 @@ class BestParentsTable:
     Each node's parent sets are sorted once by score, best first, and held
     as two arrays, the set masks and their scores. The best score within a
     pool U is that of the first listed set g that fits, ``g & ~U == 0``
-    (Yuan & Malone 2013, JAIR; Teyssier & Koller 2005, UAI); one
-    vectorised first fit serves single lookups and the sweep's batches of
-    pools. Tie rule: the best sets within U are the maximum and every
-    fitting set within ``TIE_EPS`` of it, whatever the order of the list,
-    returned in ascending order. First fits are memoised per node and
-    pool; :meth:`pool_count` counts the pools scored.
+    (Yuan & Malone 2013, JAIR; Teyssier & Koller 2005, UAI). The empty set
+    fits every pool, so a first fit lies in the prefix of the list through
+    it, and each set of that prefix is one bit of a bitset. For each byte
+    of the masks that ``pp[v]`` touches and each of the byte's 256 values,
+    node v has the bitset of its prefix sets with a member in that byte
+    that the value lacks. The first fit within U is the lowest bit clear in
+    the OR of the bitsets of U's bytes. Nodes of U outside ``pp[v]`` set no
+    bit, so the sweep looks up a subset W for the pool ``pp[v] & W``. Tie
+    rule: the best sets within U are the maximum and every fitting set
+    within ``TIE_EPS`` of it, whatever the order of the list, returned in
+    ascending order. :meth:`pool_count` counts the first fits looked up.
     """
 
     def __init__(self, local: LocalScoreTable, constraints: ParentConstraints):
@@ -81,92 +99,73 @@ class BestParentsTable:
             raise EngineError("local-score table and constraints disagree on node count")
         p = local.n_nodes
         ranked = [sorted(local.subsets(i).items(), key=lambda kv: -kv[1]) for i in range(p)]
+        ends = [next((k for k, (g, _) in enumerate(r) if not g), None) for r in ranked]
+        if None in ends:
+            raise EngineError(f"node {ends.index(None)} lists no empty parent set")
         width = max((len(r) for r in ranked), default=0)
         pad = [((1 << p) - 1, -math.inf)]  # holds every node, so it fits no pool
         rows = [r + pad * (width - len(r)) for r in ranked]
-        self._pp = _mask_array([int(m) for m in constraints.pp], p)
+        pp = [int(m) for m in constraints.pp]
+        self._pp = _mask_array(pp, p)
         self._sets = _mask_array([[g for g, _ in r] for r in rows], p).reshape(p, width)
         self._scores = np.array([[x for _, x in r] for r in rows], dtype=float).reshape(p, width)
-        # The pool memo: sorted keys ``node << p | pool`` with the index of
-        # their first fit in the node's list, plus the pairs scored since the
-        # last merge. The keys are uint32 while they fit in 32 bits (p <= 27),
-        # uint64 in 64 (p <= 58) and Python ints above; the indices take the
-        # narrowest dtype that holds the list width.
-        bits = p + (p - 1).bit_length()
-        self._key_dtype = np.dtype(np.uint32 if bits <= 32 else np.uint64 if bits <= 64 else object)
-        self._fit_dtype = np.min_scalar_type(width)
-        self._memo_keys = np.empty(0, dtype=self._key_dtype)
-        self._memo_fits = np.empty(0, dtype=self._fit_dtype)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        if not np.all(self._scores < math.inf):
+            raise EngineError("local scores must be finite or -inf, not NaN or +inf")
+        self._lookups = 0
+        # The lists cut or padded to whole 64-bit words: no bit past the
+        # empty set's is read. ``_bitsets[k, r]`` is word k of row r, and
+        # ``_base[j, v]`` the first of v's 256 rows for byte ``_bytes[j]``,
+        # one a byte value; rows 0-255 are zeros, for bytes v does not touch.
+        words = max(ends, default=-1) // 64 + 1
+        prefix = np.zeros((p, 64 * words), dtype=self._sets.dtype)
+        prefix[:, :width] = self._sets[:, : 64 * words]
+        self._bytes = [b for b in range((p + 7) // 8) if any(m >> 8 * b & 255 for m in pp)]
+        self._base = np.zeros((len(self._bytes), p), dtype=np.intp)
+        own = [np.zeros(64 * words, dtype=np.uint8)]  # each block's byte of each set
+        for j, b in enumerate(self._bytes):
+            nodes = [v for v in range(p) if pp[v] >> 8 * b & 255]
+            self._base[j, nodes] = 256 * np.arange(len(own), len(own) + len(nodes))
+            own.extend(((prefix[nodes] >> 8 * b) & 255).astype(np.uint8))
+        bits = np.arange(8, dtype=np.uint8)[:, None]
+        holds = np.packbits(np.stack(own)[:, None, :] >> bits & 1, axis=2, bitorder="little")
+        holds = holds.view("<u8").T  # word, bit, block: the sets that hold the bit
+        # doubling over the byte's bits: values lacking bit k take the sets holding it
+        table = np.zeros((words, len(own), 1), dtype=np.uint64)
+        for k in range(8):
+            table = np.concatenate([table | holds[:, k, :, None], table], axis=2)
+        self._bitsets = table.reshape(words, 256 * len(own))
 
-    def _first_fit(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
-        """Index of the first listed set of each node inside its pool; the empty set fits any.
+    def byte_columns(self, masks: np.ndarray) -> list[np.ndarray]:
+        """The bytes of ``masks`` that some node's possible parents touch, as ``uint8`` arrays."""
+        return [((masks >> 8 * b) & 255).astype(np.uint8) for b in self._bytes]
 
-        The lists are scanned in blocks of doubling width, so that a pool
-        that fits early in its list costs little.
-        """
+    def best_scores(self, nodes: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+        """Each node's best score within its pool, given by the pool's :meth:`byte_columns`."""
+        self._lookups += len(nodes)
+        rows = [base[nodes] + col for base, col in zip(self._base, columns)]
+        fit = self._first_fits(rows, len(nodes))
+        return self._scores.ravel()[nodes * self._scores.shape[1] + fit]  # faster than 2-D
+
+    def _first_fits(self, rows: list[np.ndarray], n: int, word: int = 0) -> np.ndarray:
+        """The first fits of n pools, from bit 0 of ``word``; later words only where it is full."""
+        acc = np.zeros(n, dtype=np.uint64)
+        for r in rows:
+            acc |= self._bitsets[word][r]
+        fit = np.frexp(~acc & (acc + 1))[1] - 1  # the lowest clear bit; -1 when none
+        rest = np.flatnonzero(fit < 0)
+        if len(rest):
+            fit[rest] = 64 + self._first_fits([r[rest] for r in rows], len(rest), word + 1)
+        return fit
+
+    def _best(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
+        """Best scores of (node, pool) pairs whose pools lie within the nodes' possible parents."""
         outside = np.flatnonzero(pools & ~self._pp[nodes])
         if len(outside):
             raise EngineError(f"pool outside the possible parents of node {nodes[outside[0]]}")
-        index = np.empty(len(nodes), dtype=np.intp)
-        todo = np.arange(len(nodes))
-        lo, width = 0, 16
-        while len(todo) and lo < self._sets.shape[1]:
-            fits = (self._sets[nodes[todo], lo : lo + width] & ~pools[todo, None]) == 0
-            found = fits.any(axis=1)
-            index[todo[found]] = lo + fits[found].argmax(axis=1)
-            todo = todo[~found]
-            lo, width = lo + width, 2 * width
-        if len(todo):
-            raise EngineError(f"no parent set of node {nodes[todo[0]]} fits, not even the empty set")
-        return index
-
-    def _fit_pairs(self, nodes: np.ndarray, pools: np.ndarray) -> np.ndarray:
-        """First-fit indices of (node, pool) pairs: memo hits, and a first fit for the rest.
-
-        A pair's best score is ``_scores[node, index]``. Newly scored pairs
-        wait in ``_pending`` until :meth:`_merge`, which the sweep calls
-        once per level. A new pair met again in a later pair chunk of the
-        same level is scored again. That is rare: a pool U of s first shows
-        up with the one subset ``U | bit(s)`` when that subset is reachable
-        (the ``sweep`` benchmark makes 10,263 first fits for its 10,248
-        pools).
-        """
-        kd = self._key_dtype
-        keys = (nodes.astype(kd) << kd.type(len(self._pp))) | pools.astype(kd)
-        if len(self._memo_keys):
-            at = np.searchsorted(self._memo_keys, keys)
-            np.minimum(at, len(self._memo_keys) - 1, out=at)  # a key past the last one misses
-            fits = self._memo_fits[at]
-            miss = np.flatnonzero(self._memo_keys[at] != keys)
-        else:
-            fits = np.empty(len(keys), dtype=self._fit_dtype)
-            miss = np.arange(len(keys))
-        if len(miss):
-            distinct, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
-            fresh = miss[first]
-            new = self._first_fit(nodes[fresh], pools[fresh]).astype(self._fit_dtype)
-            fits[miss] = new[inverse.ravel()]
-            self._pending.append((distinct, new))
-        return fits
-
-    def _merge(self) -> None:
-        """Fold the pending pairs, all absent from the memo, into it, in key order."""
-        if self._pending:
-            keys = np.concatenate([k for k, _ in self._pending])
-            # a pair fitted in two chunks has one first fit: either copy will do
-            keys, first = np.unique(keys, return_index=True)
-            fits = np.concatenate([f for _, f in self._pending])[first]
-            self._pending = []
-            at = np.searchsorted(self._memo_keys, keys)
-            self._memo_keys = np.insert(self._memo_keys, at, keys)
-            self._memo_fits = np.insert(self._memo_fits, at, fits)
+        return self.best_scores(nodes, self.byte_columns(pools))
 
     def score(self, node: int, pool: int) -> float:
-        pools = np.array([pool], dtype=self._pp.dtype)
-        fit = self._fit_pairs(np.array([node]), pools)[0]
-        self._merge()
-        return float(self._scores[node, fit])
+        return float(self._best(np.array([node]), np.array([pool], dtype=self._pp.dtype))[0])
 
     def best_subsets(self, node: int, pool: int) -> tuple[int, ...]:
         return self._tie_sets(np.array([node]), np.array([pool], dtype=self._pp.dtype))[0]
@@ -177,14 +176,13 @@ class BestParentsTable:
         for at in range(0, len(nodes), _TIE_ROWS):
             rows, under = nodes[at : at + _TIE_ROWS], pools[at : at + _TIE_ROWS]
             sets, scores = self._sets[rows], self._scores[rows]
-            best = scores[np.arange(len(rows)), self._first_fit(rows, under)]
+            best = self._best(rows, under)
             tied = _near(scores, best[:, None]) & ((sets & ~under[:, None]) == 0)
             out.extend(tuple(sorted(row[keep].tolist())) for row, keep in zip(sets, tied))
         return out
 
     def pool_count(self) -> int:
-        self._merge()
-        return len(self._memo_keys)
+        return self._lookups
 
 
 def best_parents(
@@ -265,21 +263,18 @@ def best_sinks(
     level is scored. Subsets with no extension are recorded as maximal, in
     sweep order.
 
-    A pair's candidate is W's best score plus the first-fit score of v
-    within ``pp[v] & W``. The first fits are looked up after the cap check,
-    in the order the pairs were generated, which is node by node, as the
-    memo is sorted; they are kept as one index a pair into v's list and
-    permuted with the pairs. A subset's best sinks are the maximum and
-    every candidate within ``TIE_EPS`` of it (the rule
-    :class:`BestParentsTable` states), and its score is the candidate of
-    its lowest-numbered best sink, as in the per-subset sweep this
-    replaced, so every score keeps every bit. That sink is found as a
-    minimum over the group: the sort is not stable, since a stable argsort
-    needs more memory at the cap. Candidates are formed in chunks of whole
-    groups. ``level_ms`` records the time to generate and score each level.
+    A pair's candidate is W's best score plus the best score of v within
+    ``pp[v] & W``, which :class:`BestParentsTable` looks up from W's bytes
+    after the cap check. The pairs are generated node by node and the sort
+    is stable, so each group lists its pairs in node order. A subset's
+    best sinks are the maximum and every candidate within ``TIE_EPS`` of it
+    (the rule :class:`BestParentsTable` states), and its score is the
+    candidate of its lowest-numbered best sink, the group's first tied
+    pair, as in the per-subset sweep this replaced, so every score keeps
+    every bit. Candidates are formed in chunks of whole groups.
+    ``level_ms`` records the time to generate and score each level.
     """
     p = constraints.n_nodes
-    pp = _mask_array([int(m) for m in constraints.pp], p)
     po = _mask_array([int(m) for m in constraints.po], p)
     bit = _mask_array([1 << v for v in range(p)], p)
     node_type = np.min_scalar_type(p)
@@ -303,8 +298,8 @@ def best_sinks(
         del rows
         key = masks[src]
         key |= bit[node]
-        order = key.argsort()
-        key.sort()
+        order = key.argsort(kind="stable")  # each group's pairs stay in node order
+        key = key[order]
         lead = np.ones(len(key), dtype=bool)  # each new subset's first pair
         lead[1:] = key[1:] != key[:-1]
         new_masks = key[lead]
@@ -317,14 +312,11 @@ def best_sinks(
                 f"subsets per level: {sizes}; "
                 "use a stricter screening cutoff or raise max_subsets"
             )
-        fit = np.empty(len(src), dtype=bpt._fit_dtype)  # first fits, in generation order
-        for lo in range(0, len(src), _PAIR_CHUNK):
-            at = slice(lo, lo + _PAIR_CHUNK)
-            fit[at] = bpt._fit_pairs(node[at], masks[src[at]] & pp[node[at]])
-        src, node, fit = src[order], node[order], fit[order]
+        src, node = src[order], node[order]
         del order
         starts = np.flatnonzero(lead)
         po_acc = po_acc[src[starts]] | po[node[starts]]
+        columns = bpt.byte_columns(masks)
         new_scores = np.empty(len(starts))
         new_sinks = np.empty_like(new_masks)
         # chunks of whole subsets, about _PAIR_CHUNK pairs each
@@ -332,19 +324,15 @@ def best_sinks(
         cuts = np.unique(np.searchsorted(starts, np.arange(0, len(src), _PAIR_CHUNK)))
         for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(starts)]):
             at = slice(edges[lo], edges[hi])
-            v = node[at]
-            cand = scores[src[at]] + bpt._scores[v, fit[at]]
-            group = np.cumsum(lead[at]) - 1
+            w, v = src[at].astype(np.intp), node[at].astype(np.intp)  # the fastest index dtype
+            cand = scores[w] + bpt.best_scores(v, [c[w] for c in columns])
             offsets = starts[lo:hi] - edges[lo]
-            tied = _near(cand, np.maximum.reduceat(cand, offsets)[group])
-            low = np.minimum.reduceat(np.where(tied, v, p), offsets)  # lowest tied sink
-            new_scores[lo:hi] = cand[v == low[group]]  # a subset has one pair per sink
-            tied_bits = bit[v]
-            tied_bits[~tied] = 0
-            new_sinks[lo:hi] = np.bitwise_or.reduceat(tied_bits, offsets)
+            tied = _group_ties(cand, offsets)
+            first = np.searchsorted(tied, offsets)  # each group's lowest tied sink
+            new_scores[lo:hi] = cand[tied[first]]
+            new_sinks[lo:hi] = np.bitwise_or.reduceat(bit[v[tied]], first)
         masks, scores, sinks = new_masks, new_scores, new_sinks
-        del src, node, fit, lead  # freed before the merge, which has large temporaries too
-        bpt._merge()
+        del src, node, lead, columns
     return BestSinkTable(levels, maximal, level_ms)
 
 
@@ -507,7 +495,7 @@ def learn(
             "indegree": indegree,
             "score_family": score_cfg.family,
             "n_local_entries": local.entry_count(),
-            "n_pools": bpt.pool_count(),
+            "n_pool_lookups": bpt.pool_count(),
             "n_reachable_subsets": bst.n_subsets,
             "level_sizes": [len(masks) for masks, _, _ in bst.levels],
             "level_ms": [round(ms, 3) for ms in bst.level_ms],

@@ -224,6 +224,44 @@ class TestLearnCommand:
         assert "top_k applies only in phenotype mode" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def _pp_file(self, tmp_path, sim):
+        names = json.loads((sim / "sim_meta.json").read_text())["names"]
+        ppf = tmp_path / "pp.json"
+        ppf.write_text(json.dumps({names[1]: [names[0]], names[2]: [names[1]]}))
+        return ppf
+
+    def test_alpha_with_pp_file_exit_2(self, tmp_path, capsys):
+        # the file's sets skip screening, so a cutoff would be ignored
+        sim = self._make_data(tmp_path)
+        code = run(
+            "learn", "--data", sim / "data.csv", "--out", tmp_path / "o",
+            "--pp-file", self._pp_file(tmp_path, sim), "--alpha", 1e-30,
+        )
+        assert code == 2
+        assert "do not apply with --pp-file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_corr_cutoff_with_pp_file_exit_2(self, tmp_path, capsys):
+        sim = self._make_data(tmp_path)
+        code = run(
+            "learn", "--data", sim / "data.csv", "--out", tmp_path / "o",
+            "--pp-file", self._pp_file(tmp_path, sim), "--corr-cutoff", 0.99,
+        )
+        assert code == 2
+        assert "do not apply with --pp-file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_levels_without_phenotype_exit_2(self, tmp_path, capsys):
+        # by learn and by bench alike, bench before it simulates anything
+        sim = self._make_data(tmp_path)
+        for argv in (
+            ("learn", "--data", sim / "data.csv", "--out", tmp_path / "o"),
+            ("bench", "--p-grid", 8, "--n-grid", 200, "--out", tmp_path / "o" / "bench.csv"),
+        ):
+            assert run(*argv, "--levels", 2) == 2
+            assert "--levels applies only with --phenotype" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bge_matches_in_process_learn(self, tmp_path):
         sim = self._make_data(tmp_path, seed=4)
         out = tmp_path / "run"

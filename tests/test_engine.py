@@ -402,6 +402,73 @@ class TestFirstFitLookup:
         assert bpt.best_subsets(0, 0b010) == (0, 0b10)
 
 
+# node 0's eight possible parents, spread over the bytes of a p-node mask
+PREFIX_PARENTS = {9: (1, 2, 3, 4, 5, 6, 7, 8), 33: (1, 7, 8, 15, 16, 24, 31, 32),
+                  70: (1, 8, 30, 31, 32, 63, 64, 69)}
+
+
+def prefix_case(p, prefix, seed):
+    """Node 0 takes any subset of its eight possible parents (256 listed
+    sets); ``prefix - 1`` of them score above its empty set and the rest
+    below, so its list through the empty set holds ``prefix`` sets. Scores
+    are multiples of 1/8 from a few values, so ties are exact and common.
+    The other nodes have no possible parents."""
+    rng = np.random.default_rng(seed)
+    pp = [NodeSubset.from_indices(PREFIX_PARENTS[p])] + [NodeSubset(0)] * (p - 1)
+    sets = [g for g in subsets_up_to(int(pp[0]), 8) if g]
+    above = set(rng.choice(len(sets), prefix - 1, replace=False).tolist())
+    table = {0: 0.0}
+    for k, g in enumerate(sets):
+        table[g] = int(rng.integers(1, 5)) / 8 if k in above else int(rng.integers(-4, 0)) / 8
+    local = LocalScoreTable([table] + [{0: 0.0}] * (p - 1))
+    return ParentConstraints(tuple(pp), indegree=8), local
+
+
+class TestPrefixBitsets:
+    @pytest.mark.parametrize("p", [9, 33, 70])
+    @pytest.mark.parametrize("prefix", [63, 64, 65, 130])
+    def test_every_sub_pool_matches_direct_enumeration(self, p, prefix):
+        # prefixes of one word less one bit, one word, one word and a bit,
+        # and three words; masks of uint32, uint64 and Python ints
+        c, local = prefix_case(p, prefix, seed=p + prefix)
+        table = local.subsets(0)
+        assert sorted(table, key=lambda g: -table[g]).index(0) + 1 == prefix
+        bpt = best_parents(local, c)
+        full = int(c.pp[0])
+        subs, sub = [full], full
+        while sub:
+            sub = (sub - 1) & full
+            subs.append(sub)
+        refs = [best_subsets_in_pool(table, sub, 8) for sub in subs]
+        for sub, (ref_score, ref_sets) in zip(subs, refs):
+            assert bpt.score(0, sub) == ref_score
+            assert bpt.best_subsets(0, sub) == tuple(sorted(ref_sets))
+        # the sweep's batched lookup, by pools that also hold every node
+        # outside node 0's possible parents but node 0 itself
+        others = ((1 << p) - 1) & ~full & ~1
+        pools = bndp.engine._mask_array([sub | others for sub in subs], p)
+        nodes = np.zeros(len(subs), dtype=np.intp)
+        got = bpt.best_scores(nodes, bpt.byte_columns(pools))
+        assert got.tolist() == [score for score, _ in refs]
+
+    def test_no_nodes(self):
+        c, local = ParentConstraints((), indegree=1), LocalScoreTable([])
+        assert best_sinks(best_parents(local, c), c, local).levels == []
+
+    def test_list_without_empty_set_rejected(self):
+        local = LocalScoreTable([{0: 0.0}, {0b01: -1.0}])
+        c = ParentConstraints((NodeSubset(0), NodeSubset(0b01)), indegree=1)
+        with pytest.raises(EngineError, match="node 1 lists no empty parent set"):
+            best_parents(local, c)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_positive_inf_score_rejected(self, bad):
+        local = LocalScoreTable([{0: 0.0, 0b10: bad}, {0: 0.0}])
+        c = ParentConstraints((NodeSubset(0b10), NodeSubset(0)), indegree=1)
+        with pytest.raises(EngineError, match="finite or -inf"):
+            best_parents(local, c)
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -628,26 +695,24 @@ class TestSweepAgainstDictOracle:
 
     @pytest.mark.parametrize("p", [27, 28, 32, 33, 64, 70])
     def test_path_constraints(self, p):
-        # the dtype edges: memo keys ``node << p | pool`` are uint32 up to
-        # p = 27 and uint64 from 28; masks are uint32 up to p = 32 (32 uses
-        # their top bit), uint64 from 33 to 64 and Python ints at 70
+        # the dtype edges: masks are uint32 up to p = 32 (32 uses their top
+        # bit), uint64 from 33 to 64 and Python ints at 70
         c, local = path_case(p, seed=p)
         bpt = best_parents(local, c)
         bst = best_sinks(bpt, c, local)
         entries, maximal = dict_best_sinks(c, local)
         full = (1 << p) - 1
         assert bst.levels[0][0].dtype == (np.uint32 if p <= 32 else np.uint64 if p <= 64 else object)
-        assert bpt._key_dtype == (np.uint32 if p <= 27 else np.uint64 if p <= 58 else object)
         assert bst.n_subsets == p * (p + 1) // 2  # the intervals of the path
         assert list(bst.entries.items()) == list(entries.items())
         assert bst.maximal == maximal == [full]
 
     def test_wide_lists_take_wide_indices(self):
         # node 0 may take any one or two of nodes 1-23, which have no possible
-        # parents: its 277 listed sets need uint16 first-fit indices. Every
-        # two-parent set ranks first (list positions 0-252), then the
+        # parents: its 277 listed sets span five 64-bit words of bitsets.
+        # Every two-parent set ranks first (list positions 0-252), then the
         # singletons (253-275), then the empty set, so every pool {u} of
-        # node 0 first fits past index 255.
+        # node 0 first fits past index 255, in the fourth or fifth word.
         p = 24
         pairs = [g for g in subsets_up_to((1 << p) - 2, 2) if g.bit_count() == 2]
         table = {g: -k / 8 for k, g in enumerate(pairs)}
@@ -658,7 +723,6 @@ class TestSweepAgainstDictOracle:
         bpt = best_parents(local, c)
         bst = best_sinks(bpt, c, local)
         entries, maximal = dict_best_sinks(c, local)
-        assert bpt._fit_dtype == np.uint16
         assert bst.n_subsets == p + (p - 1)  # the singletons and each {0, u}
         assert list(bst.entries.items()) == list(entries.items())
         assert bst.maximal == maximal
