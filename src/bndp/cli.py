@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -413,6 +414,9 @@ def _load_universe(args: argparse.Namespace, *edge_lists) -> dict[str, int]:
                 raise InputError(f'{path}: expected a "names" list of strings')
         else:
             names = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        if repeated:
+            raise InputError(f"{path}: node names listed more than once: {repeated}")
     else:
         names = sorted({v for edges in edge_lists for edge in edges for v in edge})
     return {name: i for i, name in enumerate(names)}
@@ -642,7 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         AssocError,
         SimError,
         ScoringError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

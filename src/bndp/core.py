@@ -110,6 +110,8 @@ class Column:
                 raise StructureError(f"categorical column {self.name!r} needs level_count >= 2")
             if vals.size and (vals.min() < 0 or vals.max() >= self.levels):
                 raise StructureError(f"categorical column {self.name!r} has out-of-range codes")
+            if np.any(vals != np.round(vals)):
+                raise StructureError(f"categorical column {self.name!r} has non-integer codes")
         object.__setattr__(self, "values", vals)
 
 

@@ -35,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .assoc import ScreenOptions, build_constraints
-from .core import Dataset, Network, NodeSubset, ParentConstraints
+from .core import Dataset, Network, NodeSubset, ParentConstraints, StructureError
 from .scoring import LocalScoreTable, ScoreConfig, compute_local_scores
 
 TIE_EPS = 1e-9
@@ -467,8 +467,15 @@ def learn(
     (``level_sizes``, ``level_ms``), the subsets recovery filled, wall
     time per stage, and the warnings raised: every message in order
     (``warnings``) and, per warning category, their count and the first
-    message (``warning_counts``).
+    message (``warning_counts``). Arguments out of range are rejected
+    before screening starts.
     """
+    if indegree < 1:
+        raise StructureError("indegree must be a positive integer")
+    if optima_cap < 0:
+        raise EngineError(f"the network cap must be at least 0, got {optima_cap}")
+    if max_subsets is not None and max_subsets < 1:
+        raise EngineError(f"the reachable-subset cap must be at least 1, got {max_subsets}")
     report: dict = {}
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")

@@ -4,15 +4,15 @@ All scores are oriented so that higher is better. Degenerate fits become
 a -inf sentinel, an ordinary table value, so the dynamic program never
 needs special cases.
 
-One scorer per family takes a node and a parent-set bitmask:
-:meth:`_GramState.local` (Gaussian BIC, falling back to the direct least
-squares of :func:`bic_gaussian` near an exact fit), :func:`bic_categorical`
-and :meth:`_BgeState.local`; :func:`cox_bic` scores all of the survival
-sink's parent sets in one batch. :func:`compute_local_scores` is the one
-dispatch, a loop over the nodes.
-
-The BGe prior is fixed (:class:`_BgeState`). Cox-BIC fits stop after 50
-Newton steps or once no coefficient moves by 1e-8 (:mod:`bndp.numeric`).
+One scorer per family takes a node and a parent-set bitmask. Both
+Gaussian scores come from cached log-determinants of one centred
+cross-product matrix (:class:`_Gram`): Gaussian BIC falls back to the
+direct least squares of :func:`bic_gaussian` near an exact fit, and BGe
+has a fixed prior. :func:`bic_categorical` scores categorical nodes, and
+:func:`cox_bic` all of the survival sink's parent sets in one batch.
+:func:`compute_local_scores` is the one dispatch, a loop over the nodes.
+Cox-BIC fits stop after 50 Newton steps or once no coefficient moves by
+1e-8 (:mod:`bndp.numeric`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     CATEGORICAL,
@@ -46,8 +45,8 @@ NEG_INF = float("-inf")
 _DEGENERATE_REL = 1e-12
 # a residual sum of squares this far below y'y is rounding: an exact fit
 _EXACT_FIT_REL = 1e-24
-# the normal equations lose about log10(syy / rss) of their ~16 digits;
-# below this residual share the direct least-squares path scores the fit
+# log det G[S + v] - log det G[S] loses about log10(syy / rss) of its ~16
+# digits; below this residual share the direct least-squares path scores the fit
 _GRAM_MIN_REL = 1e-6
 
 
@@ -61,75 +60,13 @@ class ScoringWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Score family selection: ``"bic"`` or ``"bge"`` (fixed prior, :class:`_BgeState`)."""
+    """Score family selection: ``"bic"`` or ``"bge"`` (fixed prior, :class:`_Gram`)."""
 
     family: str = "bic"
 
     def __post_init__(self) -> None:
         if self.family not in ("bic", "bge"):
             raise ScoringError(f"unknown score family {self.family!r}")
-
-
-# BGe prior scale t = alpha_mu (alpha_w - p - 1) / (alpha_mu + 1) at
-# alpha_mu = 1 and alpha_w = p + 2
-_BGE_T = 0.5
-
-
-class _BgeState:
-    """Posterior scale matrix and constants shared by all BGe lookups.
-
-    The prior is fixed at the usual defaults (Geiger & Heckerman 2002,
-    *Ann. Statist.*; bnlearn's ``iss.mu = 1``, ``iss.w = p + 2``):
-    alpha_mu = 1, alpha_w = p + 2, prior mean mu0 at the column means and
-    prior scale ``_BGE_T`` times the identity. With mu0 at the sample mean
-    the prior-mean term ``(n alpha_mu / (n + alpha_mu)) (xbar - mu0)(xbar
-    - mu0)'`` is zero, so the posterior scale matrix is ``t I`` plus the
-    centred cross-products.
-    """
-
-    def __init__(self, data: Dataset):
-        for c in data.columns:
-            if c.kind != CONTINUOUS:
-                raise ScoringError(
-                    f"bge scoring requires all-continuous data; column "
-                    f"{c.name!r} is {c.kind}"
-                )
-        X = np.column_stack([c.values for c in data.columns]).astype(float)
-        self.n, p = X.shape
-        centered = X - X.mean(axis=0)
-        self.R = _BGE_T * np.eye(p) + centered.T @ centered
-        self._marg_cache: dict[int, float] = {0: 0.0}
-
-    def log_marginal(self, mask: int) -> float:
-        """Log marginal likelihood of the columns in ``mask``."""
-        cached = self._marg_cache.get(mask)
-        if cached is not None:
-            return cached
-        idx = list(NodeSubset(mask))
-        l = len(idx)
-        n = self.n
-        # with alpha_mu = 1 and alpha_w = p + 2: alpha_w - p = 2, n + alpha_mu
-        # = n + 1, and the log(alpha_mu) term is 0
-        a_post = 0.5 * (n + 2 + l)
-        a_prior = 0.5 * (2 + l)
-        sign, logdet = np.linalg.slogdet(self.R[np.ix_(idx, idx)])
-        if sign <= 0:
-            names = ",".join(map(str, idx))
-            raise NumericError(f"posterior scale matrix not positive definite for {{{names}}}")
-        value = (
-            -0.5 * n * l * math.log(math.pi)
-            - 0.5 * l * math.log(n + 1)
-            + special.multigammaln(a_post, l)
-            - special.multigammaln(a_prior, l)
-            + a_prior * l * math.log(_BGE_T)
-            - a_post * logdet
-        )
-        self._marg_cache[mask] = value
-        return value
-
-    def local(self, node: int, parents: int) -> float:
-        """BGe local score: log marginal-likelihood ratio of family vs parents."""
-        return self.log_marginal(parents | (1 << node)) - self.log_marginal(parents)
 
 
 def _regressors(data: Dataset, j: int) -> list[np.ndarray]:
@@ -294,46 +231,85 @@ class LocalScoreTable:
         return sum(len(t) for t in self._scores)
 
 
-class _GramState:
-    """Gaussian BIC via normal equations on one centred Gram matrix.
+# BGe prior scale t = alpha_mu (alpha_w - p - 1) / (alpha_mu + 1) at
+# alpha_mu = 1 and alpha_w = p + 2
+_BGE_T = 0.5
 
-    Columns are centred (:func:`_centred`), which absorbs the intercept;
-    the survival column, never a regressor, stays zero. A fit whose
-    residual is within rounding of zero (or whose parents are collinear),
-    and a parent set holding a categorical parent of three or more levels,
-    are scored by :func:`bic_gaussian` instead, so results match it.
+
+class _Gram:
+    """Gaussian BIC and BGe from log-determinants of one cross-product matrix.
+
+    ``G`` is a ridge times the identity plus the cross-products of the
+    centred (:func:`_centred`) regression columns: each column as
+    :func:`_regressors` gives it, none for the survival column.
+    :meth:`logdet` caches the log-determinant of the block of G over a
+    node set's columns.
+
+    Gaussian BIC (ridge 0): on parents S, a node's residual sum of squares
+    is ``det G[S + v] / det G[S]``, the centring absorbing the intercept.
+    A residual below ``_GRAM_MIN_REL`` times the node's own sum of squares,
+    where the determinants have lost most of their digits, and a block
+    whose determinant is not positive are scored by :func:`bic_gaussian`.
+
+    BGe (ridge ``_BGE_T``) has a fixed prior (Geiger & Heckerman 2002,
+    *Ann. Statist.*; bnlearn's ``iss.mu = 1``, ``iss.w = p + 2``):
+    alpha_mu = 1, alpha_w = p + 2, prior mean at the column means and
+    prior scale ``_BGE_T`` times the identity. The prior-mean term is
+    then zero, so G is the posterior scale matrix.
     """
 
-    def __init__(self, data: Dataset):
-        M = np.zeros((data.n_rows, data.p))
-        for j in range(data.p):
-            if data.column(j).kind != SURVIVAL:
-                M[:, j] = data.numeric_values(j)
-        M = _centred(M)
-        self.G = M.T @ M
+    def __init__(self, data: Dataset, family: str):
+        self.bge = family == "bge"
+        other = [f"{c.name!r} is {c.kind}" for c in data.columns if c.kind != CONTINUOUS]
+        if self.bge and other:
+            raise ScoringError(f"bge scoring requires all-continuous data; column {other[0]}")
         self.data = data
-        self._multilevel = sum(
-            1 << j for j, c in enumerate(data.columns) if c.kind == CATEGORICAL and c.levels > 2
-        )
+        self.cols: list[list[int]] = []  # node -> its columns of G
+        regressors: list[np.ndarray] = []
+        for j, c in enumerate(data.columns):
+            xs = [] if c.kind == SURVIVAL else _regressors(data, j)
+            self.cols.append(list(range(len(regressors), len(regressors) + len(xs))))
+            regressors += xs
+        M = _centred(np.reshape(regressors, (len(regressors), data.n_rows)).T)
+        self.G = (_BGE_T if self.bge else 0.0) * np.eye(len(regressors)) + M.T @ M
+        self._logdet: dict[int, float] = {0: 0.0}
+
+    def logdet(self, mask: int) -> float:
+        """Log-determinant of G over the columns of ``mask``'s nodes; -inf
+        unless the determinant is positive."""
+        value = self._logdet.get(mask)
+        if value is None:
+            idx = [k for j in NodeSubset(mask) for k in self.cols[j]]
+            sign, value = np.linalg.slogdet(self.G[np.ix_(idx, idx)])
+            value = self._logdet[mask] = float(value) if sign > 0 else NEG_INF
+        return value
 
     def local(self, node: int, parents: int) -> float:
-        if parents & self._multilevel:
+        """The family's score: for BGe the log marginal-likelihood ratio of
+        family and parents, whose multivariate gammas leave one gamma each
+        at alpha_mu = 1 and alpha_w = p + 2 (and log(alpha_mu) is 0)."""
+        n, m = self.data.n_rows, parents.bit_count()
+        fam, par = self.logdet(parents | 1 << node), self.logdet(parents)
+        if self.bge:
+            if NEG_INF in (fam, par):
+                names = ",".join(map(str, NodeSubset(parents | 1 << node)))
+                raise NumericError(f"posterior scale matrix not positive definite for {{{names}}}")
+            return (
+                -0.5 * n * math.log(math.pi)
+                - 0.5 * math.log(n + 1)
+                + math.lgamma(0.5 * (n + 3 + m))
+                - math.lgamma(0.5 * (3 + m))
+                + 0.5 * (2 * m + 3) * math.log(_BGE_T)
+                - 0.5 * (n + 3 + m) * fam
+                + 0.5 * (n + 2 + m) * par
+            )
+        (k,) = self.cols[node]
+        syy, log_rss = self.G[k, k], fam - par
+        if syy == 0 or par == NEG_INF or not log_rss > math.log(_GRAM_MIN_REL * syy):
             return bic_gaussian(node, parents, self.data)
-        G = self.G
-        n = self.data.n_rows
-        syy = G[node, node]
-        cols = list(NodeSubset(parents))
-        rss = syy
-        if cols:
-            try:
-                z = np.linalg.solve(np.linalg.cholesky(G[np.ix_(cols, cols)]), G[cols, node])
-                rss -= float(z @ z)
-            except np.linalg.LinAlgError:
-                rss = 0.0
-        if rss <= _GRAM_MIN_REL * syy:
-            return bic_gaussian(node, parents, self.data)
-        ll = -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
-        return ll - 0.5 * (len(cols) + 2) * math.log(n)
+        ll = -0.5 * n * (math.log(2.0 * math.pi / n) + log_rss + 1.0)
+        width = sum(len(self.cols[j]) for j in NodeSubset(parents))
+        return ll - 0.5 * (width + 2) * math.log(n)  # the regressors, intercept and variance
 
 
 def compute_local_scores(
@@ -350,13 +326,11 @@ def compute_local_scores(
         surv_bit = 1 << data.survival_index
         if any(mask & surv_bit for mask in constraints.pp):
             raise ScoringError("the survival column can only be a sink, never a parent")
-    if cfg.family == "bge":
-        scorers = {CONTINUOUS: _BgeState(data).local}
-    else:
-        scorers = {
-            CONTINUOUS: _GramState(data).local,
-            CATEGORICAL: functools.partial(bic_categorical, data=data),
-        }
+    # BGe data is all continuous (_Gram checks), so only BIC reaches bic_categorical
+    scorers = {
+        CONTINUOUS: _Gram(data, cfg.family).local,
+        CATEGORICAL: functools.partial(bic_categorical, data=data),
+    }
     scores: list[dict[int, float]] = []
     for i in range(data.p):
         kind = data.column(i).kind

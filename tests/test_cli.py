@@ -626,6 +626,26 @@ class TestMalformedInput:
                      ("--predicted", sim / "truth_edges.csv", "--truth", edges)):
             assert message in self._exit_2(capsys, "eval", *argv)
 
+    def test_eval_repeated_node_name(self, tmp_path, capsys, sim):
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("".join(f"V{i}\n" for i in range(6)) + "V0\n")
+        truth = sim / "truth_edges.csv"
+        err = self._exit_2(capsys, "eval", "--predicted", truth, "--truth", truth, "--nodes", nodes)
+        assert "listed more than once: ['V0']" in err
+
+    def test_learn_data_is_a_directory(self, tmp_path, capsys, sim):
+        err = self._exit_2(capsys, "learn", "--data", sim, "--out", tmp_path / "o")
+        assert "Is a directory" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_learn_data_undecodable(self, tmp_path, capsys, sim):
+        # byte 0x81 decodes neither as UTF-8 nor as cp1252
+        garbled = tmp_path / "garbled.csv"
+        garbled.write_bytes(b"a\x81,x\n1.0,2.0\n3.0,4.0\n")
+        err = self._exit_2(capsys, "learn", "--data", garbled, "--out", tmp_path / "o")
+        assert "can't decode" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ['"V1"', '["V1", 3]', "null", '{"V1": 1}'])
     def test_pp_file_values_are_name_lists(self, tmp_path, capsys, sim, value):
         pp = tmp_path / "pp.json"

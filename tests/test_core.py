@@ -223,6 +223,15 @@ class TestDataset:
         with pytest.raises(StructureError):
             Column("x", "categorical", np.array([0.0, 5.0]), levels=3)
 
+    def test_categorical_codes_are_integers(self):
+        # a code of 0.5 would be truncated to level 0 by the categorical
+        # score and match no level's indicator; integer-valued floats, as
+        # load_dataset writes them, stay valid
+        with pytest.raises(StructureError, match="non-integer codes"):
+            Column("K", "categorical", np.array([0, 0.5, 1.0]), levels=2)
+        assert Column("K", "categorical", np.array([0.0, 2.0, 1.0]), levels=3).levels == 3
+        assert Column("K", "categorical", np.array([0, 1, 1]), levels=2).levels == 2
+
     def test_survival_validation(self):
         with pytest.raises(StructureError):
             Column("s", "survival", np.column_stack([np.zeros(3), np.ones(3)]))

@@ -8,7 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bndp.engine
 from bndp.assoc import ScreenOptions
-from bndp.core import Column, Dataset, Network, NodeSubset, ParentConstraints, subsets_up_to
+from bndp.core import (
+    Column,
+    Dataset,
+    Network,
+    NodeSubset,
+    ParentConstraints,
+    StructureError,
+    subsets_up_to,
+)
 from bndp.engine import (
     TIE_EPS,
     EngineError,
@@ -1218,6 +1226,24 @@ class TestLearn:
             running += net.local_scores[v]
             stored = bst.entries[prefix][0]
             assert abs(stored - running) <= 1e-9 * max(1.0, abs(stored))
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"indegree": 0}, StructureError),
+            ({"optima_cap": -1}, EngineError),
+            ({"max_subsets": 0}, EngineError),
+        ],
+    )
+    def test_bad_arguments_rejected_before_screening(self, monkeypatch, kwargs, error):
+        def never(*args, **kw):
+            raise AssertionError("screening ran")
+
+        monkeypatch.setattr(bndp.engine, "build_constraints", never)
+        data = cont(np.random.default_rng(22).standard_normal((50, 3)))
+        args = {"indegree": 2, **kwargs}
+        with pytest.raises(error):
+            learn(data, ScreenOptions(alpha=0.01), ScoreConfig("bic"), **args)
 
 
 class TestTracerContract:

@@ -1,11 +1,13 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import bndp.scoring
 from bndp.core import Column, Dataset, NodeSubset, ParentConstraints
 from bndp.numeric import cox_fit
 from bndp.scoring import (
@@ -13,7 +15,7 @@ from bndp.scoring import (
     ScoreConfig,
     ScoringError,
     ScoringWarning,
-    _BgeState,
+    _Gram,
     bic_categorical,
     bic_gaussian,
     compute_local_scores,
@@ -232,11 +234,11 @@ def bge_local_direct(node, parents_mask, data, state):
         - math.lgamma(0.5 * (alpha_w - p + m + 1))
         + 0.5 * (alpha_w - p + 2 * m + 1) * math.log(t)
     )
-    sign, fam_det = np.linalg.slogdet(state.R[np.ix_(fam, fam)])
+    sign, fam_det = np.linalg.slogdet(state.G[np.ix_(fam, fam)])
     assert sign > 0
     value -= 0.5 * (n + alpha_w - p + m + 1) * fam_det
     if par:
-        sign, par_det = np.linalg.slogdet(state.R[np.ix_(par, par)])
+        sign, par_det = np.linalg.slogdet(state.G[np.ix_(par, par)])
         assert sign > 0
         value += 0.5 * (n + alpha_w - p + m) * par_det
     return value
@@ -247,7 +249,7 @@ class TestBge:
         rng = np.random.default_rng(17)
         x = rng.standard_normal(80)
         y = 0.9 * x + rng.standard_normal(80)
-        bge = _BgeState(cont(np.column_stack([x, y])))
+        bge = _Gram(cont(np.column_stack([x, y])), "bge")
         forward = bge.local(0, 0) + bge.local(1, 0b01)
         backward = bge.local(1, 0) + bge.local(0, 0b10)
         assert abs(forward - backward) < 1e-8
@@ -257,7 +259,7 @@ class TestBge:
         x = rng.standard_normal(120)
         y = 0.8 * x + rng.standard_normal(120)
         z = 0.8 * y + rng.standard_normal(120)
-        bge = _BgeState(cont(np.column_stack([x, y, z])))
+        bge = _Gram(cont(np.column_stack([x, y, z])), "bge")
 
         def total(assignment):
             return sum(bge.local(i, mask) for i, mask in enumerate(assignment))
@@ -274,7 +276,7 @@ class TestBge:
         rng = np.random.default_rng(19)
         x = rng.standard_normal(100)
         data = cont(x[:, None])
-        got = _BgeState(data).local(0, 0)
+        got = _Gram(data, "bge").local(0, 0)
         oracle = bge_quadrature_oracle(x)
         assert abs(got - oracle) < 1e-5
 
@@ -283,7 +285,7 @@ class TestBge:
         M = rng.standard_normal((60, 4))
         M[:, 2] += 0.7 * M[:, 0]
         data = cont(M)
-        state = _BgeState(data)
+        state = _Gram(data, "bge")
         for node in range(4):
             for mask in (0, 0b0001, 0b1010, 0b1011):
                 if (mask >> node) & 1:
@@ -297,7 +299,7 @@ class TestBge:
         for n in (100, 400):
             x = rng.standard_normal(n)
             x2 = x + 0.05 * rng.standard_normal(n)
-            bge = _BgeState(cont(np.column_stack([x, x2])))
+            bge = _Gram(cont(np.column_stack([x, x2])), "bge")
             edge = bge.local(0, 0) + bge.local(1, 0b01)
             indep = bge.local(0, 0) + bge.local(1, 0)
             assert edge > indep
@@ -310,7 +312,7 @@ class TestBge:
             ]
         )
         with pytest.raises(ScoringError):
-            _BgeState(data)
+            _Gram(data, "bge")
 
 
 # --------------------------------------------------------------- cox bic
@@ -576,6 +578,48 @@ class TestComputeLocalScores:
         ref = bic_gaussian(0, 0b110, onehot)
         for score in scores:
             assert abs(score - ref) <= 1e-9 * abs(ref)
+
+    def test_multilevel_categorical_parent_skips_direct_fit(self, monkeypatch):
+        # a well-conditioned fit on a 3-level parent's indicator columns is
+        # read off the cached log-determinants, not refitted by least squares
+        rng = np.random.default_rng(50)
+        k = rng.integers(0, 3, 300)
+        x = rng.standard_normal(300)
+        y = np.array([0.0, 2.0, 1.0])[k] + x + rng.standard_normal(300)
+        data = Dataset(
+            [
+                Column("y", "continuous", y),
+                Column("K", "categorical", k.astype(float), levels=3),
+                Column("x", "continuous", x),
+            ]
+        )
+        masks = (0, 0b010, 0b100, 0b110)
+        expected = {mask: bic_gaussian(0, mask, data) for mask in masks}
+        direct = mock.Mock(side_effect=bic_gaussian)
+        monkeypatch.setattr(bndp.scoring, "bic_gaussian", direct)
+        pp = (NodeSubset(0b110), NodeSubset(0), NodeSubset(0))
+        table = compute_local_scores(data, ParentConstraints(pp, 2), ScoreConfig("bic"))
+        direct.assert_not_called()
+        for mask in masks:
+            assert abs(table.score(0, mask) - expected[mask]) <= 1e-12 * abs(expected[mask])
+
+    def test_bic_markov_equivalent_three_node(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(120)
+        y = 0.8 * x + rng.standard_normal(120)
+        z = 0.8 * y + rng.standard_normal(120)
+        bic = _Gram(cont(np.column_stack([x, y, z])), "bic")
+
+        def total(assignment):
+            return sum(bic.local(i, mask) for i, mask in enumerate(assignment))
+
+        chain = total([0, 0b001, 0b010])       # x->y->z
+        reverse = total([0b010, 0b100, 0])     # z->y->x
+        fork = total([0b010, 0, 0b010])        # x<-y->z
+        collider = total([0, 0b101, 0])        # x->y<-z
+        assert abs(chain - reverse) <= 1e-9 * abs(chain)
+        assert abs(chain - fork) <= 1e-9 * abs(chain)
+        assert abs(chain - collider) > 1.0  # different equivalence class
 
     def test_bge_requires_all_continuous(self):
         rng = np.random.default_rng(46)
