@@ -242,8 +242,9 @@ class Network:
     """A DAG with per-node parent sets, local scores, and its build order.
 
     ``ordering`` is the generational construction order that produced the
-    network (a valid topological order). ``total_score`` is the exact sum
-    of ``local_scores``.
+    network: :meth:`build` checks that it lists every node once, each
+    after its parents. ``total_score`` is the exact sum of
+    ``local_scores``.
     """
 
     parents: tuple[NodeSubset, ...]
@@ -258,9 +259,18 @@ class Network:
         local_scores: Sequence[float],
         ordering: Sequence[int],
     ) -> "Network":
-        cycle = find_cycle(parents)
-        if cycle is not None:
-            raise StructureError(f"network contains a cycle: {cycle}")
+        p, placed = len(parents), 0
+        for v in map(int, ordering):
+            if not 0 <= v < p or placed >> v & 1 or int(parents[v]) & ~placed:
+                break
+            placed |= 1 << v
+        if len(ordering) != p or placed != (1 << p) - 1:
+            cycle = find_cycle(parents)  # only a failed check pays for the search
+            if cycle is not None:
+                raise StructureError(f"network contains a cycle: {cycle}")
+            raise StructureError(
+                f"ordering {tuple(ordering)} is not each of the {p} nodes once, after its parents"
+            )
         total = 0.0
         for s in local_scores:
             total += s

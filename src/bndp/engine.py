@@ -291,13 +291,18 @@ def best_sinks(
         free = po_acc & ~masks
         maximal.extend(masks[free == 0].tolist())
         # the extension pairs (row of W, v), in compact dtypes, since a
-        # level's pairs are held at once
-        rows = [np.flatnonzero(free & b).astype(np.min_scalar_type(len(masks))) for b in bit]
-        node = np.repeat(np.arange(p, dtype=node_type), [len(r) for r in rows])
-        src = np.concatenate(rows)
-        del rows
-        key = masks[src]
-        key |= bit[node]
+        # level's pairs are held at once, and their keys W | bit(v), gathered
+        # by np.flatnonzero's intp rows (the fastest index dtype); filled in
+        # place, as per-node pieces to concatenate fragment the heap
+        sizes = [np.count_nonzero(free & b) for b in bit]
+        node = np.repeat(np.arange(p, dtype=node_type), sizes)
+        src = np.empty(len(node), dtype=np.min_scalar_type(len(masks)))
+        key = np.empty(len(node), dtype=masks.dtype)
+        ends = np.cumsum(sizes).tolist()
+        for b, lo, hi in zip(bit, [0] + ends, ends):
+            r = np.flatnonzero(free & b)
+            src[lo:hi] = r
+            np.bitwise_or(masks[r], b, out=key[lo:hi])
         order = key.argsort(kind="stable")  # each group's pairs stay in node order
         key = key[order]
         lead = np.ones(len(key), dtype=bool)  # each new subset's first pair

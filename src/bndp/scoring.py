@@ -4,12 +4,12 @@ All scores are oriented so that higher is better. Degenerate fits become
 a -inf sentinel, an ordinary table value, so the dynamic program never
 needs special cases.
 
-One scorer per family takes a node and a parent-set bitmask. Both
-Gaussian scores come from cached log-determinants of one centred
-cross-product matrix (:class:`_Gram`): Gaussian BIC falls back to the
-direct least squares of :func:`bic_gaussian` near an exact fit, and BGe
-has a fixed prior. :func:`bic_categorical` scores categorical nodes, and
-:func:`cox_bic` all of the survival sink's parent sets in one batch.
+Both Gaussian scores of every continuous node come from one batch of
+log-determinants of one centred cross-product matrix (:class:`_Gram`):
+Gaussian BIC falls back to the direct least squares of
+:func:`bic_gaussian` near an exact fit, and BGe has a fixed prior.
+:func:`bic_categorical` scores categorical nodes, and :func:`cox_bic`
+all of the survival sink's parent sets in one batch.
 :func:`compute_local_scores` is the one dispatch, a loop over the nodes.
 Cox-BIC fits stop after 50 Newton steps or once no coefficient moves by
 1e-8 (:mod:`bndp.numeric`).
@@ -17,10 +17,10 @@ Cox-BIC fits stop after 50 Newton steps or once no coefficient moves by
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -242,14 +242,19 @@ class _Gram:
     ``G`` is a ridge times the identity plus the cross-products of the
     centred (:func:`_centred`) regression columns: each column as
     :func:`_regressors` gives it, none for the survival column.
-    :meth:`logdet` caches the log-determinant of the block of G over a
-    node set's columns.
+    :meth:`logdets` takes the log-determinants of G's blocks over many
+    node sets' columns, one stacked ``slogdet`` per block width, and
+    :meth:`scores` turns them into a node's scores as array arithmetic in
+    the scalar order of operations: each entry is the float that scoring
+    it alone gives.
 
     Gaussian BIC (ridge 0): on parents S, a node's residual sum of squares
     is ``det G[S + v] / det G[S]``, the centring absorbing the intercept.
-    A residual below ``_GRAM_MIN_REL`` times the node's own sum of squares,
-    where the determinants have lost most of their digits, and a block
-    whose determinant is not positive are scored by :func:`bic_gaussian`.
+    :func:`bic_gaussian` scores instead, in parent-set order, every entry
+    of a node whose own sum of squares ``syy`` is zero, and each entry
+    whose parent block's determinant is not positive or whose log
+    residual is not above ``log(_GRAM_MIN_REL * syy)``, where the
+    determinants have lost most of their digits.
 
     BGe (ridge ``_BGE_T``) has a fixed prior (Geiger & Heckerman 2002,
     *Ann. Statist.*; bnlearn's ``iss.mu = 1``, ``iss.w = p + 2``):
@@ -272,44 +277,58 @@ class _Gram:
             regressors += xs
         M = _centred(np.reshape(regressors, (len(regressors), data.n_rows)).T)
         self.G = (_BGE_T if self.bge else 0.0) * np.eye(len(regressors)) + M.T @ M
-        self._logdet: dict[int, float] = {0: 0.0}
 
-    def logdet(self, mask: int) -> float:
-        """Log-determinant of G over the columns of ``mask``'s nodes; -inf
-        unless the determinant is positive."""
-        value = self._logdet.get(mask)
-        if value is None:
+    def logdets(self, masks: Iterable[int]) -> dict[int, float]:
+        """Log-determinant of the block of G over each mask's nodes' columns,
+        -inf unless the determinant is positive: the blocks of one width are
+        gathered by one fancy index and go to one stacked ``slogdet``."""
+        groups: dict[int, dict[int, list[int]]] = {}
+        for mask in set(masks) - {0}:
             idx = [k for j in NodeSubset(mask) for k in self.cols[j]]
-            sign, value = np.linalg.slogdet(self.G[np.ix_(idx, idx)])
-            value = self._logdet[mask] = float(value) if sign > 0 else NEG_INF
-        return value
+            groups.setdefault(len(idx), {})[mask] = idx
+        out = {0: 0.0}
+        for group in groups.values():
+            idx = np.array(list(group.values()))
+            sign, value = np.linalg.slogdet(self.G[idx[:, :, None], idx[:, None, :]])
+            out.update(zip(group, np.where(sign > 0, value, NEG_INF).tolist()))
+        return out
 
-    def local(self, node: int, parents: int) -> float:
-        """The family's score: for BGe the log marginal-likelihood ratio of
-        family and parents, whose multivariate gammas leave one gamma each
-        at alpha_mu = 1 and alpha_w = p + 2 (and log(alpha_mu) is 0)."""
-        n, m = self.data.n_rows, parents.bit_count()
-        fam, par = self.logdet(parents | 1 << node), self.logdet(parents)
+    def scores(self, node: int, masks: list[int], logdet: dict[int, float]) -> list[float]:
+        """The family's scores of ``node`` on the parent sets ``masks``, from
+        the :meth:`logdets` of the sets and their families. For BGe the log
+        marginal-likelihood ratio of family and parents, whose multivariate
+        gammas leave one gamma each at alpha_mu = 1 and alpha_w = p + 2 (and
+        log(alpha_mu) is 0); a non-positive determinant raises."""
+        bit, n = 1 << node, self.data.n_rows
+        par = np.array([logdet[mask] for mask in masks])
+        fam = np.array([logdet[mask | bit] for mask in masks])
+        m = np.array([mask.bit_count() for mask in masks])
         if self.bge:
-            if NEG_INF in (fam, par):
-                names = ",".join(map(str, NodeSubset(parents | 1 << node)))
+            bad = np.isneginf(fam) | np.isneginf(par)
+            if bad.any():
+                names = ",".join(map(str, NodeSubset(masks[bad.argmax()] | bit)))
                 raise NumericError(f"posterior scale matrix not positive definite for {{{names}}}")
-            return (
-                -0.5 * n * math.log(math.pi)
-                - 0.5 * math.log(n + 1)
-                + math.lgamma(0.5 * (n + 3 + m))
-                - math.lgamma(0.5 * (3 + m))
-                + 0.5 * (2 * m + 3) * math.log(_BGE_T)
-                - 0.5 * (n + 3 + m) * fam
-                + 0.5 * (n + 2 + m) * par
-            )
+            const = [  # a scalar per parent count, in the one-entry order of operations
+                -0.5 * n * math.log(math.pi) - 0.5 * math.log(n + 1)
+                + math.lgamma(0.5 * (n + 3 + k)) - math.lgamma(0.5 * (3 + k))
+                + 0.5 * (2 * k + 3) * math.log(_BGE_T)
+                for k in range(m.max() + 1)
+            ]
+            return (np.array(const)[m] - 0.5 * (n + 3 + m) * fam + 0.5 * (n + 2 + m) * par).tolist()
         (k,) = self.cols[node]
-        syy, log_rss = self.G[k, k], fam - par
-        if syy == 0 or par == NEG_INF or not log_rss > math.log(_GRAM_MIN_REL * syy):
-            return bic_gaussian(node, parents, self.data)
-        ll = -0.5 * n * (math.log(2.0 * math.pi / n) + log_rss + 1.0)
-        width = sum(len(self.cols[j]) for j in NodeSubset(parents))
-        return ll - 0.5 * (width + 2) * math.log(n)  # the regressors, intercept and variance
+        syy = self.G[k, k]
+        floor = math.log(_GRAM_MIN_REL * syy) if syy > 0 else math.inf
+        with np.errstate(invalid="ignore"):  # -inf - -inf: sent to bic_gaussian
+            log_rss = fam - par
+            ll = -0.5 * n * (math.log(2.0 * math.pi / n) + log_rss + 1.0)
+            direct = np.isneginf(par) | ~(log_rss > floor)
+        # the regressor columns: one a parent, levels - 2 more a categorical one of 3+ levels
+        wide = [(j, len(c) - 1) for j, c in enumerate(self.cols) if len(c) > 1]
+        width = m + [sum(e for j, e in wide if mask >> j & 1) for mask in masks]
+        values = (ll - 0.5 * (width + 2) * math.log(n)).tolist()  # and the intercept and variance
+        for i in np.flatnonzero(direct).tolist():
+            values[i] = bic_gaussian(node, masks[i], self.data)
+        return values
 
 
 def compute_local_scores(
@@ -326,22 +345,21 @@ def compute_local_scores(
         surv_bit = 1 << data.survival_index
         if any(mask & surv_bit for mask in constraints.pp):
             raise ScoringError("the survival column can only be a sink, never a parent")
-    # BGe data is all continuous (_Gram checks), so only BIC reaches bic_categorical
-    scorers = {
-        CONTINUOUS: _Gram(data, cfg.family).local,
-        CATEGORICAL: functools.partial(bic_categorical, data=data),
-    }
+    masks = [list(subsets_up_to(pp, constraints.indegree)) for pp in constraints.pp]
+    gram = _Gram(data, cfg.family)  # BGe data is all continuous (_Gram checks)
+    gaussian = [i for i, c in enumerate(data.columns) if c.kind == CONTINUOUS]
+    logdet = gram.logdets(m | f for i in gaussian for m in masks[i] for f in (0, 1 << i))
     scores: list[dict[int, float]] = []
-    for i in range(data.p):
-        kind = data.column(i).kind
-        masks = list(subsets_up_to(constraints.pp[i], constraints.indegree))
+    for i, kind in enumerate(c.kind for c in data.columns):
         if kind == SURVIVAL:
-            scores.append(cox_bic(i, masks, data))
-            continue
-        table: dict[int, float] = {}
-        # a loop: a comprehension is a frame of its own before Python
-        # 3.12, which would move the location the warnings report
-        for mask in masks:
-            table[mask] = scorers[kind](i, mask)
-        scores.append(table)
+            scores.append(cox_bic(i, masks[i], data))
+        elif kind == CONTINUOUS:
+            scores.append(dict(zip(masks[i], gram.scores(i, masks[i], logdet))))
+        else:
+            table: dict[int, float] = {}
+            # a loop: a comprehension is a frame of its own before Python
+            # 3.12, which would move the location the warnings report
+            for mask in masks[i]:
+                table[mask] = bic_categorical(i, mask, data)
+            scores.append(table)
     return LocalScoreTable(scores)

@@ -254,6 +254,17 @@ class TestNetwork:
         with pytest.raises(StructureError, match=r"cycle: \((0, 1, 2|1, 2, 0|2, 0, 1)\)$"):
             Network.build([0b100, 0b001, 0b010, 0b001], [0.0] * 4, (0, 1, 2, 3))
 
+    def test_ordering_must_be_topological(self):
+        # 0 -> 1 -> 2 is acyclic, but (1, 0, 2) places 1 before its parent 0
+        Network.build([0, 0b001, 0b010], [0.0] * 3, (0, 1, 2))
+        with pytest.raises(StructureError, match=r"ordering \(1, 0, 2\)"):
+            Network.build([0, 0b001, 0b010], [0.0] * 3, (1, 0, 2))
+
+    @pytest.mark.parametrize("ordering", [(0, 1), (0, 1, 1), (0, 1, 2, 0), (0, 1, 3)])
+    def test_ordering_must_list_every_node_once(self, ordering):
+        with pytest.raises(StructureError, match="ordering"):
+            Network.build([0, 0b001, 0], [0.0] * 3, ordering)
+
     def test_total_is_sum(self):
         net = Network.build([0, 0b01], [-1.5, -2.5], (0, 1))
         assert net.total_score == -4.0

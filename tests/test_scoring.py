@@ -219,6 +219,43 @@ def bge_quadrature_oracle(x: np.ndarray) -> float:
     return math.log(val) + shift
 
 
+def local(gram, node, mask):
+    """One entry of the batched Gaussian scorer."""
+    return gram.scores(node, [mask], gram.logdets([mask, mask | 1 << node]))[0]
+
+
+def one_entry(gram, node, mask):
+    """One entry in scalar arithmetic, one slogdet per block: the reference
+    that the batched scorer matches bit for bit."""
+
+    def logdet(nodes):
+        idx = [k for j in NodeSubset(nodes) for k in gram.cols[j]]
+        if not idx:
+            return 0.0
+        sign, value = np.linalg.slogdet(gram.G[np.ix_(idx, idx)])
+        return float(value) if sign > 0 else NEG_INF
+
+    n, m = gram.data.n_rows, mask.bit_count()
+    fam, par = logdet(mask | 1 << node), logdet(mask)
+    if gram.bge:
+        return (
+            -0.5 * n * math.log(math.pi)
+            - 0.5 * math.log(n + 1)
+            + math.lgamma(0.5 * (n + 3 + m))
+            - math.lgamma(0.5 * (3 + m))
+            + 0.5 * (2 * m + 3) * math.log(0.5)
+            - 0.5 * (n + 3 + m) * fam
+            + 0.5 * (n + 2 + m) * par
+        )
+    (k,) = gram.cols[node]
+    syy, log_rss = gram.G[k, k], fam - par
+    if syy == 0 or par == NEG_INF or not log_rss > math.log(1e-6 * syy):
+        return bic_gaussian(node, mask, gram.data)
+    ll = -0.5 * n * (math.log(2.0 * math.pi / n) + log_rss + 1.0)
+    width = sum(len(gram.cols[j]) for j in NodeSubset(mask))
+    return ll - 0.5 * (width + 2) * math.log(n)
+
+
 def bge_local_direct(node, parents_mask, data, state):
     """Telescoped single-gamma form of the node-given-parents score, at
     the fixed prior alpha_mu = 1, alpha_w = p + 2 and t = 1/2."""
@@ -250,8 +287,8 @@ class TestBge:
         x = rng.standard_normal(80)
         y = 0.9 * x + rng.standard_normal(80)
         bge = _Gram(cont(np.column_stack([x, y])), "bge")
-        forward = bge.local(0, 0) + bge.local(1, 0b01)
-        backward = bge.local(1, 0) + bge.local(0, 0b10)
+        forward = local(bge, 0, 0) + local(bge, 1, 0b01)
+        backward = local(bge, 1, 0) + local(bge, 0, 0b10)
         assert abs(forward - backward) < 1e-8
 
     def test_markov_equivalent_three_node(self):
@@ -262,7 +299,7 @@ class TestBge:
         bge = _Gram(cont(np.column_stack([x, y, z])), "bge")
 
         def total(assignment):
-            return sum(bge.local(i, mask) for i, mask in enumerate(assignment))
+            return sum(local(bge, i, mask) for i, mask in enumerate(assignment))
 
         chain = total([0, 0b001, 0b010])       # x->y->z
         reverse = total([0b010, 0b100, 0])     # z->y->x
@@ -276,7 +313,7 @@ class TestBge:
         rng = np.random.default_rng(19)
         x = rng.standard_normal(100)
         data = cont(x[:, None])
-        got = _Gram(data, "bge").local(0, 0)
+        got = local(_Gram(data, "bge"), 0, 0)
         oracle = bge_quadrature_oracle(x)
         assert abs(got - oracle) < 1e-5
 
@@ -290,7 +327,7 @@ class TestBge:
             for mask in (0, 0b0001, 0b1010, 0b1011):
                 if (mask >> node) & 1:
                     continue
-                a = state.local(node, mask)
+                a = local(state, node, mask)
                 b = bge_local_direct(node, mask, data, state)
                 assert abs(a - b) < 1e-9
 
@@ -300,8 +337,8 @@ class TestBge:
             x = rng.standard_normal(n)
             x2 = x + 0.05 * rng.standard_normal(n)
             bge = _Gram(cont(np.column_stack([x, x2])), "bge")
-            edge = bge.local(0, 0) + bge.local(1, 0b01)
-            indep = bge.local(0, 0) + bge.local(1, 0)
+            edge = local(bge, 0, 0) + local(bge, 1, 0b01)
+            indep = local(bge, 0, 0) + local(bge, 1, 0)
             assert edge > indep
 
     def test_rejects_categorical(self):
@@ -611,7 +648,7 @@ class TestComputeLocalScores:
         bic = _Gram(cont(np.column_stack([x, y, z])), "bic")
 
         def total(assignment):
-            return sum(bic.local(i, mask) for i, mask in enumerate(assignment))
+            return sum(local(bic, i, mask) for i, mask in enumerate(assignment))
 
         chain = total([0, 0b001, 0b010])       # x->y->z
         reverse = total([0b010, 0b100, 0])     # z->y->x
@@ -654,3 +691,42 @@ class TestComputeLocalScores:
         # pick a fixed structure: 0 -> 1 -> 2
         parts = [table.score(0, 0), table.score(1, 0b001), table.score(2, 0b010)]
         assert sum(parts) == parts[0] + parts[1] + parts[2]
+
+    @pytest.mark.parametrize("family", ["bic", "bge"])
+    def test_entries_do_not_depend_on_the_batch(self, family, monkeypatch):
+        # every node's entries, scored in one batch with all the others and
+        # scored alone, are the same floats, and those of one_entry: a
+        # three-level K gives blocks of width 2 (BIC only, as BGe needs
+        # continuous data), the constant c is a degenerate fit, and z on x a
+        # near-exact one, so BIC sends some entries to the direct least
+        # squares and reads the rest off the stacked log-determinants
+        rng = np.random.default_rng(52)
+        n = 200
+        k = rng.integers(0, 3, n)
+        x = rng.standard_normal(n)
+        cols = [
+            Column("x", "continuous", x),
+            Column("y", "continuous", np.array([0.0, 2.0, 1.0])[k] + x + rng.standard_normal(n)),
+            Column("z", "continuous", x + 1e-5 * rng.standard_normal(n)),
+            Column("c", "continuous", np.full(n, 3.0)),
+        ]
+        if family == "bic":
+            cols.append(Column("K", "categorical", k.astype(float), levels=3))
+        data = Dataset(cols)
+        full = ParentConstraints.complete(data.p, 2)
+        if family == "bic":  # K, categorical, takes no continuous parent
+            full = ParentConstraints(full.pp[:-1] + (NodeSubset(0),), 2)
+        gram = _Gram(data, family)
+        direct = mock.Mock(side_effect=bic_gaussian)
+        monkeypatch.setattr(bndp.scoring, "bic_gaussian", direct)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScoringWarning)
+            together = compute_local_scores(data, full, ScoreConfig(family))
+            if family == "bic":
+                assert 0 < direct.call_count < 4 * len(together.subsets(0))
+            for i in range(4):
+                pp = tuple(m if j == i else NodeSubset(0) for j, m in enumerate(full.pp))
+                alone = compute_local_scores(data, ParentConstraints(pp, 2), ScoreConfig(family))
+                assert list(alone.subsets(i).items()) == list(together.subsets(i).items())
+                for mask, value in together.subsets(i).items():
+                    assert value == one_entry(gram, i, mask), (i, mask)
