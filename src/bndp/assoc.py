@@ -1,9 +1,10 @@
 """Marginal-association screening that produces parent-set constraints.
 
 Pairwise Pearson tests with an FDR (Benjamini-Hochberg) or correlation
-cutoff define possible-parent sets; a survival outcome is screened with
-univariate Cox regressions instead. Phenotype-driven mode restricts
-screening to two or three ancestor levels of a designated outcome.
+cutoff define possible-parent sets; a survival outcome is screened by Cox
+fits on Cox-BIC's standardised design columns instead, one degree of
+freedom per column (:func:`cox_screen`). Phenotype mode restricts
+screening to two or three ancestor levels of an outcome.
 
 Every correlation comes from one kernel, ``_corr_against``, and every
 test passes or fails in one cutoff step, ``_passes``, applied once per
@@ -28,18 +29,11 @@ from .core import (
     ParentConstraints,
     StructureError,
 )
-from .numeric import cox_fit_batch
+from .scoring import _cox_batches
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.assoc.cox_fit`` by name.
 from .numeric import cox_fit  # noqa: F401
-
-# candidates per batched Cox screening fit, which bounds the screen's
-# memory whatever the candidate count. On a 2-vCPU Xeon (2 MB L2 per core),
-# 513 candidates of 500 rows took 63-67 ms in chunks of 32-128, 98 ms in
-# chunks of 16 and 82 ms in chunks of 256, while peak RSS grew by 0.4, 1.5,
-# 4.5 and 8.8 MiB for chunks of 32, 64, 128 and 256
-_COX_CHUNK = 64
 
 
 class AssocError(ValueError):
@@ -114,41 +108,31 @@ def bh_adjust(p_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def cox_screen(
-    data: Dataset, outcome: int, candidates: list[int]
-) -> np.ndarray:
-    """Likelihood-ratio chi-squared p-value of each candidate's univariate Cox fit.
+def cox_screen(data: Dataset, outcome: int, candidates: list[int]) -> np.ndarray:
+    """Likelihood-ratio chi-squared p-value of each candidate's Cox fit.
 
-    The candidates are fitted together by :func:`cox_fit_batch`, at most
-    ``_COX_CHUNK`` per call, which bounds the memory of a screen over
-    thousands of columns. A constant candidate is not fitted: its test is
+    A candidate is fitted alone on the standardised design columns that
+    Cox-BIC gives it (:func:`scoring._cox_batches`), with one degree of
+    freedom per column, so relabelling a categorical's levels does not
+    change its test. A constant candidate is not fitted: its test is
     undefined (NaN). A failed fit is recorded as p = 1 with a warning
     naming the column, so a screening run never aborts.
     """
-    col = data.column(outcome)
-    if col.kind != SURVIVAL:
-        raise AssocError(f"column {col.name!r} is not a survival outcome")
-    time = col.values[:, 0]
-    status = col.values[:, 1]
     pvals = np.full(len(candidates), np.nan)
-    for start in range(0, len(candidates), _COX_CHUNK):
-        chunk = candidates[start : start + _COX_CHUNK]
-        Z = np.array([data.numeric_values(i) for i in chunk])
-        fitted = np.flatnonzero(~_constant(Z.T))
-        Z = Z[fitted]
-        Z = (Z - Z.mean(axis=1, keepdims=True)) / Z.std(axis=1, keepdims=True)
-        batch = cox_fit_batch(time, status, Z[None])
+    at = {1 << i: k for k, i in enumerate(candidates)}
+    fitted = [1 << i for i in candidates if np.ptp(data.numeric_values(i)) > 0]
+    for group, width, batch in _cox_batches(data, outcome, fitted):
         lr = 2.0 * (batch.log_likelihood - batch.null_log_likelihood)
-        p = special.chdtrc(1, np.maximum(lr, 0.0))
-        for b, exc in enumerate(batch.errors):
+        p = special.chdtrc(width, np.maximum(lr, 0.0))
+        for b, (mask, exc) in enumerate(zip(group, batch.errors)):
             if exc is not None:
                 warnings.warn(
-                    f"Cox screening failed for {data.column(chunk[fitted[b]]).name!r}: {exc}",
+                    f"Cox screening failed for {data.names[mask.bit_length() - 1]!r}: {exc}",
                     ScreeningWarning,
                     stacklevel=2,
                 )
                 p[b] = 1.0
-        pvals[start + fitted] = p
+        pvals[[at[mask] for mask in group]] = p
     return pvals
 
 

@@ -489,7 +489,7 @@ def _bench_one(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _require_positive(args, "max_subsets")
+    _require_positive(args, "max_subsets", "threads", "replicates")
     _check_screening(args)
     specs, reps = [], []
     for ci, p in enumerate(args.p_grid):

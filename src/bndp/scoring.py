@@ -8,11 +8,11 @@ Both Gaussian scores of every continuous node come from one batch of
 log-determinants of one centred cross-product matrix (:class:`_Gram`):
 Gaussian BIC falls back to the direct least squares of
 :func:`bic_gaussian` near an exact fit, and BGe has a fixed prior.
-:func:`bic_categorical` scores categorical nodes, and :func:`cox_bic`
-all of the survival sink's parent sets in one batch.
+:func:`bic_categorical` scores categorical nodes, and :func:`cox_bic` the
+survival sink's parent sets on the standardised designs of
+:func:`_cox_batches`, which survival screening
+(:func:`bndp.assoc.cox_screen`) fits too, one degree of freedom per column.
 :func:`compute_local_scores` is the one dispatch, a loop over the nodes.
-Cox-BIC fits stop after 50 Newton steps or once no coefficient moves by
-1e-8 (:mod:`bndp.numeric`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,13 +33,19 @@ from .core import (
     ParentConstraints,
     subsets_up_to,
 )
-from .numeric import NumericError, cox_fit_batch
+from .numeric import CoxBatch, NumericError, cox_fit_batch
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.scoring.cox_fit`` by name.
 from .numeric import cox_fit  # noqa: F401
 
 NEG_INF = float("-inf")
+
+# designs per batched Cox fit, which bounds its memory whatever the design
+# count. On a 2-vCPU Xeon (2 MB L2 per core), 513 univariate designs of 500
+# rows took 63-67 ms in chunks of 32-128, 98 ms at 16 and 82 ms at 256; peak
+# RSS grew by 0.4, 1.5, 4.5 and 8.8 MiB in chunks of 32, 64, 128 and 256
+_COX_CHUNK = 64
 
 # relative residual-variance floor below which a Gaussian fit is degenerate
 _DEGENERATE_REL = 1e-12
@@ -69,14 +75,22 @@ class ScoreConfig:
             raise ScoringError(f"unknown score family {self.family!r}")
 
 
-def _regressors(data: Dataset, j: int) -> list[np.ndarray]:
-    """Column j as regression columns: an indicator per level but level 0
-    for a categorical column of three or more levels, so relabelling its
-    levels does not change a fit; any other column as its values."""
-    c = data.column(j)
-    if c.kind == CATEGORICAL and c.levels > 2:
-        return [(c.values == level).astype(float) for level in range(1, c.levels)]
-    return [data.numeric_values(j)]
+def _regressors(data: Dataset, nodes: Iterable[int]) -> tuple[np.ndarray, dict[int, list[int]]]:
+    """The regression columns of ``nodes`` as the rows of one matrix, and
+    each node's rows: an indicator per level but level 0 for a categorical
+    column of three or more levels, so relabelling its levels does not
+    change a fit; any other column as its values."""
+    rows: dict[int, list[int]] = {}
+    xs: list[np.ndarray] = []
+    for j in nodes:
+        c = data.column(j)
+        if c.kind == CATEGORICAL and c.levels > 2:
+            new = [(c.values == level).astype(float) for level in range(1, c.levels)]
+        else:
+            new = [data.numeric_values(j)]
+        rows[j] = list(range(len(xs), len(xs) + len(new)))
+        xs += new
+    return np.reshape(xs, (len(xs), data.n_rows)), rows
 
 
 def _centred(M: np.ndarray) -> np.ndarray:
@@ -100,10 +114,8 @@ def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     ``_DEGENERATE_REL`` of zero yields the -inf sentinel with a warning.
     """
     n = data.n_rows
-    cols = [data.numeric_values(node)]
-    for j in NodeSubset(parents):
-        cols += _regressors(data, j)
-    M = _centred(np.column_stack(cols))
+    R, _ = _regressors(data, NodeSubset(parents))
+    M = _centred(np.column_stack([data.numeric_values(node), *R]))
     y = M[:, 0]
     X = np.column_stack([np.ones(n), M[:, 1:]])
     if X.shape[1] >= n:
@@ -166,41 +178,47 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
     return ll - 0.5 * (r - 1) * q * math.log(n)
 
 
+def _cox_batches(
+    data: Dataset, node: int, masks: list[int]
+) -> Iterator[tuple[list[int], int, CoxBatch]]:
+    """Cox fits of the survival ``node`` on each node set in ``masks``, and
+    each fit's sets and design width, ``_COX_CHUNK`` sets of a width per
+    :func:`cox_fit_batch`. A set's design is its nodes' :func:`_regressors`
+    columns, each standardised; a constant column enters as zeros.
+    Fits stop after 50 Newton steps or once no coefficient moves by 1e-8.
+    """
+    col = data.column(node)
+    if col.kind != SURVIVAL:
+        raise ScoringError(f"column {col.name!r} is not a survival outcome")
+    time, status = col.values.T
+    Z, rows = _regressors(data, {j for mask in masks for j in NodeSubset(mask)})
+    sd = Z.std(axis=1, keepdims=True)
+    Z = np.divide(Z - Z.mean(axis=1, keepdims=True), sd, out=np.zeros_like(Z), where=sd > 0)
+    by_width: dict[int, list[tuple[int, list[int]]]] = {}
+    for mask in masks:
+        idx = [k for j in NodeSubset(mask) for k in rows[j]]
+        by_width.setdefault(len(idx), []).append((mask, idx))
+    for width, group in by_width.items():
+        for start in range(0, len(group), _COX_CHUNK):
+            chunk = group[start : start + _COX_CHUNK]
+            idx = np.array([i for _, i in chunk], dtype=int).reshape(len(chunk), width)
+            X = Z[idx].transpose(1, 0, 2)
+            yield [mask for mask, _ in chunk], width, cox_fit_batch(time, status, X)
+
+
 def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
     """Cox-BIC scores of the survival sink for each parent set in ``masks``.
 
     A score is the partial log-likelihood at the optimum minus
-    (k/2) ln n, k counting the design columns; the empty parent set
-    scores the null partial likelihood. Parents enter as
-    :func:`_regressors` gives them, each column standardised, and a
-    constant column enters as zeros. The sets of one design width are
-    fitted together by :func:`cox_fit_batch`. One set's failed fit scores
-    -inf with a warning and leaves the others unchanged.
+    (k/2) ln n, k counting the design columns of :func:`_cox_batches`;
+    the empty parent set scores the null partial likelihood. One set's
+    failed fit scores -inf with a warning and leaves the others unchanged.
     """
-    col = data.column(node)
-    if col.kind != SURVIVAL:
-        raise ScoringError(f"node {node} is not the survival column")
-    time = col.values[:, 0]
-    status = col.values[:, 1]
-    n = data.n_rows
-
-    def standardised(x: np.ndarray) -> np.ndarray:
-        sd = x.std()
-        return (x - x.mean()) / sd if sd > 0 else np.zeros(n)
-
-    parents = {j for mask in masks for j in NodeSubset(mask)}
-    columns = {j: [standardised(x) for x in _regressors(data, j)] for j in parents}
-    by_width: dict[int, list[tuple[int, list[np.ndarray]]]] = {}
-    for mask in masks:
-        design = [x for j in NodeSubset(mask) for x in columns[j]]
-        by_width.setdefault(len(design), []).append((mask, design))
     scores: dict[int, float] = {}
-    for width, group in by_width.items():
-        X = np.array([design for _, design in group]).reshape(len(group), width, n)
-        batch = cox_fit_batch(time, status, X.transpose(1, 0, 2))
-        for (mask, _), ll, exc in zip(group, batch.log_likelihood, batch.errors):
+    for group, width, batch in _cox_batches(data, node, masks):
+        for mask, ll, exc in zip(group, batch.log_likelihood, batch.errors):
             if exc is None:
-                scores[mask] = float(ll) - 0.5 * width * math.log(n)
+                scores[mask] = float(ll) - 0.5 * width * math.log(data.n_rows)
             else:
                 warnings.warn(
                     f"Cox fit failed for parents {list(NodeSubset(mask))} of node {node}: {exc}",
@@ -269,14 +287,10 @@ class _Gram:
         if self.bge and other:
             raise ScoringError(f"bge scoring requires all-continuous data; column {other[0]}")
         self.data = data
-        self.cols: list[list[int]] = []  # node -> its columns of G
-        regressors: list[np.ndarray] = []
-        for j, c in enumerate(data.columns):
-            xs = [] if c.kind == SURVIVAL else _regressors(data, j)
-            self.cols.append(list(range(len(regressors), len(regressors) + len(xs))))
-            regressors += xs
-        M = _centred(np.reshape(regressors, (len(regressors), data.n_rows)).T)
-        self.G = (_BGE_T if self.bge else 0.0) * np.eye(len(regressors)) + M.T @ M
+        R, rows = _regressors(data, [j for j in range(data.p) if j != data.survival_index])
+        self.cols = [rows.get(j, []) for j in range(data.p)]  # node -> its columns of G
+        M = _centred(R.T)
+        self.G = (_BGE_T if self.bge else 0.0) * np.eye(len(R)) + M.T @ M
 
     def logdets(self, masks: Iterable[int]) -> dict[int, float]:
         """Log-determinant of the block of G over each mask's nodes' columns,

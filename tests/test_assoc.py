@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -248,6 +249,25 @@ class TestCoxScreen:
         io = reduced.index_of("os")
         assert {reduced.names[i] for i in constraints.pp[io]} == expected
 
+    def test_categorical_relabelling_screens_alike(self):
+        """A three-level candidate is tested on its indicator columns, two
+        degrees of freedom, whatever its level codes: with hazard (0, 1, 0)[K]
+        a one-column test of the codes (0, 1, 2) reads p = 0.848."""
+        rng = np.random.default_rng(49)
+        n = 300
+        K = rng.integers(0, 3, n)
+        time, status = simulate_survival(np.array([0.0, 1.0, 0.0])[K], seed=3)
+        surv = Column("os", "survival", np.column_stack([time, status]))
+        p = [
+            cox_screen(Dataset([Column("K", "categorical", np.array(perm)[K], levels=3), surv]), 1, [0])[0]
+            for perm in itertools.permutations(range(3))
+        ]
+        Z = np.column_stack([K == 1, K == 2]).astype(float)
+        fit = cox_fit(time, status, (Z - Z.mean(axis=0)) / Z.std(axis=0))
+        direct = stats.chi2.sf(2.0 * (fit.log_likelihood - fit.null_log_likelihood), 2)
+        assert direct == pytest.approx(2.43e-11, rel=1e-3)
+        np.testing.assert_allclose(p, direct, rtol=1e-9, atol=0)
+
 
 class TestBuildConstraints:
     def test_user_pp_paper_example(self):
@@ -377,7 +397,7 @@ class TestBuildConstraints:
             assert kept == strongest
 
     def test_phenotype_top_k_survival_fits_each_candidate_once(self, monkeypatch):
-        import bndp.assoc
+        import bndp.scoring
 
         rng = np.random.default_rng(43)
         n = 300
@@ -386,13 +406,13 @@ class TestBuildConstraints:
         cols = [Column(f"g{i}", "continuous", genes[:, i].copy()) for i in range(5)]
         data = Dataset(cols + [Column("os", "survival", np.column_stack([time, status]))])
         fits = []
-        real_fit = bndp.assoc.cox_fit_batch
+        real_fit = bndp.scoring.cox_fit_batch
 
         def counting_fit(time, status, X, *args, **kwargs):
             fits.extend(X.shape[1] * [1])  # X is (covariates, models, rows)
             return real_fit(time, status, X, *args, **kwargs)
 
-        monkeypatch.setattr(bndp.assoc, "cox_fit_batch", counting_fit)
+        monkeypatch.setattr(bndp.scoring, "cox_fit_batch", counting_fit)
         opts = ScreenOptions(mode="phenotype", alpha=0.01, outcome="os", levels=2, top_k=2)
         constraints, reduced = build_constraints(data, opts, indegree=2)
         io = reduced.index_of("os")
@@ -538,7 +558,7 @@ def test_constant_column_never_passes(k_value, opts):
 
 
 def test_constant_column_never_passes_cox(monkeypatch):
-    import bndp.assoc
+    import bndp.scoring
 
     rng = np.random.default_rng(23)
     n = 300
@@ -554,14 +574,14 @@ def test_constant_column_never_passes_cox(monkeypatch):
         ]
     )
     fitted = []
-    real_fit = bndp.assoc.cox_fit_batch
+    real_fit = bndp.scoring.cox_fit_batch
 
     def counting_fit(time, status, X):
         # X is (covariates, models, rows): one range per model fitted
         fitted.extend(np.ptp(X, axis=(0, 2)))
         return real_fit(time, status, X)
 
-    monkeypatch.setattr(bndp.assoc, "cox_fit_batch", counting_fit)
+    monkeypatch.setattr(bndp.scoring, "cox_fit_batch", counting_fit)
     for mode in ("all_pairs", "phenotype"):
         fitted.clear()
         opts = ScreenOptions(mode=mode, alpha=1.0, outcome="os", levels=2)

@@ -451,6 +451,17 @@ class TestBenchCommand:
         srows = summ.read_text().splitlines()
         assert len(srows) == 3  # header, cell, overall
 
+    @pytest.mark.parametrize(
+        "option, value", [("--threads", 0), ("--threads", -1), ("--replicates", 0)]
+    )
+    def test_count_below_one_exit_2(self, tmp_path, capsys, option, value):
+        # rejected before anything is simulated or written
+        out = tmp_path / "o" / "bench.csv"
+        code = run("bench", "--p-grid", 8, "--n-grid", 200, "--out", out, option, value)
+        assert code == 2
+        assert f"{option} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_reproducible_modulo_runtime(self, tmp_path):
         outs = []
         for tag in ("x", "y"):
@@ -729,3 +740,23 @@ class TestCliPaths:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: best_sinks: reachable-subset count exceeded the cap (5)")
+
+    def test_bge_not_positive_definite_exit_4(self, tmp_path, capsys):
+        # two equal columns at scale 1e8 leave BGe's posterior scale matrix
+        # singular to rounding over both: a numeric failure, exit 4
+        rng = np.random.default_rng(0)
+        x = 1e8 * rng.standard_normal(50)
+        csv_path = tmp_path / "data.csv"
+        np.savetxt(
+            csv_path, np.column_stack([x, x, rng.standard_normal(50)]), delimiter=",",
+            header="A,B,C", comments="",
+        )
+        pp = tmp_path / "pp.json"
+        pp.write_text(json.dumps({"A": ["B", "C"], "B": ["A", "C"], "C": ["A", "B"]}))
+        code = run(
+            "learn", "--data", csv_path, "--out", tmp_path / "o", "--score", "bge",
+            "--pp-file", pp, "--indegree", 2,
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "local_scores: posterior scale matrix not positive definite for {0,1}" in err

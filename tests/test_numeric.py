@@ -468,6 +468,19 @@ class TestCoxFitBatch:
         batch = cox_fit_batch(self.TIMES, self.STATUS, np.zeros((1, 0, len(self.TIMES))))
         assert batch.log_likelihood.shape == (0,) and batch.errors == ()
 
+    def test_iteration_cap(self, monkeypatch):
+        # at a cap of one Newton step, x's fit is still moving and fails
+        # alone with its last iterate; the zero column's step is zero, so it
+        # converges in that one step
+        monkeypatch.setattr(bndp.numeric, "_COX_MAX_ITER", 1)
+        x = np.random.default_rng(5).standard_normal(200)
+        time, status = simulate_survival(0.8 * x, seed=5)
+        batch = cox_fit_batch(time, status, np.stack([x, np.zeros(200)])[None])
+        assert isinstance(batch.errors[0], ConvergenceError)
+        assert "did not converge in 1 iterations" in str(batch.errors[0])
+        assert batch.errors[0].last_beta == pytest.approx([0.917], abs=1e-3)
+        assert batch.errors[1] is None and batch.iterations[1] == 1
+
 
 class TestCoxFit:
     def test_zero_column_no_signal(self):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import bndp.scoring
 from bndp.core import Column, Dataset, NodeSubset, ParentConstraints
-from bndp.numeric import cox_fit
+from bndp.numeric import NumericError, cox_fit
 from bndp.scoring import (
     NEG_INF,
     ScoreConfig,
@@ -350,6 +350,16 @@ class TestBge:
         )
         with pytest.raises(ScoringError):
             _Gram(data, "bge")
+
+    def test_not_positive_definite_raises(self):
+        # two equal columns at scale 1e8: the prior ridge of 0.5 is lost to
+        # rounding in G's block over both, whose determinant is then not positive
+        rng = np.random.default_rng(0)
+        x = 1e8 * rng.standard_normal(50)
+        data = cont(np.column_stack([x, x, rng.standard_normal(50)]))
+        constraints = ParentConstraints((NodeSubset(0b110), NodeSubset(0b101), NodeSubset(0b011)), 2)
+        with pytest.raises(NumericError, match=r"not positive definite for \{0,1\}"):
+            compute_local_scores(data, constraints, ScoreConfig("bge"))
 
 
 # --------------------------------------------------------------- cox bic
