@@ -28,6 +28,7 @@ from .core import (
     NodeSubset,
     ParentConstraints,
     StructureError,
+    _is_names,
 )
 from .scoring import _cox_batches
 
@@ -50,43 +51,59 @@ class ScreeningWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScreenOptions:
-    """Configuration for constraint screening.
-
-    Exactly one of ``alpha`` (BH-adjusted p-value cutoff) and
-    ``corr_cutoff`` (absolute-correlation cutoff) must be set. Phenotype
-    mode requires ``outcome`` and screens ``levels`` generations of
-    ancestors; ``top_k``, in phenotype mode only, trims the first level to
-    the most significant candidates. ``user_pp`` skips screening entirely.
+    """Configuration for constraint screening; a setting that would be
+    ignored raises AssocError. ``user_pp`` (possible-parent name lists per
+    column) skips screening, so it excludes phenotype mode, ``alpha``,
+    ``corr_cutoff``, ``levels`` and ``top_k``. Otherwise exactly one of
+    ``alpha`` (BH-adjusted p-value cutoff) and ``corr_cutoff``
+    (absolute-correlation cutoff) is set. ``levels`` and ``top_k`` are
+    phenotype-only: phenotype mode requires ``outcome`` and screens
+    ``levels`` (2 or 3, default 3) generations of ancestors, and ``top_k``
+    trims the first level to the most significant candidates.
     """
 
     mode: str = "all_pairs"
     alpha: float | None = None
     corr_cutoff: float | None = None
     outcome: str | None = None
-    levels: int = 3
+    levels: int | None = None
     top_k: int | None = None
     user_pp: dict[str, list[str]] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("all_pairs", "phenotype"):
             raise AssocError(f"unknown screening mode {self.mode!r}")
-        if self.user_pp is None:
-            if (self.alpha is None) == (self.corr_cutoff is None):
-                raise AssocError("exactly one of alpha and corr_cutoff must be set")
-            if self.alpha is not None and not 0 < self.alpha <= 1:
-                raise AssocError(f"alpha must be in (0, 1], got {self.alpha}")
-            if self.corr_cutoff is not None and not 0 <= self.corr_cutoff < 1:
-                raise AssocError(f"corr_cutoff must be in [0, 1), got {self.corr_cutoff}")
-        if self.mode == "phenotype":
+        phenotype = self.mode == "phenotype"
+        settings = ("alpha", "corr_cutoff", "levels", "top_k")
+        given = [s for s in settings if getattr(self, s) is not None]
+        for name in ("levels", "top_k"):
+            if name in given and not phenotype:
+                raise AssocError(f"{name} applies only in phenotype mode")
+        if self.user_pp is not None:
+            if not isinstance(self.user_pp, dict):
+                raise AssocError("user_pp must map column names to lists of column names")
+            for key, names in self.user_pp.items():
+                if not _is_names(names):
+                    raise AssocError(f"user_pp {key!r}: expected a list of column names")
+            ignored = (["phenotype mode"] if phenotype else []) + given
+            if ignored:
+                raise AssocError(f"user_pp skips screening: {', '.join(ignored)} would be ignored")
+            return
+        if (self.alpha is None) == (self.corr_cutoff is None):
+            raise AssocError("exactly one of alpha and corr_cutoff must be set")
+        if self.alpha is not None and not 0 < self.alpha <= 1:
+            raise AssocError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.corr_cutoff is not None and not 0 <= self.corr_cutoff < 1:
+            raise AssocError(f"corr_cutoff must be in [0, 1), got {self.corr_cutoff}")
+        if phenotype:
             if self.outcome is None:
                 raise AssocError("phenotype mode requires an outcome column")
+            if self.levels is None:
+                object.__setattr__(self, "levels", 3)
             if self.levels not in (2, 3):
                 raise AssocError(f"phenotype levels must be 2 or 3, got {self.levels}")
-        if self.top_k is not None:
-            if self.mode != "phenotype":
-                raise AssocError("top_k applies only in phenotype mode")
-            if self.top_k < 1:
-                raise AssocError("top_k must be a positive integer")
+        if self.top_k is not None and self.top_k < 1:
+            raise AssocError("top_k must be a positive integer")
 
 
 def bh_adjust(p_values: np.ndarray) -> np.ndarray:

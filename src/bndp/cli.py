@@ -32,6 +32,7 @@ from .core import (
     Dataset,
     Network,
     StructureError,
+    _is_names,
 )
 from .engine import DEFAULT_MAX_SUBSETS, EngineError, LearnResult, learn
 from .metrics import DIRECTED, UNDIRECTED, fdr, hamming
@@ -63,11 +64,6 @@ def _read_json(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
-
-
-def _is_names(x) -> bool:
-    """Whether ``x`` is a list of strings, as a list of column names is."""
-    return isinstance(x, list) and all(isinstance(v, str) for v in x)
 
 
 def load_dataset(csv_path: str | Path, schema_path: str | Path | None = None) -> Dataset:
@@ -255,18 +251,10 @@ def _screen_options(
         alpha=alpha,
         corr_cutoff=args.corr_cutoff,
         outcome=outcome,
-        levels=args.levels or ScreenOptions.levels,
+        levels=args.levels,
         top_k=args.top_k,
         user_pp=user_pp,
     )
-
-
-def _check_screening(args: argparse.Namespace) -> None:
-    """InputError for screening options that cannot apply to the run."""
-    if args.levels is not None and not args.phenotype:
-        raise InputError("--levels applies only with --phenotype")
-    if getattr(args, "pp_file", None) and (args.alpha, args.corr_cutoff) != (None, None):
-        raise InputError("--alpha and --corr-cutoff do not apply with --pp-file")
 
 
 def _require_positive(args: argparse.Namespace, *options: str) -> None:
@@ -279,21 +267,12 @@ def _require_positive(args: argparse.Namespace, *options: str) -> None:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     _require_positive(args, "optima_cap", "max_subsets")
-    _check_screening(args)
-    data = load_dataset(args.data, args.schema)
     user_pp = _read_json(args.pp_file) if args.pp_file else None
-    for key, names in (user_pp or {}).items():
-        if not _is_names(names):
-            raise InputError(f"{args.pp_file}: {key!r}: expected a list of column names")
     opts = _screen_options(args, 0.05, args.outcome, user_pp)
+    data = load_dataset(args.data, args.schema)
     cfg = ScoreConfig(family=args.score)
     result = learn(
-        data,
-        opts,
-        cfg,
-        indegree=args.indegree,
-        optima_cap=args.optima_cap,
-        max_subsets=args.max_subsets,
+        data, opts, cfg, args.indegree, optima_cap=args.optima_cap, max_subsets=args.max_subsets
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -461,13 +440,7 @@ def _bench_one(
     cfg = ScoreConfig(family=args.score)
     t0 = time.perf_counter()
     try:
-        result = learn(
-            data,
-            opts,
-            cfg,
-            indegree=args.indegree,
-            max_subsets=args.max_subsets,
-        )
+        result = learn(data, opts, cfg, args.indegree, max_subsets=args.max_subsets)
     except (AssocError, NumericError, EngineError, ScoringError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
     runtime_ms = (time.perf_counter() - t0) * 1000.0
@@ -490,7 +463,6 @@ def _bench_one(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     _require_positive(args, "max_subsets", "threads", "replicates")
-    _check_screening(args)
     specs, reps = [], []
     for ci, p in enumerate(args.p_grid):
         for cj, n in enumerate(args.n_grid):

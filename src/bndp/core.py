@@ -76,6 +76,11 @@ def subsets_up_to(pool: int, d: int) -> Iterator[int]:
             yield mask
 
 
+def _is_names(x) -> bool:
+    """Whether ``x`` is a list of strings, as a list of column names is."""
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
 @dataclass(frozen=True)
 class Column:
     """One dataset column.

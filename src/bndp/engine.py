@@ -246,7 +246,7 @@ def best_sinks(
     bpt: BestParentsTable,
     constraints: ParentConstraints,
     local: LocalScoreTable,
-    max_subsets: int | None = DEFAULT_MAX_SUBSETS,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> BestSinkTable:
     """Sweep reachable subsets level by level recording best sinks.
 
@@ -310,7 +310,7 @@ def best_sinks(
         new_masks = key[lead]
         del key
         sizes = [len(m) for m, _, _ in levels] + [len(new_masks)]
-        if max_subsets is not None and sum(sizes) > max_subsets:
+        if sum(sizes) > max_subsets:
             raise EngineError(
                 f"reachable-subset count exceeded the cap ({max_subsets}) at level "
                 f"{len(sizes)} ({sizes[-1]} subsets of {len(sizes)} nodes, not scored); "
@@ -463,7 +463,7 @@ def learn(
     score_cfg: ScoreConfig,
     indegree: int,
     optima_cap: int = 32,
-    max_subsets: int | None = DEFAULT_MAX_SUBSETS,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> LearnResult:
     """End-to-end search: screen, score, sweep, recover.
 
@@ -477,10 +477,9 @@ def learn(
     """
     if indegree < 1:
         raise StructureError("indegree must be a positive integer")
-    if optima_cap < 0:
-        raise EngineError(f"the network cap must be at least 0, got {optima_cap}")
-    if max_subsets is not None and max_subsets < 1:
-        raise EngineError(f"the reachable-subset cap must be at least 1, got {max_subsets}")
+    for name, cap in (("network", optima_cap), ("reachable-subset", max_subsets)):
+        if cap < 1:
+            raise EngineError(f"the {name} cap must be at least 1, got {cap}")
     report: dict = {}
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -513,7 +512,7 @@ def learn(
             "level_ms": [round(ms, 3) for ms in bst.level_ms],
             "n_networks": len(recovery.networks),
             "n_recover_subsets": recovery.n_subsets,
-            "optimal_score": recovery.networks[0].total_score if recovery.networks else None,
+            "optimal_score": recovery.networks[0].total_score,
             "truncated": recovery.truncated,
             "covered_subsets": [list(NodeSubset(m)) for m in recovery.covered],
             "warnings": caught,

@@ -440,6 +440,11 @@ class TestBuildConstraints:
                 data, ScreenOptions(user_pp={"x": ["os"]}), indegree=1
             )
 
+    def test_user_pp_self_parent_rejected(self):
+        data = continuous_dataset(np.random.default_rng(1).standard_normal((30, 2)), ["a", "b"])
+        with pytest.raises(StructureError, match="'a' lists itself as a possible parent"):
+            build_constraints(data, ScreenOptions(user_pp={"a": ["b", "a"]}), indegree=1)
+
     def test_corr_cutoff_with_survival_rejected(self):
         time, status = simulate_survival(np.zeros(50), seed=2)
         rng = np.random.default_rng(2)
@@ -475,6 +480,62 @@ class TestScreenOptionsValidation:
         with pytest.raises(AssocError, match="only in phenotype mode"):
             ScreenOptions(user_pp={}, top_k=2)
         assert ScreenOptions(mode="phenotype", alpha=0.05, outcome="y", top_k=1).top_k == 1
+
+    def test_levels_default_only_in_phenotype_mode(self):
+        assert ScreenOptions(alpha=0.05).levels is None
+        assert ScreenOptions(mode="phenotype", alpha=0.05, outcome="y").levels == 3
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # possible-parent sets skip screening: every screening setting
+            # would be ignored
+            ({"mode": "phenotype", "outcome": "y"}, "phenotype mode would be ignored"),
+            ({"mode": "phenotype", "outcome": "y", "top_k": 1}, "phenotype mode, top_k would"),
+            ({"mode": "phenotype", "outcome": "y", "levels": 2}, "phenotype mode, levels would"),
+            ({"alpha": 1e-30}, "alpha would be ignored"),
+            ({"corr_cutoff": 0.99}, "corr_cutoff would be ignored"),
+            # levels and top_k are phenotype-only
+            ({"levels": 2}, "levels applies only in phenotype mode"),
+            ({"top_k": 1}, "top_k applies only in phenotype mode"),
+        ],
+    )
+    def test_excluded_combinations_rejected(self, kwargs, message):
+        with pytest.raises(AssocError, match=message):
+            ScreenOptions(user_pp={"b": ["a"]}, **kwargs)
+
+    def test_levels_requires_phenotype_mode(self):
+        for levels in (2, 3):
+            with pytest.raises(AssocError, match="levels applies only in phenotype mode"):
+                ScreenOptions(alpha=0.05, levels=levels)
+
+    @pytest.mark.parametrize(
+        "user_pp, message",
+        [
+            ({"V2": "V1"}, "'V2': expected a list of column names"),
+            ({"V0": [], "V2": ["V1", 3]}, "'V2': expected a list of column names"),
+            ({"V2": None}, "'V2': expected a list of column names"),
+            (["V1"], "user_pp must map column names to lists of column names"),
+        ],
+    )
+    def test_user_pp_must_map_names_to_name_lists(self, user_pp, message):
+        with pytest.raises(AssocError, match=message):
+            ScreenOptions(user_pp=user_pp)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"mode": "pairs", "alpha": 0.05}, "unknown screening mode 'pairs'"),
+            ({"alpha": 0.0}, r"alpha must be in \(0, 1\], got 0.0"),
+            ({"alpha": 1.5}, r"alpha must be in \(0, 1\], got 1.5"),
+            ({"corr_cutoff": -0.1}, r"corr_cutoff must be in \[0, 1\), got -0.1"),
+            ({"corr_cutoff": 1.0}, r"corr_cutoff must be in \[0, 1\), got 1.0"),
+            ({"mode": "phenotype", "outcome": "y", "alpha": 0.05, "top_k": 0}, "top_k must be a positive"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(AssocError, match=message):
+            ScreenOptions(**kwargs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -582,9 +643,11 @@ def test_constant_column_never_passes_cox(monkeypatch):
         return real_fit(time, status, X)
 
     monkeypatch.setattr(bndp.scoring, "cox_fit_batch", counting_fit)
-    for mode in ("all_pairs", "phenotype"):
+    for opts in (
+        ScreenOptions(alpha=1.0, outcome="os"),
+        ScreenOptions(mode="phenotype", alpha=1.0, outcome="os", levels=2),
+    ):
         fitted.clear()
-        opts = ScreenOptions(mode=mode, alpha=1.0, outcome="os", levels=2)
         with pytest.warns(ScreeningWarning, match="'K' is constant"):
             constraints, reduced = build_constraints(data, opts, indegree=2)
         assert reduced.names == ("x", "y", "os")

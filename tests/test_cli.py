@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bndp.assoc import ScreenOptions
-from bndp.cli import _default_roles, load_dataset, main
+from bndp.cli import InputError, _default_roles, load_dataset, main
 from bndp.core import NodeSubset, ParentConstraints
 from bndp.engine import learn
 from bndp.scoring import ScoreConfig, compute_local_scores
@@ -238,7 +238,7 @@ class TestLearnCommand:
             "--pp-file", self._pp_file(tmp_path, sim), "--alpha", 1e-30,
         )
         assert code == 2
-        assert "do not apply with --pp-file" in capsys.readouterr().err
+        assert "user_pp skips screening: alpha would be ignored" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_corr_cutoff_with_pp_file_exit_2(self, tmp_path, capsys):
@@ -248,18 +248,34 @@ class TestLearnCommand:
             "--pp-file", self._pp_file(tmp_path, sim), "--corr-cutoff", 0.99,
         )
         assert code == 2
-        assert "do not apply with --pp-file" in capsys.readouterr().err
+        assert "user_pp skips screening: corr_cutoff would be ignored" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "extra, ignored",
+        [((), "phenotype mode"), (("--top-k", 1), "phenotype mode, top_k"),
+         (("--levels", 2), "phenotype mode, levels")],
+    )
+    def test_phenotype_with_pp_file_exit_2(self, tmp_path, capsys, extra, ignored):
+        # rejected before the data is read: the CSV does not exist
+        sim = self._make_data(tmp_path)
+        code = run(
+            "learn", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o",
+            "--pp-file", self._pp_file(tmp_path, sim), "--phenotype", "--outcome", "V5", *extra,
+        )
+        assert code == 2
+        assert f"user_pp skips screening: {ignored} would be ignored" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_levels_without_phenotype_exit_2(self, tmp_path, capsys):
-        # by learn and by bench alike, bench before it simulates anything
-        sim = self._make_data(tmp_path)
+        # by learn before it reads the data, and by bench at its first
+        # replicate, before it writes anything
         for argv in (
-            ("learn", "--data", sim / "data.csv", "--out", tmp_path / "o"),
+            ("learn", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o"),
             ("bench", "--p-grid", 8, "--n-grid", 200, "--out", tmp_path / "o" / "bench.csv"),
         ):
             assert run(*argv, "--levels", 2) == 2
-            assert "--levels applies only with --phenotype" in capsys.readouterr().err
+            assert "levels applies only in phenotype mode" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bge_matches_in_process_learn(self, tmp_path):
@@ -377,6 +393,28 @@ class TestSchemaLoading:
         schema.write_text(json.dumps({"k": "categorical"}))
         assert run("learn", "--data", csv_path, "--schema", schema, "--out", tmp_path / "o") == 2
         assert "needs level_count >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, schema, message",
+        [
+            ("a,b\n", None, "no data rows"),
+            ("a,b\n1.0,2.0\n3.0\n", None, "row 3 has 1 fields, expected 2"),
+            ("a,b\n1.0,2.0\n", {"c": "continuous"}, "schema names absent from the CSV: ['c']"),
+            ("a,b\n1.0,2.0\n", {"a": "ordinal"}, "unknown kind 'ordinal' for column 'a'"),
+            ("a,b\n1.0,2.0\n", {"a": "survival_time"}, "exactly one time and one status column"),
+            ("a,b\n1.0,2.0\n1.5,x\n", None, "column 'b', row 3: 'x' is not numeric"),
+        ],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, text, schema, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        schema_path = None
+        if schema is not None:
+            schema_path = tmp_path / "schema.json"
+            schema_path.write_text(json.dumps(schema))
+        with pytest.raises(InputError) as exc:
+            load_dataset(csv_path, schema_path)
+        assert message in str(exc.value)
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -628,6 +666,7 @@ class TestMalformedInput:
         [
             ("parent,child\na\n", "row 2 has 1 fields, expected 2"),
             ("parent,child\nV0,V1\n\nV1,V2,V3\n", "row 4 has 3 fields, expected 2"),
+            ("child,parent\nV1,V0\n", "expected an edge list with header parent,child"),
         ],
     )
     def test_edge_csv_field_count(self, tmp_path, capsys, sim, text, message):

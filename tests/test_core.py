@@ -238,6 +238,28 @@ class TestDataset:
         with pytest.raises(StructureError):
             Column("s", "survival", np.column_stack([np.ones(3), 2 * np.ones(3)]))
 
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [
+            ("ordinal", np.zeros(3), "unknown column kind 'ordinal'"),
+            ("survival", np.ones((3, 3)), r"survival column needs \(n, 2\)"),
+            ("survival", np.ones(3), r"survival column needs \(n, 2\)"),
+            ("continuous", np.zeros((3, 2)), "'x' must be one-dimensional"),
+        ],
+    )
+    def test_column_shape_and_kind_rejected(self, kind, values, message):
+        with pytest.raises(StructureError, match=message):
+            Column("x", kind, values)
+
+    def test_rejects_no_columns(self):
+        with pytest.raises(StructureError, match="at least one column"):
+            Dataset([])
+
+    def test_rejects_duplicate_names(self):
+        cols = [Column("x", "continuous", np.zeros(3)), Column("x", "continuous", np.ones(3))]
+        with pytest.raises(StructureError, match="duplicate column name 'x'"):
+            Dataset(cols)
+
     def test_restrict(self):
         cols = [Column(n, "continuous", np.arange(4.0)) for n in "abc"]
         d = Dataset(cols).restrict([2, 0])

@@ -469,6 +469,12 @@ class TestPrefixBitsets:
         with pytest.raises(EngineError, match="node 1 lists no empty parent set"):
             best_parents(local, c)
 
+    def test_node_count_mismatch_rejected(self):
+        local = LocalScoreTable([{0: 0.0}, {0: 0.0}])
+        c = ParentConstraints((NodeSubset(0),), indegree=1)
+        with pytest.raises(EngineError, match="disagree on node count"):
+            best_parents(local, c)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nan_or_positive_inf_score_rejected(self, bad):
         local = LocalScoreTable([{0: 0.0, 0b10: bad}, {0: 0.0}])
@@ -1231,6 +1237,7 @@ class TestLearn:
         "kwargs, error",
         [
             ({"indegree": 0}, StructureError),
+            ({"optima_cap": 0}, EngineError),
             ({"optima_cap": -1}, EngineError),
             ({"max_subsets": 0}, EngineError),
         ],

@@ -448,6 +448,25 @@ class TestCoxBic:
                 assert abs(table[mask] - tables[0][mask]) <= 1e-9 * abs(tables[0][mask])
 
 
+    def test_constant_parent_is_a_zero_column(self, monkeypatch):
+        # 300 copies of 0.1 have a std of about 1e-17, not 0: the design
+        # column must still be zeros, whose fit is the null fit
+        rng = np.random.default_rng(32)
+        data = self._dataset(np.full((300, 1), 0.1), rng.standard_normal(300), seed=32)
+        designs = []
+        real_fit = bndp.scoring.cox_fit_batch
+
+        def recording_fit(time, status, X):
+            designs.append(X.copy())
+            return real_fit(time, status, X)
+
+        monkeypatch.setattr(bndp.scoring, "cox_fit_batch", recording_fit)
+        got = cox_bic(1, [0b01], data)[0b01]
+        assert len(designs) == 1 and not designs[0].any()
+        col = data.column(1)
+        null = cox_fit(col.values[:, 0], col.values[:, 1], np.zeros((300, 0))).null_log_likelihood
+        assert abs(got - (null - 0.5 * math.log(300))) < 1e-12
+
     def test_batched_table_equals_solo_scores(self):
         # the survival node's parent sets are fitted one batch per size; each
         # score equals cox_bic of that set alone, a separating gene fails
@@ -691,6 +710,29 @@ class TestComputeLocalScores:
         pp = (NodeSubset(0b10), NodeSubset(0))  # survival as a parent of x
         with pytest.raises(ScoringError):
             compute_local_scores(data, ParentConstraints(pp, 1), ScoreConfig("bic"))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d: ScoreConfig("bdeu"), "unknown score family 'bdeu'"),
+            (lambda d: bic_categorical(0, 0, d), "node 0 is not categorical"),
+            (lambda d: cox_bic(0, [0], d), "column 'x' is not a survival outcome"),
+            (
+                lambda d: compute_local_scores(d, ParentConstraints.complete(3, 1), ScoreConfig()),
+                "disagree on the node count",
+            ),
+        ],
+    )
+    def test_incompatible_inputs_rejected(self, call, message):
+        time, status = simulate_survival(np.zeros(30), seed=3)
+        data = Dataset(
+            [
+                Column("x", "continuous", np.random.default_rng(3).standard_normal(30)),
+                Column("os", "survival", np.column_stack([time, status])),
+            ]
+        )
+        with pytest.raises(ScoringError, match=message):
+            call(data)
 
     def test_decomposability_identity(self):
         rng = np.random.default_rng(48)
