@@ -10,8 +10,9 @@ Every correlation comes from one kernel, ``_corr_against``, and every
 test passes or fails in one cutoff step, ``_passes``, applied once per
 BH family. The families are: all unordered pairs of non-survival columns
 (all-pairs mode); the survival column's Cox tests (all-pairs mode); and
-all tests of one level (phenotype mode). A test on a constant column is
-undefined: it stays in its family with p = 1 and never passes.
+all tests of one level (phenotype mode). A test on a constant column, a
+failed Cox fit or a test with no degrees of freedom is undefined: the
+kernels return NaN, which counts in its family as p = 1 and never passes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     NodeSubset,
     ParentConstraints,
     StructureError,
+    _constant,
     _is_names,
 )
 from .scoring import _cox_batches
@@ -113,7 +115,7 @@ def bh_adjust(p_values: np.ndarray) -> np.ndarray:
         raise AssocError("p-values must be a vector")
     if p.size == 0:
         return p.copy()
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise AssocError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -131,13 +133,13 @@ def cox_screen(data: Dataset, outcome: int, candidates: list[int]) -> np.ndarray
     A candidate is fitted alone on the standardised design columns that
     Cox-BIC gives it (:func:`scoring._cox_batches`), with one degree of
     freedom per column, so relabelling a categorical's levels does not
-    change its test. A constant candidate is not fitted: its test is
-    undefined (NaN). A failed fit is recorded as p = 1 with a warning
-    naming the column, so a screening run never aborts.
+    change its test. A constant candidate is not fitted and a failed fit
+    warns, naming the column; either test is undefined (NaN), which
+    :func:`_passes` counts as p = 1 that never passes.
     """
     pvals = np.full(len(candidates), np.nan)
     at = {1 << i: k for k, i in enumerate(candidates)}
-    fitted = [1 << i for i in candidates if np.ptp(data.numeric_values(i)) > 0]
+    fitted = [1 << i for i in candidates if not _constant(data.numeric_values(i))]
     for group, width, batch in _cox_batches(data, outcome, fitted):
         lr = 2.0 * (batch.log_likelihood - batch.null_log_likelihood)
         p = special.chdtrc(width, np.maximum(lr, 0.0))
@@ -148,7 +150,7 @@ def cox_screen(data: Dataset, outcome: int, candidates: list[int]) -> np.ndarray
                     ScreeningWarning,
                     stacklevel=2,
                 )
-                p[b] = 1.0
+                p[b] = np.nan
         pvals[[at[mask] for mask in group]] = p
     return pvals
 
@@ -158,11 +160,6 @@ def _encoded_matrix(data: Dataset) -> tuple[np.ndarray, list[int]]:
     idx = [i for i in range(data.p) if data.column(i).kind != SURVIVAL]
     M = np.column_stack([data.numeric_values(i) for i in idx]) if idx else np.zeros((data.n_rows, 0))
     return M, idx
-
-
-def _constant(M: np.ndarray) -> np.ndarray:
-    """Columns of ``M`` whose values are all equal."""
-    return np.ptp(M, axis=0) == 0
 
 
 def _corr_against(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -182,34 +179,23 @@ def _corr_against(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.clip(R, -1.0, 1.0)
 
 
-def _pvalues_from_r(r: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized two-sided correlation test; NaN r maps to p = 1."""
-    r = np.asarray(r, dtype=float)
-    out = np.ones_like(r)
-    ok = np.isfinite(r)
-    exact = ok & (np.abs(r) >= 1.0)
-    out[exact] = 0.0
-    mid = ok & ~exact
-    if np.any(mid):
-        t2 = r[mid] ** 2 * (n - 2) / (1.0 - r[mid] ** 2)
-        df = n - 2
-        out[mid] = special.betainc(0.5 * df, 0.5, df / (df + t2))
-    return out
-
-
 def _statistic(r: np.ndarray, n: int, opts: ScreenOptions) -> np.ndarray:
-    """Screening statistic of correlations ``r``: the p-value under
-    ``alpha``, |r| under ``corr_cutoff``; NaN where r is undefined."""
-    stat = _pvalues_from_r(r, n) if opts.alpha is not None else np.abs(r)
-    stat[np.isnan(r)] = np.nan
-    return stat
+    """|r| under ``corr_cutoff``; under ``alpha`` the two-sided test's p-value
+    over ``n`` rows: 0 at |r| = 1, NaN where r is NaN or n <= 2."""
+    if opts.alpha is None:
+        return np.abs(r)
+    df = n - 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = r**2 * df / (1.0 - r**2)
+        return special.betainc(0.5 * df, 0.5, df / (df + t2))
 
 
 def _passes(stat: np.ndarray, opts: ScreenOptions) -> np.ndarray:
     """The cutoff step: BH-adjusted p <= ``alpha``, or |r| >= ``corr_cutoff``.
 
-    ``stat`` is one BH family. An undefined test (NaN) stays in its
-    family with p = 1 and never passes.
+    ``stat`` is one BH family. Only here does an undefined test (NaN: a
+    constant column, a failed Cox fit, no degrees of freedom) count: as
+    p = 1 in its family, and it never passes.
     """
     defined = ~np.isnan(stat)
     if opts.alpha is not None:
@@ -227,13 +213,17 @@ def build_constraints(
     Returns constraints re-indexed to the reduced dataset's dense node
     indices. The outcome node, when present, receives possible parents
     but never appears in another node's possible-parent set, and the
-    survival column can only ever be a sink.
+    survival column can only ever be a sink. Screening it (all-pairs mode
+    or as the outcome) under ``corr_cutoff`` raises before any test runs.
     """
     outcome_idx = data.index_of(opts.outcome) if opts.outcome is not None else data.survival_index
+    s = data.survival_index
+    if opts.corr_cutoff is not None and s is not None and (
+        opts.mode == "all_pairs" or outcome_idx == s
+    ):
+        raise AssocError("a survival column is screened by Cox tests: use alpha, not corr_cutoff")
     if opts.user_pp is not None:
         pp = _pp_from_user(data, opts.user_pp)
-    elif data.p == 1:
-        pp = [0]
     else:
         M, idx = _encoded_matrix(data)
         for k in np.nonzero(_constant(M))[0]:
@@ -329,11 +319,6 @@ def _screen_level(
     for t in targets:
         cands = [k for k, i in enumerate(idx) if i != t and i not in excluded]
         if data.column(t).kind == SURVIVAL:
-            if opts.alpha is None:
-                raise AssocError(
-                    "a survival outcome is screened by Cox p-values; "
-                    "use the alpha cutoff instead of corr_cutoff"
-                )
             stat = cox_screen(data, t, [idx[k] for k in cands])
         else:
             stat = corr_stat[row[t], cands]

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -235,6 +236,11 @@ def _is_edge_object(net) -> bool:
 # ---------------------------------------------------------------- learn
 
 
+# the flag that sets each ScreenOptions field: _screen_options' errors name flags
+_SCREEN_FLAGS = {"user_pp": "--pp-file", "corr_cutoff": "--corr-cutoff", "top_k": "--top-k",
+                 "alpha": "--alpha", "levels": "--levels", "phenotype mode": "--phenotype"}
+
+
 def _screen_options(
     args: argparse.Namespace,
     default_alpha: float,
@@ -246,15 +252,16 @@ def _screen_options(
     alpha = args.alpha
     if alpha is None and args.corr_cutoff is None and user_pp is None:
         alpha = default_alpha
-    return ScreenOptions(
-        mode="phenotype" if args.phenotype else "all_pairs",
-        alpha=alpha,
-        corr_cutoff=args.corr_cutoff,
-        outcome=outcome,
-        levels=args.levels,
-        top_k=args.top_k,
-        user_pp=user_pp,
-    )
+    try:
+        return ScreenOptions(
+            mode="phenotype" if args.phenotype else "all_pairs", alpha=alpha,
+            corr_cutoff=args.corr_cutoff, outcome=outcome, levels=args.levels,
+            top_k=args.top_k, user_pp=user_pp,
+        )
+    except AssocError as exc:
+        # a quoted column name matches as a whole and stays as it is
+        fields = r"'[^']*'|\b(?:" + "|".join(_SCREEN_FLAGS) + r")\b"
+        raise AssocError(re.sub(fields, lambda m: _SCREEN_FLAGS.get(m[0], m[0]), str(exc))) from exc
 
 
 def _require_positive(args: argparse.Namespace, *options: str) -> None:

@@ -81,6 +81,11 @@ def _is_names(x) -> bool:
     return isinstance(x, list) and all(isinstance(v, str) for v in x)
 
 
+def _constant(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Range 0 along ``axis``; a constant column's std can round to nonzero."""
+    return np.ptp(values, axis=axis) == 0
+
+
 @dataclass(frozen=True)
 class Column:
     """One dataset column.

@@ -31,6 +31,7 @@ from .core import (
     Dataset,
     NodeSubset,
     ParentConstraints,
+    _constant,
     subsets_up_to,
 )
 from .numeric import CoxBatch, NumericError, cox_fit_batch
@@ -184,8 +185,8 @@ def _cox_batches(
     """Cox fits of the survival ``node`` on each node set in ``masks``, and
     each fit's sets and design width, ``_COX_CHUNK`` sets of a width per
     :func:`cox_fit_batch`. A set's design is its nodes' :func:`_regressors`
-    columns, each standardised; a constant column (by its range, as its
-    std can round to a tiny nonzero) enters as zeros.
+    columns, each standardised; a constant column (:func:`core._constant`)
+    enters as zeros.
     Fits stop after 50 Newton steps or once no coefficient moves by 1e-8.
     """
     col = data.column(node)
@@ -193,7 +194,7 @@ def _cox_batches(
         raise ScoringError(f"column {col.name!r} is not a survival outcome")
     time, status = col.values.T
     Z, rows = _regressors(data, {j for mask in masks for j in NodeSubset(mask)})
-    varies = np.ptp(Z, axis=1, keepdims=True) > 0
+    varies = ~_constant(Z, axis=1)[:, None]
     sd = Z.std(axis=1, keepdims=True)
     Z = np.divide(Z - Z.mean(axis=1, keepdims=True), sd, out=np.zeros_like(Z), where=varies)
     by_width: dict[int, list[tuple[int, list[int]]]] = {}

@@ -14,8 +14,9 @@ from bndp.assoc import (
     ScreeningWarning,
     _corr_against,
     _encoded_matrix,
-    _pvalues_from_r,
+    _passes,
     _screen_level,
+    _statistic,
     bh_adjust,
     build_constraints,
     cox_screen,
@@ -35,6 +36,12 @@ def continuous_dataset(matrix, names=None):
 def corr_one(x, y):
     """Pearson r of two vectors through the screening kernel."""
     return float(_corr_against(np.asarray(y, dtype=float)[:, None], np.asarray(x, dtype=float)[:, None])[0, 0])
+
+
+def _pvalues_from_r(r, n):
+    """Two-sided correlation-test p-values of ``r`` over ``n`` rows: the
+    screening statistic under ``alpha``."""
+    return _statistic(np.asarray(r, dtype=float), n, ScreenOptions(alpha=0.05))
 
 
 def pvalue_one(x, y):
@@ -62,12 +69,13 @@ class TestPearson:
             assert abs(r[k] - np.corrcoef(M[:, k], y)[0, 1]) < 1e-12
 
     def test_constant_rejected(self):
-        # a constant column, or a constant target, has no correlation and p = 1
+        # a constant column, or a constant target, has no correlation: its
+        # test is undefined (NaN)
         M = np.column_stack([np.ones(5), np.arange(5.0)])
         r = _corr_against(np.array([[1.0], [3.0], [2.0], [5.0], [4.0]]), M)[0]
         assert np.isnan(r[0]) and np.isfinite(r[1])
         assert np.all(np.isnan(_corr_against(np.ones((5, 1)), M)))
-        assert _pvalues_from_r(r, 5)[0] == 1.0
+        assert np.isnan(_pvalues_from_r(r, 5)[0])
 
 
 class TestCorrTest:
@@ -103,6 +111,18 @@ class TestCorrTest:
         assert abs(pvalue_one(x, y) - expect) < 1e-12
         assert abs(_pvalues_from_r(np.array([0.5, -0.5]), 20) - expect).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "r, n, expect",
+        [
+            (np.nan, 20, np.nan),  # a constant column: undefined
+            (1.0, 20, 0.0),
+            (-1.0, 20, 0.0),
+            (1.0, 2, np.nan),  # two rows: no degrees of freedom
+        ],
+    )
+    def test_edge_values(self, r, n, expect):
+        np.testing.assert_array_equal(_pvalues_from_r(np.array([r]), n), [expect])
+
 
 class TestBhAdjust:
     def test_hand_computed(self):
@@ -134,8 +154,12 @@ class TestBhAdjust:
         assert np.all(adj <= 1.0)
 
     def test_domain(self):
-        with pytest.raises(AssocError):
-            bh_adjust(np.array([-0.1]))
+        # NaN is outside [0, 1] too: one would turn every adjusted value into NaN
+        for bad in ([-0.1], [1.5], [0.01, np.nan, 0.02]):
+            with pytest.raises(AssocError, match=r"must lie in \[0, 1\]"):
+                bh_adjust(np.array(bad))
+        with pytest.raises(AssocError, match="must be a vector"):
+            bh_adjust(np.full((2, 2), 0.5))
 
 
 class TestCoxScreen:
@@ -175,7 +199,7 @@ class TestCoxScreen:
         data = self._survival_dataset(x, time, status)
         assert cox_screen(data, 1, [0])[0] < 1e-3
 
-    def test_failure_becomes_p1_with_warning(self):
+    def test_failure_becomes_nan_with_warning(self):
         # perfectly separating covariate makes the fit diverge
         n = 50
         time = np.arange(1.0, n + 1)
@@ -184,7 +208,7 @@ class TestCoxScreen:
         data = self._survival_dataset(x, time, status)
         with pytest.warns(ScreeningWarning):
             p = cox_screen(data, 1, [0])
-        assert p[0] == 1.0
+        assert np.isnan(p[0])
 
 
     @settings(max_examples=30, deadline=None)
@@ -223,7 +247,7 @@ class TestCoxScreen:
             try:
                 fit = cox_fit(time, status, ((x - x.mean()) / x.std())[:, None])
             except NumericError:
-                solo.append(1.0)
+                solo.append(np.nan)
                 failed.append(names[j])
                 continue
             lr = 2.0 * (fit.log_likelihood - fit.null_log_likelihood)
@@ -427,6 +451,26 @@ class TestBuildConstraints:
         assert reduced.p == 1
         assert constraints.pp[0] == 0
 
+    def test_single_survival_column(self):
+        # no candidate to fit: the survival column is learned alone
+        time, status = simulate_survival(np.zeros(30), seed=1)
+        data = Dataset([Column("os", "survival", np.column_stack([time, status]))])
+        constraints, reduced = build_constraints(data, ScreenOptions(alpha=0.05), indegree=2)
+        assert reduced.names == ("os",)
+        assert constraints.pp[0] == 0
+
+    def test_single_constant_column_warns(self):
+        data = continuous_dataset(np.full((30, 1), 0.1))
+        with pytest.warns(ScreeningWarning, match="'V0' is constant"):
+            _, reduced = build_constraints(data, ScreenOptions(alpha=0.05), indegree=2)
+        assert reduced.p == 1
+
+    def test_two_rows_pass_nothing(self):
+        # a correlation test on two rows has no degrees of freedom
+        data = continuous_dataset(np.array([[0.5, 1.0], [2.0, 3.5]]))
+        with pytest.raises(EmptyFeasSetError):
+            build_constraints(data, ScreenOptions(alpha=1.0), indegree=1)
+
     def test_user_pp_survival_parent_rejected(self):
         time, status = simulate_survival(np.zeros(30), seed=1)
         data = Dataset(
@@ -445,7 +489,10 @@ class TestBuildConstraints:
         with pytest.raises(StructureError, match="'a' lists itself as a possible parent"):
             build_constraints(data, ScreenOptions(user_pp={"a": ["b", "a"]}), indegree=1)
 
-    def test_corr_cutoff_with_survival_rejected(self):
+    def test_corr_cutoff_with_survival_rejected(self, monkeypatch):
+        # wherever the survival column is screened, before any test runs
+        import bndp.assoc
+
         time, status = simulate_survival(np.zeros(50), seed=2)
         rng = np.random.default_rng(2)
         data = Dataset(
@@ -455,8 +502,22 @@ class TestBuildConstraints:
                 Column("os", "survival", np.column_stack([time, status])),
             ]
         )
-        with pytest.raises(AssocError):
-            build_constraints(data, ScreenOptions(corr_cutoff=0.3), indegree=1)
+        calls = []
+        real = bndp.assoc._corr_against
+        monkeypatch.setattr(
+            bndp.assoc, "_corr_against", lambda *a: calls.append(1) or real(*a)
+        )
+        for opts in (
+            ScreenOptions(corr_cutoff=0.3),
+            ScreenOptions(mode="phenotype", outcome="os", corr_cutoff=0.0, levels=2),
+        ):
+            with pytest.raises(AssocError, match="use alpha, not corr_cutoff"):
+                build_constraints(data, opts, indegree=1)
+        assert not calls
+        # a phenotype outcome that is not the survival column never screens it
+        opts = ScreenOptions(mode="phenotype", outcome="y", corr_cutoff=0.0, levels=2)
+        _, reduced = build_constraints(data, opts, indegree=1)
+        assert "os" not in reduced.names and calls
 
 
 class TestScreenOptionsValidation:
@@ -536,6 +597,24 @@ class TestScreenOptionsValidation:
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(AssocError, match=message):
             ScreenOptions(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "opts", [ScreenOptions(alpha=0.05), ScreenOptions(alpha=1.0), ScreenOptions(corr_cutoff=0.3)]
+)
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(0, 0.01), st.floats(0, 1), st.just(math.nan)), min_size=1, max_size=30
+    )
+)
+def test_undefined_test_counts_as_p1(opts, family):
+    """A NaN test never passes, and the rest of its family passes as if it
+    were a test with statistic 1.0."""
+    stat = np.array(family)
+    undefined = np.isnan(stat)
+    expected = _passes(np.where(undefined, 1.0, stat), opts) & ~undefined
+    np.testing.assert_array_equal(_passes(stat, opts), expected)
 
 
 @settings(max_examples=25, deadline=None)

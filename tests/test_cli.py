@@ -221,7 +221,7 @@ class TestLearnCommand:
             "learn", "--data", sim / "data.csv", "--out", tmp_path / "o", "--top-k", 1,
         )
         assert code == 2
-        assert "top_k applies only in phenotype mode" in capsys.readouterr().err
+        assert "--top-k applies only in --phenotype" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def _pp_file(self, tmp_path, sim):
@@ -238,7 +238,7 @@ class TestLearnCommand:
             "--pp-file", self._pp_file(tmp_path, sim), "--alpha", 1e-30,
         )
         assert code == 2
-        assert "user_pp skips screening: alpha would be ignored" in capsys.readouterr().err
+        assert "--pp-file skips screening: --alpha would be ignored" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_corr_cutoff_with_pp_file_exit_2(self, tmp_path, capsys):
@@ -248,7 +248,7 @@ class TestLearnCommand:
             "--pp-file", self._pp_file(tmp_path, sim), "--corr-cutoff", 0.99,
         )
         assert code == 2
-        assert "user_pp skips screening: corr_cutoff would be ignored" in capsys.readouterr().err
+        assert "--pp-file skips screening: --corr-cutoff would be ignored" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -257,14 +257,17 @@ class TestLearnCommand:
          (("--levels", 2), "phenotype mode, levels")],
     )
     def test_phenotype_with_pp_file_exit_2(self, tmp_path, capsys, extra, ignored):
-        # rejected before the data is read: the CSV does not exist
+        # rejected before the data is read: the CSV does not exist. The
+        # message names each ignored setting by the flag that set it
         sim = self._make_data(tmp_path)
         code = run(
             "learn", "--data", tmp_path / "absent.csv", "--out", tmp_path / "o",
             "--pp-file", self._pp_file(tmp_path, sim), "--phenotype", "--outcome", "V5", *extra,
         )
         assert code == 2
-        assert f"user_pp skips screening: {ignored} would be ignored" in capsys.readouterr().err
+        flags = {"phenotype mode": "--phenotype", "top_k": "--top-k", "levels": "--levels"}
+        named = ", ".join(flags[setting] for setting in ignored.split(", "))
+        assert f"--pp-file skips screening: {named} would be ignored" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_levels_without_phenotype_exit_2(self, tmp_path, capsys):
@@ -275,7 +278,7 @@ class TestLearnCommand:
             ("bench", "--p-grid", 8, "--n-grid", 200, "--out", tmp_path / "o" / "bench.csv"),
         ):
             assert run(*argv, "--levels", 2) == 2
-            assert "levels applies only in phenotype mode" in capsys.readouterr().err
+            assert "--levels applies only in --phenotype" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bge_matches_in_process_learn(self, tmp_path):
@@ -323,6 +326,23 @@ class TestLearnCommand:
         doc = json.loads((out / "networks.json").read_text())
         assert doc["nodes"] == ["only"]
         assert doc["networks"][0]["edges"] == []
+
+    def test_single_survival_column_input(self, tmp_path, capsys):
+        # a lone survival pair is screened against no candidate and learned
+        # alone under alpha; corr_cutoff is rejected before any test
+        time, status = simulate_survival(np.zeros(50), seed=2)
+        csv_path, schema = tmp_path / "surv.csv", tmp_path / "schema.json"
+        rows = [f"{float(t)!r},{float(s)!r}" for t, s in zip(time, status)]
+        csv_path.write_text("t,s\n" + "\n".join(rows) + "\n")
+        schema.write_text(json.dumps({"t": "survival_time", "s": "survival_status"}))
+        out = tmp_path / "run"
+        assert run("learn", "--data", csv_path, "--schema", schema, "--out", out) == 0
+        assert json.loads((out / "networks.json").read_text())["nodes"] == ["s"]
+        assert run(
+            "learn", "--data", csv_path, "--schema", schema, "--out", tmp_path / "o",
+            "--corr-cutoff", 0.3,
+        ) == 2
+        assert "use alpha, not corr_cutoff" in capsys.readouterr().err
 
 
 class TestSchemaLoading:
@@ -403,6 +423,7 @@ class TestSchemaLoading:
             ("a,b\n1.0,2.0\n", {"a": "ordinal"}, "unknown kind 'ordinal' for column 'a'"),
             ("a,b\n1.0,2.0\n", {"a": "survival_time"}, "exactly one time and one status column"),
             ("a,b\n1.0,2.0\n1.5,x\n", None, "column 'b', row 3: 'x' is not numeric"),
+            ("a,a\n1.0,2.0\n", None, "duplicate column name 'a'"),
         ],
     )
     def test_malformed_csv_rejected(self, tmp_path, text, schema, message):
@@ -557,6 +578,19 @@ class TestBenchCommand:
         assert "p=   8 N=  200 ok=  0 failed=  2 " in printed.out
 
 
+    def test_phenotype_without_sink_reported(self, tmp_path, capsys):
+        # one node is no sink, so phenotype mode has no outcome: the
+        # replicate fails and is counted in n_failed
+        out, summ = tmp_path / "bench.csv", tmp_path / "summary.csv"
+        assert run(
+            "bench", "--phenotype", "--p-grid", 1, "--n-grid", 200, "--replicates", 1,
+            "--out", out, "--summary", summ,
+        ) == 0
+        err = capsys.readouterr().err
+        assert "replicate failed (p=1, N=200, rep=0): no sink node available" in err
+        assert summ.read_text().splitlines()[1].startswith("1,200,0,1,")
+
+
 def test_default_roles():
     # p >= 2 keeps the earlier split; p = 1 is one source
     before = {
@@ -703,8 +737,17 @@ class TestMalformedInput:
         err = self._exit_2(
             capsys, "learn", "--data", sim / "data.csv", "--pp-file", pp, "--out", tmp_path / "o"
         )
-        assert "'V2': expected a list of column names" in err
+        assert "--pp-file 'V2': expected a list of column names" in err
         assert not (tmp_path / "o").exists()
+
+    def test_pp_file_key_named_like_a_field(self, tmp_path, capsys, sim):
+        # screening errors name flags, but a quoted column name stays as it is
+        pp = tmp_path / "pp.json"
+        pp.write_text('{"alpha": "V1"}')
+        err = self._exit_2(
+            capsys, "learn", "--data", sim / "data.csv", "--pp-file", pp, "--out", tmp_path / "o"
+        )
+        assert "--pp-file 'alpha': expected a list of column names" in err
 
 
 class TestCliPaths:

@@ -193,6 +193,10 @@ class TestParentConstraints:
         with pytest.raises(StructureError):
             ParentConstraints((NodeSubset(0b100), NodeSubset(0)), indegree=1)
 
+    def test_indegree_below_one_rejected(self):
+        with pytest.raises(StructureError, match="indegree must be a positive integer"):
+            ParentConstraints((NodeSubset(0b10), NodeSubset(0)), indegree=0)
+
     def test_complete(self):
         c = ParentConstraints.complete(3, 2)
         assert [sorted(m) for m in c.pp] == [[1, 2], [0, 2], [0, 1]]
@@ -250,6 +254,11 @@ class TestDataset:
     def test_column_shape_and_kind_rejected(self, kind, values, message):
         with pytest.raises(StructureError, match=message):
             Column("x", kind, values)
+
+    def test_survival_column_is_not_a_regressor(self):
+        data = Dataset([Column("s", "survival", np.ones((3, 2)))])
+        with pytest.raises(StructureError, match="cannot be used as a regressor"):
+            data.numeric_values(0)
 
     def test_rejects_no_columns(self):
         with pytest.raises(StructureError, match="at least one column"):

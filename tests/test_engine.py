@@ -651,6 +651,17 @@ class TestBestSinks:
         assert bst.sinks(0b111) == (1, 2)
         assert abs(bst.score(0b111) - (0.5 + 1.2 * eps)) <= eps
 
+    def test_unreachable_subset_is_a_key_error(self):
+        # only 0 -> 1 is possible, so {0, 2} is never built; the empty set
+        # and a node outside the table are not subsets it holds either
+        local = LocalScoreTable([{0: 0.0}, {0: 0.0, 0b001: 0.5}, {0: 0.0}])
+        c = ParentConstraints((NodeSubset(0), NodeSubset(0b001), NodeSubset(0)), indegree=1)
+        bst = best_sinks(best_parents(local, c), c, local)
+        assert bst.score(0b011) == 0.5
+        for mask in (0b101, 0, 0b1000):
+            with pytest.raises(KeyError):
+                bst.score(mask)
+
     def test_figure_best_sink_chain(self):
         # local scores crafted so the best network is the chain
         # 2 -> 1 -> 0 -> 3 with unique best sinks peeling 3,0,1,2

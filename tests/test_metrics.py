@@ -45,6 +45,10 @@ class TestFdr:
         with pytest.raises(MetricsError):
             fdr([0, 0], [0, 0, 0], DIRECTED)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(MetricsError, match="unknown mode 'skeleton'"):
+            fdr([0, 0], [0, 0], "skeleton")
+
     def test_negative_mask_rejected(self):
         # -1 has every bit set, so a loop over its set bits never ends
         with pytest.raises(MetricsError, match="outside the 2-node universe"):

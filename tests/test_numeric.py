@@ -604,6 +604,19 @@ class TestCoxFit:
         with pytest.raises(NumericError, match="status"):
             cox_fit(np.arange(1.0, 5.0), status, np.arange(4.0)[:, None])
 
+    def test_design_shapes(self):
+        # a 1-D design is one covariate; a 3-D one is rejected by cox_fit, and
+        # a batch whose rows disagree with the times by cox_fit_batch
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(40)
+        time, status = simulate_survival(0.5 * x, seed=8)
+        one = cox_fit(time, status, x[:, None])
+        assert np.array_equal(cox_fit(time, status, x).coefficients, one.coefficients)
+        with pytest.raises(NumericError, match="rows must agree"):
+            cox_fit(time, status, x[:, None, None])
+        with pytest.raises(NumericError, match="rows must agree"):
+            cox_fit_batch(time, status, x[None, None, :-1])
+
     def test_empty_design(self):
         time = np.arange(1.0, 11.0)
         status = np.ones(10)

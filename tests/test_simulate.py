@@ -31,6 +31,22 @@ class TestSimSpec:
         with pytest.raises(SimError):
             SimSpec(p=2, p0=2, p1=0, p2=0, p3=0, n=5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p": 2, "p0": 3, "p1": -1}, "role counts must be nonnegative"),
+            ({"noise_sd": 0.0}, "noise_sd must be positive"),
+            ({"max_parents": 0}, "max_parents must be at least 1"),
+            ({"effect_size": (1.5, 0.5)}, "effect range must satisfy"),
+            ({"effect_size": (-0.5, 1.0)}, "effect range must satisfy"),
+            ({"effect_size": -1.0}, "fixed effect size must be nonnegative"),
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs, message):
+        spec = {"p": 4, "p0": 1, "p1": 1, "p2": 1, "p3": 1, "n": 100, **kwargs}
+        with pytest.raises(SimError, match=message):
+            SimSpec(**spec)
+
 
 class TestSimulateDag:
     def test_all_independent_empty_graph(self):
