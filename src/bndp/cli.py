@@ -236,9 +236,17 @@ def _is_edge_object(net) -> bool:
 # ---------------------------------------------------------------- learn
 
 
-# the flag that sets each ScreenOptions field: _screen_options' errors name flags
+# the flag that sets each ScreenOptions field: the CLI's screening errors
+# name flags (_flag_names)
 _SCREEN_FLAGS = {"user_pp": "--pp-file", "corr_cutoff": "--corr-cutoff", "top_k": "--top-k",
                  "alpha": "--alpha", "levels": "--levels", "phenotype mode": "--phenotype"}
+
+
+def _flag_names(exc: AssocError) -> AssocError:
+    """``exc`` with each ScreenOptions field named by its flag, of the same type."""
+    # a quoted column name matches as a whole and stays as it is
+    fields = r"'[^']*'|\b(?:" + "|".join(_SCREEN_FLAGS) + r")\b"
+    return type(exc)(re.sub(fields, lambda m: _SCREEN_FLAGS.get(m[0], m[0]), str(exc)))
 
 
 def _screen_options(
@@ -259,9 +267,7 @@ def _screen_options(
             top_k=args.top_k, user_pp=user_pp,
         )
     except AssocError as exc:
-        # a quoted column name matches as a whole and stays as it is
-        fields = r"'[^']*'|\b(?:" + "|".join(_SCREEN_FLAGS) + r")\b"
-        raise AssocError(re.sub(fields, lambda m: _SCREEN_FLAGS.get(m[0], m[0]), str(exc))) from exc
+        raise _flag_names(exc) from exc
 
 
 def _require_positive(args: argparse.Namespace, *options: str) -> None:
@@ -278,9 +284,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
     opts = _screen_options(args, 0.05, args.outcome, user_pp)
     data = load_dataset(args.data, args.schema)
     cfg = ScoreConfig(family=args.score)
-    result = learn(
-        data, opts, cfg, args.indegree, optima_cap=args.optima_cap, max_subsets=args.max_subsets
-    )
+    try:
+        result = learn(
+            data, opts, cfg, args.indegree, optima_cap=args.optima_cap,
+            max_subsets=args.max_subsets,
+        )
+    except AssocError as exc:
+        raise _flag_names(exc) from exc
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

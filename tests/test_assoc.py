@@ -1,18 +1,26 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
+import bndp
 from bndp.assoc import (
     AssocError,
     EmptyFeasSetError,
     ScreenOptions,
     ScreeningWarning,
+    _betacf,
+    _chi2_sf,
     _corr_against,
+    _corr_pvalue,
     _encoded_matrix,
     _passes,
     _screen_level,
@@ -118,10 +126,88 @@ class TestCorrTest:
             (1.0, 20, 0.0),
             (-1.0, 20, 0.0),
             (1.0, 2, np.nan),  # two rows: no degrees of freedom
+            (0.5, 1, np.nan),
+            (0.0, 3, 1.0),
+            (0.0, 100_000, 1.0),
+            (-1.0, 100_000, 0.0),
+            (np.nan, 3, np.nan),
         ],
     )
     def test_edge_values(self, r, n, expect):
         np.testing.assert_array_equal(_pvalues_from_r(np.array([r]), n), [expect])
+
+
+# r = k / 2**20: r * r and 1 - r * r are exact, so the kernel and the
+# oracle, special.betainc(df/2, 1/2, 1 - r*r), see the same x
+_R_SCALE = 2**20
+
+
+def _r_grid(df):
+    """r dense in [0, 1], plus 300 steps on each side of the switch point
+    x = (a+1)/(a+b+2) of the continued fraction."""
+    a = df / 2
+    k_switch = round(math.sqrt(1 - (a + 1) / (a + 2.5)) * _R_SCALE)
+    k = np.arange(0, _R_SCALE + 1, 64)
+    return np.unique(np.concatenate([k, np.arange(k_switch - 300, k_switch + 301)])) / _R_SCALE
+
+
+class TestCorrPValueKernel:
+    """_corr_pvalue, the correlation test's p-value, against scipy."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 98, 498, 998, 4_998, 19_998, 99_998])
+    def test_against_betainc(self, df):
+        r = _r_grid(df)
+        x = 1 - r * r
+        switch = (df / 2 + 1) / (df / 2 + 2.5)
+        assert (x < switch).sum() > 300 and (x >= switch).sum() > 300
+        expect = special.betainc(df / 2, 0.5, x)
+        got = _corr_pvalue(r, df)
+        tested = expect >= 1e-300
+        rel = np.abs(got[tested] - expect[tested]) / expect[tested]
+        assert rel.max() <= 1e-12 * max(1, df / 1000)
+
+    @pytest.mark.parametrize("df", [1, 10, 998, 99_998])
+    def test_monotone_and_even_in_r(self, df):
+        r = _r_grid(df)
+        p = _corr_pvalue(r, df)
+        assert np.all(np.diff(p) <= 0)
+        np.testing.assert_array_equal(_corr_pvalue(-r, df), p)
+
+    def test_keeps_shape(self):
+        r = np.random.default_rng(3).uniform(-1, 1, (4, 7))
+        r[1, 2] = np.nan
+        got = _corr_pvalue(r, 30)
+        assert got.shape == (4, 7)
+        np.testing.assert_array_equal(got, _corr_pvalue(r.ravel(), 30).reshape(4, 7))
+
+    def test_deeper_start_agrees(self):
+        # starting the continued fraction shallow forces the depth to double
+        # until the convergents agree
+        for a, b in ((10.0, 0.5), (0.5, 10.0)):
+            x = np.linspace(0, (a + 1) / (a + b + 2), 30, endpoint=False)
+            shallow = _betacf(a, b, x, 2)
+            assert np.abs(shallow / _betacf(a, b, x, 64) - 1).max() < 1e-14
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr("bndp.assoc._CF_MAX_DEPTH", 32)
+        with pytest.raises(NumericError, match="did not converge"):
+            _corr_pvalue(np.array([0.3]), 998)
+
+
+class TestChi2SfKernel:
+    """_chi2_sf, the Cox screen's likelihood-ratio p-value, against scipy."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_against_chdtrc(self, k):
+        x = np.concatenate([[0.0], np.logspace(-8, 3.2, 2000)])
+        expect = special.chdtrc(k, x)
+        got = _chi2_sf(k, x)
+        tested = expect >= 1e-300
+        assert (np.abs(got[tested] - expect[tested]) / expect[tested]).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 12])
+    def test_zero_and_nan(self, k):
+        np.testing.assert_array_equal(_chi2_sf(k, np.array([0.0, np.nan])), [1.0, np.nan])
 
 
 class TestBhAdjust:
@@ -816,3 +902,35 @@ def test_screening_matches_oracle(seed, opts):
     for k, mask in enumerate(constraints.pp):
         got[data.index_of(reduced.names[k])] = {data.index_of(reduced.names[j]) for j in mask}
     assert got == expect
+
+
+# A learn run under alpha in a fresh interpreter: all-pairs correlation tests
+# (_corr_pvalue) and the survival column's Cox tests (_chi2_sf).
+_LEARN_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import bndp
+from bndp.core import Column, Dataset
+
+spec = bndp.SimSpec(8, 2, 2, 2, 2, n=300, seed=1)
+data = bndp.simulate_data(bndp.simulate_dag(spec), spec)
+eta = data.columns[-1].values / data.columns[-1].values.std()
+time, status = bndp.simulate_survival(eta, seed=1)
+data = Dataset(list(data.columns) + [Column("T", "survival", np.column_stack([time, status]))])
+result = bndp.learn(data, bndp.ScreenOptions(alpha=1e-3), bndp.ScoreConfig(), 2)
+assert "T" in result.data.names and result.data.p > 2, result.data.names
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_learn_imports_no_scipy():
+    src = str(Path(bndp.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", _LEARN_WITHOUT_SCIPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -166,7 +166,7 @@ class TestLearnCommand:
         )
         assert code == 2
 
-    def test_empty_feasset_exit_3(self, tmp_path):
+    def test_empty_feasset_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         csv_path = tmp_path / "noise.csv"
         with csv_path.open("w", newline="\n") as fh:
@@ -177,6 +177,8 @@ class TestLearnCommand:
         assert run(
             "learn", "--data", csv_path, "--out", tmp_path / "o", "--alpha", 1e-8
         ) == 3
+        # the message names the flags that loosen screening
+        assert "try a looser --alpha or --corr-cutoff" in capsys.readouterr().err
 
     def test_mixed_bge_exit_2(self, tmp_path):
         csv_path = tmp_path / "mixed.csv"
@@ -342,7 +344,7 @@ class TestLearnCommand:
             "learn", "--data", csv_path, "--schema", schema, "--out", tmp_path / "o",
             "--corr-cutoff", 0.3,
         ) == 2
-        assert "use alpha, not corr_cutoff" in capsys.readouterr().err
+        assert "use --alpha, not --corr-cutoff" in capsys.readouterr().err
 
 
 class TestSchemaLoading:
