@@ -6,6 +6,15 @@ of one survival outcome and one design width in a single Newton loop,
 and :func:`cox_fit` is a batch of one. A fit takes at most
 ``_COX_MAX_ITER = 50`` Newton steps and has converged when no
 coefficient moves by ``_COX_TOL = 1e-8`` or more.
+
+The likelihood is evaluated in two passes over a batch's models: a
+likelihood pass (:func:`_cox_loglik`), which every line-search trial
+runs, and a derivative pass (:func:`_cox_derivs`), which builds the
+gradient and Hessian from the weights and risk-set sums the likelihood
+pass left, and runs only for models that take another Newton step. A fit
+starts from the closed form at beta = 0 (every weight 1, S0 the risk-set
+size), so the likelihood pass never runs there. Both passes write into
+arrays allocated once per batch.
 """
 
 from __future__ import annotations
@@ -58,59 +67,97 @@ def _row_sums(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A).sum(axis=-1)
 
 
-def _cox_loglik_derivs(
-    beta: np.ndarray,
-    X: np.ndarray,
-    events: np.ndarray,
-    ends: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breslow partial log-likelihood with gradient and Hessian, per model.
+class _CoxArrays:
+    """The arrays the two passes write, allocated once per batch of up to
+    B models with k covariates, n rows and E events.
+
+    A pass over m models uses the first m rows (axis -2) of each array,
+    so every array it reads or writes is contiguous. ``w`` and ``s0`` hold
+    the weights and risk-set sums that the likelihood pass leaves for the
+    derivative pass; the rest is per-pass work space.
+    """
+
+    def __init__(self, k: int, B: int, n: int, E: int):
+        self.w = np.empty((B, n))
+        self.s0 = np.empty((B, E))
+        self.rows = np.empty((2, B, n))
+        self.at_events = np.empty((2, B, E))
+        self.mean = np.empty((k, B, E))
+
+
+def _cox_loglik(
+    beta: np.ndarray, X: np.ndarray, events: np.ndarray, ends: np.ndarray, arrays: _CoxArrays
+) -> np.ndarray:
+    """Breslow partial log-likelihood per model: the likelihood pass.
 
     ``X`` holds B models' designs as ``(k, B, n)``, covariate by model by
     row, and ``beta`` their coefficients as ``(B, k)``; the result is
-    ``ll (B,)``, ``grad (B, k)`` and ``hess (B, k, k)``. Each model's
-    arithmetic runs along its own rows, so its result does not depend on
-    the other models in the batch.
+    ``ll (B,)``. Each model's arithmetic runs along its own rows, so its
+    result does not depend on the other models in the batch.
 
     Rows must be sorted by descending time, so the risk set of event row
     ``events[j]`` is the prefix of rows ``0..ends[j]``, where ``ends[j]``
     is the last row of its tie group: tied rows, events or censored, are
-    all in each other's risk sets (Breslow ties). With ``w = exp(X beta)``,
-    ``S0``, ``S1`` and ``S2`` are cumulative sums of ``w``, ``x w`` and
-    ``x x' w`` read at ``ends``, and with ``m = S1 / S0`` per event,
-    ``ll = sum_events (eta - log S0)``, ``grad = sum_events (x - m)`` and
-    ``hess = sum_events (m m' - S2 / S0)``. One pass costs O(B n k^2)
-    time and O(B n k) memory.
+    all in each other's risk sets (Breslow ties). With ``w = exp(X beta)``
+    and ``S0`` its cumulative sums read at ``ends``,
+    ``ll = sum_events (eta - log S0)``. The pass leaves ``w`` in
+    ``arrays.w[:B]`` and ``S0`` in ``arrays.s0[:B]`` for
+    :func:`_cox_derivs`, and allocates no per-row array.
     """
     k, B, n = X.shape
-    eta = np.zeros((B, n))
+    eta, s0 = arrays.w[:B], arrays.s0[:B]
+    rows = arrays.rows[0, :B]
+    eta_events, log_s0 = arrays.at_events[0, :B], arrays.at_events[1, :B]
+    eta.fill(0.0)
     for j in range(k):
-        eta += beta[:, j, None] * X[j]
+        eta += np.multiply(beta[:, j, None], X[j], out=rows)
     np.clip(eta, -700, 700, out=eta)
-    eta_events = np.take(eta, events, axis=1)
+    # mode="clip" takes straight into ``out``; the default mode buffers it
+    np.take(eta, events, axis=1, out=eta_events, mode="clip")
     w = np.exp(eta, out=eta)
+    np.take(np.cumsum(w, axis=1, out=rows), ends, axis=1, out=s0, mode="clip")
+    return _row_sums(np.subtract(eta_events, np.log(s0, out=log_s0), out=eta_events))
 
-    def at_ends(terms: np.ndarray) -> np.ndarray:
-        """Cumulative sums of per-row ``terms`` over each event's risk set.
 
-        ``terms`` is overwritten: per-row arrays are as large as the
-        batch's designs, and the fewer of them alive at once, the less
-        memory a pass takes.
-        """
-        return np.take(np.cumsum(terms, axis=1, out=terms), ends, axis=1)
+def _cox_derivs(
+    X: np.ndarray, events: np.ndarray, ends: np.ndarray, arrays: _CoxArrays
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the Breslow partial log-likelihood per
+    model: the derivative pass.
 
-    s0 = at_ends(w.copy())
-    ll = _row_sums(eta_events - np.log(s0))
-    mean = [at_ends(X[j] * w) / s0 for j in range(k)]
+    It reads ``w`` and ``S0`` for the B models of ``X`` (as in
+    :func:`_cox_loglik`) from ``arrays.w[:B]`` and ``arrays.s0[:B]``,
+    where a likelihood pass at the same coefficients left them, and
+    returns ``grad (B, k)`` and ``hess (B, k, k)``. With ``S1`` and ``S2``
+    the cumulative sums of ``x w`` and ``x x' w`` read at ``ends`` and
+    ``m = S1 / S0`` per event, ``grad = sum_events (x - m)`` and
+    ``hess = sum_events (m m' - S2 / S0)``. The pass costs O(B n k^2) time
+    and allocates no per-row array.
+    """
+    k, B, n = X.shape
+    w, s0 = arrays.w[:B], arrays.s0[:B]
+    rows, xw = arrays.rows[0, :B], arrays.rows[1, :B]
+    diff, s2 = arrays.at_events[0, :B], arrays.at_events[1, :B]
+    mean = arrays.mean[:, :B]
+
+    def at_ends(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Cumulative sums of per-row ``terms`` over each event's risk
+        set, divided by S0, into ``out``; the sums go through ``rows``."""
+        np.take(np.cumsum(terms, axis=1, out=rows), ends, axis=1, out=out, mode="clip")
+        return np.divide(out, s0, out=out)
+
     grad = np.empty((B, k))
     hess = np.empty((B, k, k))
     for i in range(k):
-        grad[:, i] = _row_sums(np.take(X[i], events, axis=1) - mean[i])
-        xw = X[i] * w
+        np.multiply(X[i], w, out=xw)
+        at_ends(xw, mean[i])
+        np.take(X[i], events, axis=1, out=diff, mode="clip")
+        grad[:, i] = _row_sums(np.subtract(diff, mean[i], out=diff))
         for j in range(i + 1):
-            s2 = at_ends(xw * X[j]) / s0
-            hess[:, i, j] = hess[:, j, i] = _row_sums(mean[i] * mean[j] - s2)
-    return ll, grad, hess
+            at_ends(np.multiply(xw, X[j], out=rows), s2)
+            np.subtract(np.multiply(mean[i], mean[j], out=diff), s2, out=diff)
+            hess[:, i, j] = hess[:, j, i] = _row_sums(diff)
+    return grad, hess
 
 
 @dataclass(frozen=True)
@@ -170,10 +217,22 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
     would decrease; coefficients over 50 in magnitude are a
     :class:`SeparationError`; 30 halvings without an acceptable step or
     ``_COX_MAX_ITER`` steps without convergence are a :class:`ConvergenceError`
-    carrying the last iterate. Derivatives are evaluated at each accepted
-    candidate and reused for the next step, so an iteration is one pass
-    over the models still iterating. Failed models are recorded in
-    ``errors`` and leave the others unchanged.
+    carrying the last iterate. Failed models are recorded in ``errors``
+    and leave the others unchanged.
+
+    Every fit starts at beta = 0 from the closed form: weights 1, S0 the
+    risk-set size and the null likelihood, so the likelihood pass never
+    runs there. Each line-search trial is one likelihood pass over the
+    models still trying; the derivative pass runs once per iteration, at
+    the accepted candidates of the models that take another step, and
+    never at a converged, diverged or failed model's last iterate or at a
+    rejected trial. So a model that converges in t steps has its
+    derivatives evaluated t times. Both passes write into
+    :class:`_CoxArrays` made once per batch, whose first rows hold the
+    models still iterating. A trial over the models whose steps were
+    halved writes over the rows of those already accepted, so an
+    iteration with such a trial runs one more likelihood pass, at the
+    accepted candidates, before its derivative pass.
 
     Non-finite times, non-positive times, status values outside {0, 1}
     or no event raise :class:`NumericError` for the whole batch; a model
@@ -211,8 +270,14 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
     for b in np.flatnonzero(~finite):
         errors[b] = NumericError("survival times and design must be finite")
     live = np.flatnonzero(finite) if k else np.zeros(0, dtype=int)
-    Xl = np.take(X if live.size == B else X[:, live], order, axis=2)
-    _, grad, hess = _cox_loglik_derivs(beta[live], Xl, events, ends)
+    if live.size:
+        # the designs of the models still iterating, kept in front as others stop
+        Xl = np.take(X if live.size == B else X[:, live], order, axis=2)
+        arrays = _CoxArrays(k, live.size, n, events.size)
+        # at beta = 0 every weight is 1 and S0 is the risk-set size
+        arrays.w[:] = 1.0
+        arrays.s0[:] = ends + 1.0
+        grad, hess = _cox_derivs(Xl, events, ends, arrays)
 
     for it in range(1, _COX_MAX_ITER + 1):
         if not live.size:
@@ -228,9 +293,8 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
         trying = np.arange(live.size)
         for _ in range(30):
             cand[trying] = base[trying] + scale[trying, None] * step[trying]
-            X_t = Xl if trying.size == live.size else Xl[:, trying]
-            ll_t, grad_t, hess_t = _cox_loglik_derivs(cand[trying], X_t, events, ends)
-            ll_new[trying], grad[trying], hess[trying] = ll_t, grad_t, hess_t
+            X_t = Xl[:, : live.size] if trying.size == live.size else Xl[:, trying]
+            ll_new[trying] = ll_t = _cox_loglik(cand[trying], X_t, events, ends, arrays)
             trying = trying[~(ll_t >= floor[trying])]
             if not trying.size:
                 break
@@ -253,8 +317,17 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
         converged = ~failed & ~diverged & (delta < _COX_TOL)
         iterations[live[converged]] = it
         keep = ~(failed | diverged | converged)
-        if not keep.all():
-            live, Xl, grad, hess = live[keep], Xl[:, keep], grad[keep], hess[keep]
+        live = live[keep]
+        for dst, src in enumerate(np.flatnonzero(keep)):
+            if dst != src:
+                Xl[:, dst], arrays.w[dst], arrays.s0[dst] = Xl[:, src], arrays.w[src], arrays.s0[src]
+        # derivatives only where another step follows
+        if live.size and it < _COX_MAX_ITER:
+            if np.ptp(scale) > 0:
+                # some steps were halved apart from others: a trial over part
+                # of the models wrote its rows over the accepted ones'
+                _cox_loglik(beta[live], Xl[:, : live.size], events, ends, arrays)
+            grad, hess = _cox_derivs(Xl[:, : live.size], events, ends, arrays)
     for b in live:
         errors[b] = ConvergenceError(
             f"Cox fit did not converge in {_COX_MAX_ITER} iterations", beta[b].copy()

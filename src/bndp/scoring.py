@@ -43,9 +43,11 @@ from .numeric import cox_fit  # noqa: F401
 NEG_INF = float("-inf")
 
 # designs per batched Cox fit, which bounds its memory whatever the design
-# count. On a 2-vCPU Xeon (2 MB L2 per core), 513 univariate designs of 500
-# rows took 63-67 ms in chunks of 32-128, 98 ms at 16 and 82 ms at 256; peak
-# RSS grew by 0.4, 1.5, 4.5 and 8.8 MiB in chunks of 32, 64, 128 and 256
+# count: a batch's arrays grow with chunk x rows. On a 2-vCPU Xeon (numpy
+# 2.4), 513 univariate designs of 500 rows took 41-42, 35, 32, 29 and
+# 28-31 ms in chunks of 16, 32, 64, 128 and 256, and one batch's memory
+# (tracemalloc peak) was 0.5, 0.9, 1.7, 3.4 and 6.7 MiB: past 64 the time
+# falls by under a tenth while the memory doubles
 _COX_CHUNK = 64
 
 # relative residual-variance floor below which a Gaussian fit is degenerate

@@ -11,7 +11,9 @@ from bndp.numeric import (
     ConvergenceError,
     NumericError,
     SeparationError,
-    _cox_loglik_derivs,
+    _CoxArrays,
+    _cox_derivs,
+    _cox_loglik,
     cox_fit,
     cox_fit_batch,
 )
@@ -258,22 +260,34 @@ def random_cox_case(rng, n, k, n_times, B=None):
     return beta, time, status, X
 
 
+def both_passes(beta, X, events, ends, arrays=None):
+    """The likelihood pass, then the derivative pass at the same
+    coefficients, over arrays made for the batch unless given."""
+    k, B, n = X.shape
+    if arrays is None:
+        arrays = _CoxArrays(k, B, n, len(events))
+    ll = _cox_loglik(beta, X, events, ends, arrays)
+    grad, hess = _cox_derivs(X, events, ends, arrays)
+    return ll, grad, hess
+
+
 class TestCoxKernel:
     def check_against_loop(self, beta, time, status, X):
         """Each model of the batch against the row loop, and against
-        itself evaluated alone."""
+        itself evaluated alone in the first rows of the batch's arrays."""
         rows, args = sorted_cox_inputs(time, status, X)
-        ll, grad, hess = _cox_loglik_derivs(beta, *args)
         B, k = beta.shape
+        Xk, events, ends = args
+        arrays = _CoxArrays(k, B, len(time), len(events))
+        ll, grad, hess = both_passes(beta, *args, arrays)
         assert ll.shape == (B,) and grad.shape == (B, k) and hess.shape == (B, k, k)
         time_s, status_s, X_s = rows
-        Xk, events, ends = args
         for b in range(B):
             ll_ref, grad_ref, hess_ref = loop_cox_loglik_derivs(beta[b], time_s, status_s, X_s[b])
             assert_close_rel(ll[b], ll_ref, 1e-10)
             assert_close_rel(grad[b], grad_ref, 1e-10)
             assert_close_rel(hess[b], hess_ref, 1e-10)
-            alone = _cox_loglik_derivs(beta[b : b + 1], Xk[:, b : b + 1], events, ends)
+            alone = both_passes(beta[b : b + 1], Xk[:, b : b + 1], events, ends, arrays)
             assert alone[0][0] == ll[b]
             assert np.array_equal(alone[1][0], grad[b]) and np.array_equal(alone[2][0], hess[b])
 
@@ -299,7 +313,7 @@ class TestCoxKernel:
             X = np.stack([np.arange(1.0, k + 1.0)[None, :], -np.ones((1, k))])
             beta = np.full((2, k), 0.3)
             _, args = sorted_cox_inputs(np.ones(1), np.ones(1), X)
-            ll, grad, hess = _cox_loglik_derivs(beta, *args)
+            ll, grad, hess = both_passes(beta, *args)
             # a lone row is its own risk set: likelihood and derivatives vanish
             assert np.all(np.abs(ll) < 1e-15)
             assert np.all(np.abs(grad) < 1e-15) and np.all(np.abs(hess) < 1e-15)
@@ -310,7 +324,7 @@ class TestCoxKernel:
         for k in (1, 2, 3):
             for n_times in (3, 30):
                 beta, time, status, X = random_cox_case(rng, 30, k, n_times, B=3)
-                _, grad, hess = _cox_loglik_derivs(beta, *sorted_cox_inputs(time, status, X)[1])
+                _, grad, hess = both_passes(beta, *sorted_cox_inputs(time, status, X)[1])
                 for b in range(3):
 
                     def f(c):
@@ -318,6 +332,22 @@ class TestCoxKernel:
 
                     assert_close_rel(grad[b], fd_gradient(f, beta[b]), 1e-7)
                     assert_close_rel(hess[b], fd_hessian(f, beta[b]), 1e-5)
+
+    def test_closed_form_start_equals_likelihood_pass(self):
+        # cox_fit_batch starts each fit from w = 1 and S0 = risk-set size
+        # instead of a likelihood pass at beta = 0: the derivative pass must
+        # read the same arrays, and give the same bits, either way
+        rng = np.random.default_rng(34)
+        for k in range(4):
+            _, time, status, X = random_cox_case(rng, 40, k, 6, B=3)
+            Xk, events, ends = sorted_cox_inputs(time, status, X)[1]
+            ll, grad, hess = both_passes(np.zeros((3, k)), Xk, events, ends)
+            start = _CoxArrays(k, 3, len(time), len(events))
+            start.w[:] = 1.0
+            start.s0[:] = ends + 1.0
+            grad0, hess0 = _cox_derivs(Xk, events, ends, start)
+            assert np.array_equal(grad0, grad) and np.array_equal(hess0, hess)
+            assert np.all(ll == cox_fit_batch(time, status, X.transpose(2, 0, 1)).null_log_likelihood)
 
 
 def assert_fit_matches_solo(batch, b, time, status, design):
@@ -387,17 +417,22 @@ class TestCoxFitBatch:
         return np.array(cols)
 
     def test_mixed_batch(self, monkeypatch):
-        real = bndp.numeric._cox_loglik_derivs
+        real_loglik, real_derivs = bndp.numeric._cox_loglik, bndp.numeric._cox_derivs
 
-        def failing_for_marked(beta, X, events, ends):
-            # a flipped gradient points every Newton step downhill, and a
-            # NaN likelihood is never an acceptable step
-            ll, grad, hess = real(beta, X, events, ends)
-            grad[np.any(X == self.DOWNHILL, axis=(0, 2))] *= -1
+        # a NaN likelihood is never an acceptable step, and a flipped
+        # gradient points every Newton step downhill
+        def nan_for_marked(beta, X, events, ends, arrays):
+            ll = real_loglik(beta, X, events, ends, arrays)
             ll[np.any(X == self.NAN_LL, axis=(0, 2)) & np.any(beta != 0, axis=1)] = np.nan
-            return ll, grad, hess
+            return ll
 
-        monkeypatch.setattr(bndp.numeric, "_cox_loglik_derivs", failing_for_marked)
+        def downhill_for_marked(X, events, ends, arrays):
+            grad, hess = real_derivs(X, events, ends, arrays)
+            grad[np.any(X == self.DOWNHILL, axis=(0, 2))] *= -1
+            return grad, hess
+
+        monkeypatch.setattr(bndp.numeric, "_cox_loglik", nan_for_marked)
+        monkeypatch.setattr(bndp.numeric, "_cox_derivs", downhill_for_marked)
         cols = self.mixed_batch()
         batch = cox_fit_batch(self.TIMES, self.STATUS, cols[None])
         kinds = [type(e).__name__ if e is not None else None for e in batch.errors]
@@ -417,6 +452,42 @@ class TestCoxFitBatch:
         assert np.array_equal(alone.log_likelihood, batch.log_likelihood[ok])
         assert np.array_equal(alone.coefficients, batch.coefficients[ok])
         assert np.array_equal(alone.iterations, batch.iterations[ok])
+
+    def test_derivatives_only_where_a_step_follows(self, monkeypatch):
+        # the derivative pass runs at beta = 0 and after each accepted step
+        # that another step follows, so a converged model is seen
+        # iterations[b] times: never at its last iterate and never at a
+        # trial that the line search rejects. Heavy-tailed x with a strong
+        # effect makes Newton overshoot, so some steps here are halved. The
+        # likelihood at beta = 0 is the closed form, never a pass.
+        rng = np.random.default_rng(121)
+        x = rng.standard_t(2, size=(3, 60))
+        time, status = simulate_survival(3.0 * x[0], seed=121)
+        real_loglik, real_derivs = bndp.numeric._cox_loglik, bndp.numeric._cox_derivs
+        trials, seen = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+        at_zero = []
+
+        def models(X):
+            # a model's first value marks it, wherever its rows were sorted to
+            return [int(np.flatnonzero(np.isin(x[:, 0], row))[0]) for row in X[0]]
+
+        def counting_loglik(beta, X, events, ends, arrays):
+            at_zero.extend(np.all(beta == 0, axis=1))
+            np.add.at(trials, models(X), 1)
+            return real_loglik(beta, X, events, ends, arrays)
+
+        def counting_derivs(X, events, ends, arrays):
+            np.add.at(seen, models(X), 1)
+            return real_derivs(X, events, ends, arrays)
+
+        monkeypatch.setattr(bndp.numeric, "_cox_loglik", counting_loglik)
+        monkeypatch.setattr(bndp.numeric, "_cox_derivs", counting_derivs)
+        batch = cox_fit_batch(time, status, x[None])
+        assert batch.errors == (None, None, None)
+        assert len(set(batch.iterations)) == 3
+        assert np.any(trials > batch.iterations)
+        assert np.array_equal(seen, batch.iterations)
+        assert at_zero and not any(at_zero)
 
     def test_non_finite_design_fails_alone(self):
         cols = self.mixed_batch()[[0, 1]]
@@ -533,16 +604,16 @@ class TestCoxFit:
     def test_failed_line_search_raises(self, monkeypatch):
         # With the gradient's sign flipped every Newton step points downhill,
         # so no halving is accepted: the fit must fail, not stop at beta = 0.
-        real = bndp.numeric._cox_loglik_derivs
+        real = bndp.numeric._cox_derivs
 
-        def uphill_gradient(*args, **kwargs):
-            ll, grad, hess = real(*args, **kwargs)
-            return ll, None if grad is None else -grad, hess
+        def uphill_gradient(*args):
+            grad, hess = real(*args)
+            return -grad, hess
 
         rng = np.random.default_rng(5)
         x = rng.standard_normal(200)
         time, status = simulate_survival(1.0 * x, seed=5)
-        monkeypatch.setattr(bndp.numeric, "_cox_loglik_derivs", uphill_gradient)
+        monkeypatch.setattr(bndp.numeric, "_cox_derivs", uphill_gradient)
         with pytest.raises(ConvergenceError) as info:
             cox_fit(time, status, x[:, None])
         assert np.all(info.value.last_beta == 0.0)
