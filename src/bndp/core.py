@@ -92,7 +92,8 @@ class Column:
 
     ``values`` is a float vector for continuous columns, an integer code
     vector for categorical columns (codes in ``0..levels-1``), and an
-    ``(n, 2)`` array of (time, status) pairs for the survival column.
+    ``(n, 2)`` array of (time, status) pairs, at least one of them an
+    event, for the survival column.
     """
 
     name: str
@@ -111,6 +112,8 @@ class Column:
                 raise StructureError(f"survival column {self.name!r} has non-positive times")
             if not np.all(np.isin(vals[:, 1], (0.0, 1.0))):
                 raise StructureError(f"survival column {self.name!r} has status outside {{0,1}}")
+            if not np.any(vals[:, 1] == 1.0):
+                raise StructureError(f"survival column {self.name!r} has no event (status = 1)")
         elif vals.ndim != 1:
             raise StructureError(f"column {self.name!r} must be one-dimensional")
         if np.any(~np.isfinite(vals)):

@@ -8,13 +8,12 @@ and :func:`cox_fit` is a batch of one. A fit takes at most
 coefficient moves by ``_COX_TOL = 1e-8`` or more.
 
 The likelihood is evaluated in two passes over a batch's models: a
-likelihood pass (:func:`_cox_loglik`), which every line-search trial
-runs, and a derivative pass (:func:`_cox_derivs`), which builds the
-gradient and Hessian from the weights and risk-set sums the likelihood
-pass left, and runs only for models that take another Newton step. A fit
-starts from the closed form at beta = 0 (every weight 1, S0 the risk-set
-size), so the likelihood pass never runs there. Both passes write into
-arrays allocated once per batch.
+derivative pass (:func:`_cox_derivs`) per Newton step, which builds the
+gradient and Hessian from the weights and risk-set sums the last
+likelihood pass (:func:`_cox_loglik`) left, then a likelihood pass per
+line-search trial. A fit starts from the closed form at beta = 0 (every
+weight 1, S0 the risk-set size), so the likelihood pass never runs
+there. Both passes write into arrays allocated once per batch.
 """
 
 from __future__ import annotations
@@ -222,17 +221,17 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
 
     Every fit starts at beta = 0 from the closed form: weights 1, S0 the
     risk-set size and the null likelihood, so the likelihood pass never
-    runs there. Each line-search trial is one likelihood pass over the
-    models still trying; the derivative pass runs once per iteration, at
-    the accepted candidates of the models that take another step, and
-    never at a converged, diverged or failed model's last iterate or at a
-    rejected trial. So a model that converges in t steps has its
-    derivatives evaluated t times. Both passes write into
-    :class:`_CoxArrays` made once per batch, whose first rows hold the
-    models still iterating. A trial over the models whose steps were
-    halved writes over the rows of those already accepted, so an
-    iteration with such a trial runs one more likelihood pass, at the
-    accepted candidates, before its derivative pass.
+    runs there. Each iteration runs one derivative pass over the models
+    still iterating, then one likelihood pass over the same models per
+    line-search trial. A model whose step an earlier trial accepted is
+    evaluated again at the same candidate, to the same bits, so the
+    passes' :class:`_CoxArrays` (made once per batch, their first rows
+    holding the models still iterating) end each iteration at every
+    accepted candidate. A model that converges in t steps has its
+    derivatives evaluated t times: never at its last iterate or at a
+    rejected trial. The price is paid on the failure path: a model whose
+    line search fails all 30 halvings makes its iteration run 30
+    likelihood passes over every model still iterating.
 
     Non-finite times, non-positive times, status values outside {0, 1}
     or no event raise :class:`NumericError` for the whole batch; a model
@@ -270,43 +269,38 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
     for b in np.flatnonzero(~finite):
         errors[b] = NumericError("survival times and design must be finite")
     live = np.flatnonzero(finite) if k else np.zeros(0, dtype=int)
-    if live.size:
-        # the designs of the models still iterating, kept in front as others stop
-        Xl = np.take(X if live.size == B else X[:, live], order, axis=2)
-        arrays = _CoxArrays(k, live.size, n, events.size)
-        # at beta = 0 every weight is 1 and S0 is the risk-set size
-        arrays.w[:] = 1.0
-        arrays.s0[:] = ends + 1.0
-        grad, hess = _cox_derivs(Xl, events, ends, arrays)
+    # the designs of the models still iterating, kept in front as others stop
+    Xl = np.take(X if live.size == B else X[:, live], order, axis=2)
+    arrays = _CoxArrays(k, live.size, n, events.size)
+    # at beta = 0 every weight is 1 and S0 is the risk-set size
+    arrays.w[:] = 1.0
+    arrays.s0[:] = ends + 1.0
 
     for it in range(1, _COX_MAX_ITER + 1):
         if not live.size:
             break
+        X_live = Xl[:, : live.size]
+        grad, hess = _cox_derivs(X_live, events, ends, arrays)
         base, ll_base = beta[live], ll[live]
         floor = ll_base - 1e-12 * np.maximum(1.0, np.abs(ll_base))
         step = _newton_steps(-hess, grad)
         # halve each model's step until its partial likelihood does not
-        # decrease beyond rounding, which grows with |ll|
+        # decrease beyond rounding, which grows with |ll|; every trial runs
+        # over all live models, so the arrays end at the accepted candidates
         scale = np.ones(live.size)
-        cand = base.copy()
-        ll_new = np.empty(live.size)
-        trying = np.arange(live.size)
         for _ in range(30):
-            cand[trying] = base[trying] + scale[trying, None] * step[trying]
-            X_t = Xl[:, : live.size] if trying.size == live.size else Xl[:, trying]
-            ll_new[trying] = ll_t = _cox_loglik(cand[trying], X_t, events, ends, arrays)
-            trying = trying[~(ll_t >= floor[trying])]
-            if not trying.size:
+            cand = base + scale[:, None] * step
+            ll_new = _cox_loglik(cand, X_live, events, ends, arrays)
+            failed = ~(ll_new >= floor)
+            if not failed.any():
                 break
-            scale[trying] *= 0.5
-        for t in trying:
+            scale[failed] *= 0.5
+        for t in np.flatnonzero(failed):
             errors[live[t]] = ConvergenceError(
                 "Cox line search found no step that does not lower the likelihood", base[t].copy()
             )
-        cand[trying], ll_new[trying] = base[trying], ll_base[trying]
+        cand[failed], ll_new[failed] = base[failed], ll_base[failed]
 
-        failed = np.zeros(live.size, dtype=bool)
-        failed[trying] = True
         delta = np.max(np.abs(cand - base), axis=1)
         beta[live], ll[live] = cand, ll_new
         diverged = ~failed & np.any(np.abs(cand) > 50, axis=1)
@@ -321,13 +315,6 @@ def cox_fit_batch(time: np.ndarray, status: np.ndarray, X: np.ndarray) -> CoxBat
         for dst, src in enumerate(np.flatnonzero(keep)):
             if dst != src:
                 Xl[:, dst], arrays.w[dst], arrays.s0[dst] = Xl[:, src], arrays.w[src], arrays.s0[src]
-        # derivatives only where another step follows
-        if live.size and it < _COX_MAX_ITER:
-            if np.ptp(scale) > 0:
-                # some steps were halved apart from others: a trial over part
-                # of the models wrote its rows over the accepted ones'
-                _cox_loglik(beta[live], Xl[:, : live.size], events, ends, arrays)
-            grad, hess = _cox_derivs(Xl[:, : live.size], events, ends, arrays)
     for b in live:
         errors[b] = ConvergenceError(
             f"Cox fit did not converge in {_COX_MAX_ITER} iterations", beta[b].copy()

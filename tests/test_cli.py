@@ -346,6 +346,22 @@ class TestLearnCommand:
         ) == 2
         assert "use --alpha, not --corr-cutoff" in capsys.readouterr().err
 
+    def test_event_free_survival_column_rejected(self, tmp_path, capsys, monkeypatch):
+        # a status column with no event (all 0) is an input error that names
+        # the column, raised while loading: no screening test runs
+        def no_learn(*args, **kwargs):
+            raise AssertionError("learn ran on an event-free survival column")
+
+        monkeypatch.setattr("bndp.cli.learn", no_learn)
+        rng = np.random.default_rng(3)
+        csv_path, schema = tmp_path / "surv.csv", tmp_path / "schema.json"
+        rows = [f"{float(x)!r},{float(t)!r},0" for x, t in rng.uniform(0.1, 5.0, (40, 2))]
+        csv_path.write_text("x,os_time,os_status\n" + "\n".join(rows) + "\n")
+        schema.write_text(json.dumps({"os_time": "survival_time", "os_status": "survival_status"}))
+        assert run("learn", "--data", csv_path, "--schema", schema, "--out", tmp_path / "o") == 2
+        assert "survival column 'os_status' has no event" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSchemaLoading:
     def test_survival_pair_merged(self, tmp_path):

@@ -241,6 +241,9 @@ class TestDataset:
             Column("s", "survival", np.column_stack([np.zeros(3), np.ones(3)]))
         with pytest.raises(StructureError):
             Column("s", "survival", np.column_stack([np.ones(3), 2 * np.ones(3)]))
+        # no event: no Cox fit of the column is defined
+        with pytest.raises(StructureError, match="survival column 's' has no event"):
+            Column("s", "survival", np.column_stack([np.ones(3), np.zeros(3)]))
 
     @pytest.mark.parametrize(
         "kind, values, message",
