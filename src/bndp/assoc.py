@@ -1,37 +1,47 @@
 """Marginal-association screening that produces parent-set constraints.
 
-Pairwise Pearson tests with an FDR (Benjamini-Hochberg) or correlation
-cutoff define possible-parent sets; a survival outcome is screened by Cox
-fits on Cox-BIC's standardised design columns instead, one degree of
-freedom per column (:func:`cox_screen`). Phenotype mode restricts
-screening to two or three ancestor levels of an outcome.
+Each pair of columns gets one test: the likelihood ratio of the two nested
+models that its local score compares, on the columns scoring regresses on
+(``scoring._regressors``), so a categorical column's level codes do not
+matter. A candidate is tested only in a direction that the parent-kind
+rule (:func:`core._may_parent`) allows. The tests:
 
-Every correlation comes from one kernel, ``_corr_against``, and every
-test passes or fails in one cutoff step, ``_passes``, applied once per
-BH family. The families are: all unordered pairs of non-survival columns
-(all-pairs mode); the survival column's Cox tests (all-pairs mode); and
-all tests of one level (phenotype mode). A test on a constant column, a
-failed Cox fit or a test with no degrees of freedom is undefined: the
-kernels return NaN, which counts in its family as p = 1 and never passes.
+- t: a continuous target and a continuous or binary candidate, on r;
+- F: a continuous target and a categorical candidate of L >= 3 levels,
+  the one-way F test of its L - 1 indicator columns;
+- G: two categorical columns, twice the log-likelihood gain that
+  categorical BIC scores, on (L1 - 1)(L2 - 1) degrees of freedom over the
+  observed levels;
+- Cox: a survival outcome, each candidate fitted alone on Cox-BIC's
+  standardised design columns, one degree of freedom per column
+  (:func:`cox_screen`).
 
-Both p-values are computed here with numpy and ``math``:
+Phenotype mode restricts screening to two or three ancestor levels of an
+outcome. Every test passes or fails in one cutoff step, ``_passes``,
+applied once per BH family: all unordered pairs of non-survival columns,
+each tested once (all-pairs mode); the survival column's Cox tests
+(all-pairs mode); all tests of one level (phenotype mode). The correlation
+cutoff compares |r|, so it takes one-column designs only. A test on a
+constant column, a failed Cox fit or a test with no degrees of freedom is
+undefined: the kernels return NaN, which counts in its family as p = 1
+and never passes.
 
-- The correlation test of r over n rows, with df = n - 2, a = df/2 and
-  b = 1/2, is the regularized incomplete beta function I_x(a, b) at
-  x = 1 - r^2 (:func:`_corr_pvalue`). Its factor x^a (1-x)^b / B(a, b)
-  is taken from r through log1p(-r^2) and log(r^2); the rest is the
-  continued fraction of Numerical Recipes (3rd ed., section 6.4,
-  ``betacf``) below x = (a+1)/(a+b+2), and 1 - I_{1-x}(b, a) above it
-  (:func:`_betacf`).
-- A Cox likelihood-ratio statistic x on a k-column design is a
-  chi-square tail with integer k, in closed form (:func:`_chi2_sf`).
+The p-values are computed here with numpy and ``math``:
 
-Against scipy (``special.betainc`` and ``special.chdtrc``, the tests'
-oracle) the relative error is at most 1e-12 * max(1, df/1000) for the
-correlation test, and 1e-12 for the chi-square tail with k = 1-8 and 12,
-wherever scipy's value is at least 1e-300 (tests/test_assoc.py). Measured:
-the correlation test's error is 2.2e-13 at df = 998 and 5e-12 at
-df = 99,998; the chi-square tail's is 1.7e-13.
+- t and F are the regularized incomplete beta function I_x(a, b) at
+  x = 1 - R^2 (R^2 = r^2 for t), a = (n - L)/2 and b = (L - 1)/2, with
+  L = 2 for t (:func:`_corr_pvalue`). Its factor x^a (1-x)^b / B(a, b) is
+  taken from log1p(-R^2) and log(R^2); the rest is the continued fraction
+  of Numerical Recipes (3rd ed., section 6.4, ``betacf``) below
+  x = (a+1)/(a+b+2), and 1 - I_{1-x}(b, a) above it (:func:`_betacf`).
+- Cox and G are chi-square tails with integer k, in closed form
+  (:func:`_chi2_sf`).
+
+Against scipy (the tests' oracles) the relative error is at most
+1e-12 * max(1, df/1000) for t, and 1e-12 for F with L = 3-10 and n up to
+5,000 and for the chi-square tail with k up to 81, wherever scipy's value
+is at least 1e-300 (tests/test_assoc.py). Measured: t 2.2e-13 at df = 998
+and 5e-12 at df = 99,998; F 6.7e-13; the chi-square tail 2.2e-13.
 """
 
 from __future__ import annotations
@@ -43,16 +53,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    SURVIVAL,
+    CATEGORICAL,
     Dataset,
     NodeSubset,
     ParentConstraints,
     StructureError,
     _constant,
     _is_names,
+    _may_parent,
 )
 from .numeric import NumericError
-from .scoring import _cox_batches
+from .scoring import _categorical_ll, _cox_batches, _regressors
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.assoc.cox_fit`` by name.
@@ -159,7 +170,7 @@ def cox_screen(data: Dataset, outcome: int, candidates: list[int]) -> np.ndarray
     """
     pvals = np.full(len(candidates), np.nan)
     at = {1 << i: k for k, i in enumerate(candidates)}
-    fitted = [1 << i for i in candidates if not _constant(data.numeric_values(i))]
+    fitted = [1 << i for i in candidates if not _constant(data.column(i).values)]
     for group, width, batch in _cox_batches(data, outcome, fitted):
         lr = 2.0 * (batch.log_likelihood - batch.null_log_likelihood)
         p = _chi2_sf(width, np.maximum(lr, 0.0))
@@ -173,13 +184,6 @@ def cox_screen(data: Dataset, outcome: int, candidates: list[int]) -> np.ndarray
                 p[b] = np.nan
         pvals[[at[mask] for mask in group]] = p
     return pvals
-
-
-def _encoded_matrix(data: Dataset) -> tuple[np.ndarray, list[int]]:
-    """Float matrix of all non-survival columns plus their indices."""
-    idx = [i for i in range(data.p) if data.column(i).kind != SURVIVAL]
-    M = np.column_stack([data.numeric_values(i) for i in idx]) if idx else np.zeros((data.n_rows, 0))
-    return M, idx
 
 
 def _corr_against(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -200,30 +204,32 @@ def _corr_against(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _statistic(r: np.ndarray, n: int, opts: ScreenOptions) -> np.ndarray:
-    """|r| under ``corr_cutoff``; under ``alpha`` the two-sided test's p-value
-    over ``n`` rows: 0 at |r| = 1, NaN where r is NaN or n <= 2."""
+    """|r| under ``corr_cutoff``; under ``alpha`` the two-sided t test's
+    p-value over ``n`` rows: 0 at |r| = 1, NaN where r is NaN or n <= 2."""
     if opts.alpha is None:
         return np.abs(r)
-    return _corr_pvalue(r, n - 2)
+    return _corr_pvalue(np.square(r), 0.5 * (n - 2), 0.5)
 
 
-def _corr_pvalue(r: np.ndarray, df: int) -> np.ndarray:
-    """Two-sided p-value of the correlation test, I_{1-r^2}(df/2, 1/2), in
-    the shape of ``r``: 0 at |r| = 1, 1 at r = 0, NaN where r is NaN or
-    df <= 0."""
-    r2 = np.square(r)
-    if df <= 0:
+def _corr_pvalue(r2: np.ndarray, a: float, b: float) -> np.ndarray:
+    """I_{1-r2}(a, b) in the shape of ``r2``, a squared correlation or an R^2:
+    the t test's p-value at a = df/2 and b = 1/2, and the F test's at
+    a = df2/2 and b = df1/2. 0 at r2 = 1, 1 at r2 = 0, NaN where r2 is NaN
+    or a or b is not positive."""
+    if a <= 0 or b <= 0:
         return np.full(r2.shape, np.nan)
-    a, b = 0.5 * df, 0.5
-    # x^a (1-x)^b / B(a, b) with x = 1 - r^2: 0 at r = 0 and at |r| = 1
-    log_beta = 0.5 * math.log(math.pi) - _lgamma_half_step(a)
+    # x^a (1-x)^b / B(a, b) with x = 1 - r2: 0 at r2 = 0 and at r2 = 1.
+    # ln Gamma(1/2) = ln(pi)/2 comes out of math.log correctly rounded;
+    # math.lgamma(0.5) is 3 units in the last place above it
+    log_gamma_b = 0.5 * math.log(math.pi) if b == 0.5 else math.lgamma(b)
+    log_beta = log_gamma_b - _lgamma_step(a, b)
     with np.errstate(divide="ignore"):
         front = np.exp(a * np.log1p(-r2) + b * np.log(r2) - log_beta)
     # The continued fraction gives I_x(a, b) for x below (a+1)/(a+b+2), and
     # I_{1-x}(b, a) = 1 - I_x(a, b) above it (NaN goes there and stays NaN).
-    # Its start depths: for df from 1 to 1e9 (360,000 points a side), the
-    # side above always converged by depth 16, and the side below by 64
-    # but for 7 points next to the switch point (depth 128).
+    # Its start depths, at b = 1/2: for df from 1 to 1e9 (360,000 points a
+    # side), the side above always converged by depth 16, and the side below
+    # by 64 but for 7 points next to the switch point (depth 128).
     x = 1.0 - r2
     direct = x < (a + 1.0) / (a + b + 2.0)
     p = np.empty(r2.shape)
@@ -232,17 +238,18 @@ def _corr_pvalue(r: np.ndarray, df: int) -> np.ndarray:
     return p
 
 
-def _lgamma_half_step(a: float) -> float:
-    """lgamma(a + 1/2) - lgamma(a). From a = 50 on, Stirling's series gives
-    it without the cancellation of two large logs (whose rounding alone is
-    3.6e-12 at a = 2,500); its first omitted term is below 1e-16 there."""
+def _lgamma_step(a: float, b: float) -> float:
+    """lgamma(a + b) - lgamma(a) for b of a few units. From a = 50 on,
+    Stirling's series gives it without the cancellation of two large logs
+    (whose rounding alone is 3.6e-12 at a = 2,500); its first omitted term
+    is below 1e-16 there."""
     if a < 50.0:
-        return math.lgamma(a + 0.5) - math.lgamma(a)
+        return math.lgamma(a + b) - math.lgamma(a)
 
     def series(z: float) -> float:  # lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2)
         return 1.0 / (12.0 * z) - 1.0 / (360.0 * z**3) + 1.0 / (1260.0 * z**5)
 
-    return 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + series(a + 0.5) - series(a)
+    return b * math.log(a) + ((a + b - 0.5) * math.log1p(b / a) - b) + series(a + b) - series(a)
 
 
 _CF_MAX_DEPTH = 4096
@@ -325,9 +332,12 @@ def build_constraints(
 
     Returns constraints re-indexed to the reduced dataset's dense node
     indices. The outcome node, when present, receives possible parents
-    but never appears in another node's possible-parent set, and the
-    survival column can only ever be a sink. Screening it (all-pairs mode
-    or as the outcome) under ``corr_cutoff`` raises before any test runs.
+    but never appears in another node's possible-parent set, and no
+    possible parent breaks the parent-kind rule (:func:`core._may_parent`).
+    ``corr_cutoff`` raises before any test runs where a test would not
+    be on r: on data whose survival column is screened (all-pairs mode or
+    as the outcome), and on data with a categorical column of three or
+    more levels.
     """
     outcome_idx = data.index_of(opts.outcome) if opts.outcome is not None else data.survival_index
     s = data.survival_index
@@ -335,20 +345,29 @@ def build_constraints(
         opts.mode == "all_pairs" or outcome_idx == s
     ):
         raise AssocError("a survival column is screened by Cox tests: use alpha, not corr_cutoff")
+    wide = [c for c in data.columns if c.kind == CATEGORICAL and c.levels > 2]
+    if opts.corr_cutoff is not None and wide:
+        raise AssocError(
+            f"categorical column {wide[0].name!r} is {wide[0].levels - 1} indicator columns, "
+            "which no one correlation describes: use alpha, not corr_cutoff"
+        )
     if opts.user_pp is not None:
         pp = _pp_from_user(data, opts.user_pp)
     else:
-        M, idx = _encoded_matrix(data)
-        for k in np.nonzero(_constant(M))[0]:
-            warnings.warn(
-                f"column {data.column(idx[k]).name!r} is constant; treated as unassociated",
-                ScreeningWarning,
-                stacklevel=2,
-            )
+        R, cols = _regressors(data, [j for j in range(data.p) if j != s])
+        M = R.T.copy()  # C order: the correlations' float bits depend on the layout
+        constant = _constant(M).tolist()
+        for j, at in cols.items():
+            if all(constant[k] for k in at):
+                warnings.warn(
+                    f"column {data.names[j]!r} is constant; treated as unassociated",
+                    ScreeningWarning,
+                    stacklevel=2,
+                )
         if opts.mode == "all_pairs":
-            pp = _screen_all_pairs(data, M, idx, opts, outcome_idx)
+            pp = _screen_all_pairs(data, M, cols, opts, outcome_idx)
         else:
-            pp = _screen_phenotype(data, M, idx, opts)
+            pp = _screen_phenotype(data, M, cols, opts)
 
     members = 0
     for m in pp:
@@ -375,85 +394,159 @@ def _pp_from_user(data: Dataset, user_pp: dict[str, list[str]]) -> list[int]:
             pi = data.index_of(par)
             if pi == ci:
                 raise StructureError(f"{child!r} lists itself as a possible parent")
-            if data.column(pi).kind == SURVIVAL:
+            kind, child_kind = data.column(pi).kind, data.column(ci).kind
+            if not _may_parent(kind, child_kind):
                 raise StructureError(
-                    f"survival column {par!r} can only be a sink, not a possible parent"
+                    f"{kind} column {par!r} cannot be a possible parent of "
+                    f"{child_kind} column {child!r}"
                 )
             pp[ci] |= 1 << pi
     return pp
 
 
+def _admissible(data: Dataset) -> np.ndarray:
+    """``may[i, j]``: whether column j may parent column i (:func:`core._may_parent`)."""
+    kinds = np.array([c.kind for c in data.columns])
+    return _may_parent(kinds[None, :], kinds[:, None])
+
+
 def _screen_all_pairs(
-    data: Dataset, M: np.ndarray, idx: list[int], opts: ScreenOptions, outcome_idx: int | None
+    data: Dataset,
+    M: np.ndarray,
+    cols: dict[int, list[int]],
+    opts: ScreenOptions,
+    outcome_idx: int | None,
 ) -> list[int]:
-    """Test every unordered pair of non-survival columns as one BH family;
-    the survival column's Cox tests form a family of their own. The
-    outcome never becomes a parent. ``M, idx`` is :func:`_encoded_matrix`."""
-    rows, cols = np.triu_indices(len(idx), k=1)
-    r = _corr_against(M, M)[rows, cols]
-    keep = _passes(_statistic(r, data.n_rows, opts), opts)
+    """Test every unordered pair of non-survival columns once, as one BH
+    family, with the column that may parent the other as the candidate
+    (the later one where both may); a passing pair gives each direction
+    that the parent-kind rule allows. The survival column's Cox tests
+    form a family of their own. The outcome never becomes a parent.
+    ``M, cols`` are the :func:`_tests` columns."""
+    nodes = np.array(list(cols), dtype=int)
+    a, b = (nodes[k] for k in np.triu_indices(nodes.size, k=1))
+    may = _admissible(data)
+    swap = ~may[a, b]
+    keep = _passes(_tests(data, M, cols, np.where(swap, b, a), np.where(swap, a, b), opts), opts)
     pp = [0] * data.p
-    for a, b in zip(rows[keep], cols[keep]):
-        a, b = idx[a], idx[b]
-        if a != outcome_idx:
-            pp[b] |= 1 << a
-        if b != outcome_idx:
-            pp[a] |= 1 << b
+    outcome = -1 if outcome_idx is None else outcome_idx
+    for u, v in ((a[keep], b[keep]), (b[keep], a[keep])):  # v -> u, where v may parent u
+        ok = may[u, v] & (v != outcome)
+        for i, j in zip(u[ok].tolist(), v[ok].tolist()):
+            pp[i] |= 1 << j
 
     s = data.survival_index
     if s is not None:
-        found, _ = _screen_level(data, M, idx, [s], {s}, opts)
+        found, _ = _screen_level(data, M, cols, [s], {s}, opts)
         pp[s] = found[s]
     return pp
+
+
+def _tests(
+    data: Dataset,
+    M: np.ndarray,
+    cols: dict[int, list[int]],
+    t: np.ndarray,
+    c: np.ndarray,
+    opts: ScreenOptions,
+    targets: list[int] | None = None,
+) -> np.ndarray:
+    """The statistic of each test of ``c[i]`` as a parent of ``t[i]``, two
+    non-survival columns that the parent-kind rule allows in that
+    direction: |r| under ``corr_cutoff`` (one-column designs only, as
+    :func:`build_constraints` checks), else the p-value of the G, F or t
+    test. ``M`` holds the non-survival columns' :func:`scoring._regressors`
+    columns, and ``cols`` each node's columns of ``M``. The correlations
+    come from one :func:`_corr_against` call: of every column against every
+    column (all-pairs mode, ``targets`` None), or of the one-column nodes
+    among ``targets`` against every column.
+    """
+    first, width = np.zeros(data.p, dtype=int), np.zeros(data.p, dtype=int)
+    for j, at in cols.items():
+        first[j], width[j] = at[0], len(at)
+    n = data.n_rows
+    cat = np.array([col.kind == CATEGORICAL for col in data.columns])
+    g = cat[t] & cat[c] & (opts.alpha is not None)
+    f = (width[c] > 1) & ~g
+    r = ~(g | f)
+    stat = np.empty(t.size)
+    if r.any():
+        if targets is None:
+            Y, row = M, first
+        else:
+            one = [u for u in targets if width[u] == 1]
+            Y, row = M[:, first[one]], np.zeros(data.p, dtype=int)
+            row[one] = np.arange(len(one))
+        stat[r] = _statistic(_corr_against(Y, M)[row[t[r]], first[c[r]]], n, opts)
+
+    for u in np.unique(c[f]).tolist():  # each candidate's F tests, its targets at once
+        at = np.flatnonzero(f & (c == u))
+        Z = M[:, cols[u]]
+        Z = np.column_stack([Z.sum(axis=1) == 0, Z])  # an indicator per level
+        counts = Z.sum(axis=0)
+        seen = counts > 0
+        Y = M[:, first[t[at]]]
+        Yc = Y - Y.mean(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):  # R^2 = between-level SS / total SS
+            between = (np.square(Z[:, seen].T @ Yc) / counts[seen, None]).sum(axis=0)
+            r2 = between / np.einsum("ij,ij->j", Yc, Yc)
+        r2[_constant(Y)] = np.nan
+        L = int(seen.sum())
+        stat[at] = _corr_pvalue(np.clip(r2, 0.0, 1.0), 0.5 * (n - L), 0.5 * (L - 1))
+
+    for i in np.flatnonzero(g).tolist():
+        u, v = int(t[i]), int(c[i])
+        gain = _categorical_ll(data, u, 1 << v) - _categorical_ll(data, u, 0)
+        df = math.prod(np.unique(data.column(j).values).size - 1 for j in (u, v))
+        stat[i] = _chi2_sf(df, np.array([max(2.0 * gain, 0.0)]))[0] if df else np.nan
+    return stat
 
 
 def _screen_level(
     data: Dataset,
     M: np.ndarray,
-    idx: list[int],
+    cols: dict[int, list[int]],
     targets: list[int],
     excluded: set[int],
     opts: ScreenOptions,
 ) -> tuple[dict[int, int], dict[tuple[int, int], float]]:
     """Screen possible parents for each target; one BH family per level.
 
-    ``M, idx`` is :func:`_encoded_matrix`; the correlations of all
-    non-survival targets come from one :func:`_corr_against` call.
-    Returns the kept candidates per target as a bitmask, and the
-    statistic of every (target, candidate) test: the unadjusted p-value
-    under ``alpha``, |r| under ``corr_cutoff``, NaN where undefined.
+    A target's candidates are the columns outside ``excluded`` that may
+    parent it. Returns the kept candidates per target as a bitmask, and
+    the statistic of every (target, candidate) test (:func:`_tests` on
+    ``M, cols``, or :func:`cox_screen` for the survival column): the
+    unadjusted p-value under ``alpha``, |r| under ``corr_cutoff``, NaN
+    where undefined.
     """
-    col = {i: k for k, i in enumerate(idx)}
-    row = {t: r for r, t in enumerate(t for t in targets if data.column(t).kind != SURVIVAL)}
-    if row:  # a level of only the survival outcome needs no correlations
-        corr_stat = _statistic(_corr_against(M[:, [col[t] for t in row]], M), data.n_rows, opts)
-    tests: list[tuple[int, int]] = []
-    stats: list[np.ndarray] = []
-    for t in targets:
-        cands = [k for k, i in enumerate(idx) if i != t and i not in excluded]
-        if data.column(t).kind == SURVIVAL:
-            stat = cox_screen(data, t, [idx[k] for k in cands])
-        else:
-            stat = corr_stat[row[t], cands]
-        tests += [(t, idx[k]) for k in cands]
-        stats.append(stat)
+    allowed = _admissible(data)[targets]
+    allowed[:, sorted(excluded)] = False
+    allowed[np.arange(len(targets)), targets] = False
+    row, c = np.nonzero(allowed)
+    t = np.array(targets, dtype=int)[row]
+    s = -1 if data.survival_index is None else data.survival_index
+    cox = t == s
+    stat = np.empty(t.size)
+    if cox.any():
+        stat[cox] = cox_screen(data, s, c[cox].tolist())
+    if not cox.all():
+        stat[~cox] = _tests(data, M, cols, t[~cox], c[~cox], opts, [u for u in targets if u != s])
 
-    result: dict[int, int] = {t: 0 for t in targets}
-    stat = np.concatenate(stats)
-    for (t, i), ok in zip(tests, _passes(stat, opts)):
-        if ok:
-            result[t] |= 1 << i
-    return result, dict(zip(tests, stat.tolist()))
+    result: dict[int, int] = {u: 0 for u in targets}
+    keep = _passes(stat, opts)
+    for u, j in zip(t[keep].tolist(), c[keep].tolist()):
+        result[u] |= 1 << j
+    return result, dict(zip(zip(t.tolist(), c.tolist()), stat.tolist()))
 
 
 def _screen_phenotype(
-    data: Dataset, M: np.ndarray, idx: list[int], opts: ScreenOptions
+    data: Dataset, M: np.ndarray, cols: dict[int, list[int]], opts: ScreenOptions
 ) -> list[int]:
     outcome = data.index_of(opts.outcome)
     pp = [0] * data.p
     excluded = {outcome}
 
-    found, stats = _screen_level(data, M, idx, [outcome], excluded, opts)
+    found, stats = _screen_level(data, M, cols, [outcome], excluded, opts)
     level1 = found[outcome]
     if opts.top_k is not None and level1.bit_count() > opts.top_k:
         level1 = _trim_top_k(data, outcome, level1, stats, opts)
@@ -465,7 +558,7 @@ def _screen_phenotype(
         frontier = [t for t in frontier if t not in assigned]
         if not frontier:
             break
-        found, _ = _screen_level(data, M, idx, frontier, excluded, opts)
+        found, _ = _screen_level(data, M, cols, frontier, excluded, opts)
         next_members = 0
         for t in frontier:
             pp[t] = found[t]

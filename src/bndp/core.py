@@ -86,6 +86,15 @@ def _constant(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.ptp(values, axis=axis) == 0
 
 
+def _may_parent(parent, child):
+    """The parent-kind rule: whether a column of kind ``parent`` may be a
+    parent of one of kind ``child``. A survival column is never a parent,
+    and a categorical node takes only categorical parents, the only ones its
+    multinomial score can condition on. Takes two kinds, or arrays of kinds
+    that broadcast to a boolean array."""
+    return (parent != SURVIVAL) & ((child != CATEGORICAL) | (parent == CATEGORICAL))
+
+
 @dataclass(frozen=True)
 class Column:
     """One dataset column.
@@ -171,7 +180,10 @@ class Dataset:
         raise StructureError(f"no column named {name!r}")
 
     def numeric_values(self, i: int) -> np.ndarray:
-        """Column as a float regressor; categorical codes are used as-is."""
+        """Column as a float regressor. Of a categorical column only a binary
+        one is read this way: its codes 0 and 1 are its level-1 indicator.
+        One of three or more levels enters as indicator columns
+        (``scoring._regressors``), and nothing reads its codes as numbers."""
         c = self.columns[i]
         if c.kind == SURVIVAL:
             raise StructureError("survival column cannot be used as a regressor")

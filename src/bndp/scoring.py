@@ -13,6 +13,14 @@ survival sink's parent sets on the standardised designs of
 :func:`_cox_batches`, which survival screening
 (:func:`bndp.assoc.cox_screen`) fits too, one degree of freedom per column.
 :func:`compute_local_scores` is the one dispatch, a loop over the nodes.
+A possible parent that the parent-kind rule (:func:`core._may_parent`)
+excludes raises :class:`ScoringError` before any score.
+
+Gaussian BIC is unit-free: up to rounding, an affine map ``a x + b`` of a
+continuous column shifts each of its node's scores by ``-n ln|a|`` and
+leaves every other score unchanged. BGe is not: its fixed prior scale
+``_BGE_T`` times the identity is in the data's units, so rescaling a
+column (by 10^6, say) changes which networks BGe finds best.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .core import (
     NodeSubset,
     ParentConstraints,
     _constant,
+    _may_parent,
     subsets_up_to,
 )
 from .numeric import CoxBatch, NumericError, cox_fit_batch
@@ -69,7 +78,12 @@ class ScoringWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Score family selection: ``"bic"`` or ``"bge"`` (fixed prior, :class:`_Gram`)."""
+    """Score family selection: ``"bic"`` or ``"bge"`` (fixed prior, :class:`_Gram`).
+
+    BGe's prior scale is fixed in the data's units, so its networks depend on
+    them: rescaling a column can change them. Gaussian BIC's do not depend on
+    affine maps of continuous columns.
+    """
 
     family: str = "bic"
 
@@ -138,33 +152,49 @@ def bic_gaussian(node: int, parents: int, data: Dataset) -> float:
     return ll - 0.5 * k * math.log(n)
 
 
+def _check_parents(data: Dataset, node: int, parents: int) -> None:
+    """ScoringError unless each of ``parents`` may parent ``node``
+    (:func:`core._may_parent`), naming both columns."""
+    child = data.column(node)
+    for j in NodeSubset(parents):
+        parent = data.column(j)
+        if not _may_parent(parent.kind, child.kind):
+            raise ScoringError(
+                f"{parent.kind} column {parent.name!r} cannot be a parent of "
+                f"{child.kind} column {child.name!r}"
+            )
+
+
+def _categorical_ll(data: Dataset, node: int, parents: int) -> float:
+    """Multinomial log-likelihood of the categorical ``node`` given its
+    categorical ``parents``, at the MLE: parent configurations with no
+    observations contribute nothing."""
+    codes = np.zeros(data.n_rows, dtype=np.int64)
+    for j in NodeSubset(parents):
+        pc = data.column(j)
+        codes = codes * pc.levels + pc.values.astype(np.int64)
+    col = data.column(node)
+    joint = codes * col.levels + col.values.astype(np.int64)
+    _, joint_counts = np.unique(joint, return_counts=True)
+    _, config_counts = np.unique(codes, return_counts=True)
+    return float(joint_counts @ np.log(joint_counts)) - float(
+        config_counts @ np.log(config_counts)
+    )
+
+
 def bic_categorical(node: int, parents: int, data: Dataset) -> float:
     """Multinomial BIC local score for a categorical node.
 
     Penalty counts (r - 1) * q free parameters, q being the product of
-    the parent level counts; parent configurations with no observations
-    contribute nothing to the log-likelihood. A non-categorical parent
-    scores -inf with a warning.
+    the parent level counts (:func:`_categorical_ll` gives the
+    log-likelihood). A non-categorical parent raises ScoringError.
     """
     col = data.column(node)
     if col.kind != CATEGORICAL:
         raise ScoringError(f"node {node} is not categorical")
+    _check_parents(data, node, parents)
     n = data.n_rows
-    r = col.levels
-    q = 1
-    codes = np.zeros(n, dtype=np.int64)
-    for j in NodeSubset(parents):
-        pc = data.column(j)
-        if pc.kind != CATEGORICAL:
-            warnings.warn(
-                f"categorical node {node} cannot take non-categorical parent {j}; "
-                "scored as -inf",
-                ScoringWarning,
-                stacklevel=3,  # past compute_local_scores to its caller
-            )
-            return NEG_INF
-        codes = codes * pc.levels + pc.values.astype(np.int64)
-        q *= pc.levels
+    q = math.prod(data.column(j).levels for j in NodeSubset(parents))
     if q > n:
         warnings.warn(
             f"node {node}: {q} parent configurations exceed {n} rows "
@@ -172,13 +202,7 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
             ScoringWarning,
             stacklevel=2,
         )
-    joint = codes * r + col.values.astype(np.int64)
-    _, joint_counts = np.unique(joint, return_counts=True)
-    _, config_counts = np.unique(codes, return_counts=True)
-    ll = float(joint_counts @ np.log(joint_counts)) - float(
-        config_counts @ np.log(config_counts)
-    )
-    return ll - 0.5 * (r - 1) * q * math.log(n)
+    return _categorical_ll(data, node, parents) - 0.5 * (col.levels - 1) * q * math.log(n)
 
 
 def _cox_batches(
@@ -356,14 +380,14 @@ def compute_local_scores(
     """Score every parent subset of every node's possible-parent set.
 
     Enumeration is truncated at the in-degree bound; scoring failures
-    become -inf sentinels so downstream search stays total.
+    become -inf sentinels so downstream search stays total. A
+    possible parent that the parent-kind rule (:func:`core._may_parent`)
+    excludes raises ScoringError before any score.
     """
     if constraints.n_nodes != data.p:
         raise ScoringError("constraints and data disagree on the node count")
-    if data.survival_index is not None:
-        surv_bit = 1 << data.survival_index
-        if any(mask & surv_bit for mask in constraints.pp):
-            raise ScoringError("the survival column can only be a sink, never a parent")
+    for i, pp in enumerate(constraints.pp):
+        _check_parents(data, i, pp)
     masks = [list(subsets_up_to(pp, constraints.indegree)) for pp in constraints.pp]
     gram = _Gram(data, cfg.family)  # BGe data is all continuous (_Gram checks)
     gaussian = [i for i, c in enumerate(data.columns) if c.kind == CONTINUOUS]

@@ -21,7 +21,6 @@ from bndp.assoc import (
     _chi2_sf,
     _corr_against,
     _corr_pvalue,
-    _encoded_matrix,
     _passes,
     _screen_level,
     _statistic,
@@ -31,7 +30,14 @@ from bndp.assoc import (
 )
 from bndp.core import Column, Dataset, NodeSubset, StructureError
 from bndp.numeric import NumericError, cox_fit
+from bndp.scoring import _regressors
 from bndp.simulate import simulate_survival
+
+
+def screen_level(data, targets, excluded, opts):
+    """One level's screen on the columns build_constraints gives it."""
+    R, cols = _regressors(data, [j for j in range(data.p) if j != data.survival_index])
+    return _screen_level(data, R.T.copy(), cols, targets, excluded, opts)
 
 
 def continuous_dataset(matrix, names=None):
@@ -151,39 +157,98 @@ def _r_grid(df):
     return np.unique(np.concatenate([k, np.arange(k_switch - 300, k_switch + 301)])) / _R_SCALE
 
 
-class TestCorrPValueKernel:
-    """_corr_pvalue, the correlation test's p-value, against scipy."""
+def _t_pvalue(r, df):
+    """The t test's p-value of r on df degrees of freedom through the kernel."""
+    return _corr_pvalue(np.square(r), df / 2, 0.5)
 
-    @pytest.mark.parametrize("df", [1, 2, 3, 10, 98, 498, 998, 4_998, 19_998, 99_998])
+
+def _t_pvalue_closed_form(r, df):
+    """The kernel written out for b = 1/2 alone: log B(a, 1/2) is
+    log sqrt(pi) - (lgamma(a + 1/2) - lgamma(a)), the difference by
+    Stirling's series from a = 50 as a log1p of 1/(2a). The general
+    kernel must give these bits at b = 1/2."""
+    r2 = np.square(r)
+    a, b = 0.5 * df, 0.5
+    if a < 50.0:
+        step = math.lgamma(a + 0.5) - math.lgamma(a)
+    else:
+        def series(z):
+            return 1.0 / (12.0 * z) - 1.0 / (360.0 * z**3) + 1.0 / (1260.0 * z**5)
+
+        step = 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + series(a + 0.5) - series(a)
+    log_beta = 0.5 * math.log(math.pi) - step
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log1p(-r2) + b * np.log(r2) - log_beta)
+    x = 1.0 - r2
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    p = np.empty(r2.shape)
+    p[direct] = front[direct] * _betacf(a, b, x[direct], 64) / a
+    p[~direct] = 1.0 - front[~direct] * _betacf(b, a, r2[~direct], 16) / b
+    return p
+
+
+_T_DFS = [1, 2, 3, 10, 98, 498, 998, 4_998, 19_998, 99_998]
+
+
+class TestCorrPValueKernel:
+    """_corr_pvalue, the t and F tests' p-value, against scipy."""
+
+    @pytest.mark.parametrize("df", _T_DFS)
     def test_against_betainc(self, df):
         r = _r_grid(df)
         x = 1 - r * r
         switch = (df / 2 + 1) / (df / 2 + 2.5)
         assert (x < switch).sum() > 300 and (x >= switch).sum() > 300
         expect = special.betainc(df / 2, 0.5, x)
-        got = _corr_pvalue(r, df)
+        got = _t_pvalue(r, df)
         tested = expect >= 1e-300
         rel = np.abs(got[tested] - expect[tested]) / expect[tested]
         assert rel.max() <= 1e-12 * max(1, df / 1000)
 
+    @pytest.mark.parametrize("df", _T_DFS)
+    def test_b_half_keeps_the_t_test_bits(self, df):
+        r = np.concatenate([_r_grid(df), [np.nan]])
+        got = _t_pvalue(r, df)
+        assert got.tobytes() == _t_pvalue_closed_form(r, df).tobytes()
+
+    @pytest.mark.parametrize("levels", range(3, 11))
+    @pytest.mark.parametrize("n", [20, 21, 99, 500, 999, 2_000, 5_000])
+    def test_f_test_against_f_sf(self, levels, n):
+        # R^2 = k / 2**20, dense in [0, 1] and next to the switch point
+        a, b = (n - levels) / 2, (levels - 1) / 2
+        k_switch = round((1 - (a + 1) / (a + b + 2)) * _R_SCALE)
+        k = np.arange(0, _R_SCALE + 1, 64)
+        r2 = np.unique(np.concatenate([k, np.arange(k_switch - 300, k_switch + 301)])) / _R_SCALE
+        with np.errstate(divide="ignore"):
+            f = (r2 / (levels - 1)) / ((1 - r2) / (n - levels))
+        expect = stats.f.sf(f, levels - 1, n - levels)
+        got = _corr_pvalue(r2, a, b)
+        tested = expect >= 1e-300
+        assert tested.sum() > 300
+        assert (np.abs(got[tested] - expect[tested]) / expect[tested]).max() <= 1e-12
+
     @pytest.mark.parametrize("df", [1, 10, 998, 99_998])
     def test_monotone_and_even_in_r(self, df):
         r = _r_grid(df)
-        p = _corr_pvalue(r, df)
+        p = _t_pvalue(r, df)
         assert np.all(np.diff(p) <= 0)
-        np.testing.assert_array_equal(_corr_pvalue(-r, df), p)
+        np.testing.assert_array_equal(_t_pvalue(-r, df), p)
 
     def test_keeps_shape(self):
         r = np.random.default_rng(3).uniform(-1, 1, (4, 7))
         r[1, 2] = np.nan
-        got = _corr_pvalue(r, 30)
+        got = _t_pvalue(r, 30)
         assert got.shape == (4, 7)
-        np.testing.assert_array_equal(got, _corr_pvalue(r.ravel(), 30).reshape(4, 7))
+        np.testing.assert_array_equal(got, _t_pvalue(r.ravel(), 30).reshape(4, 7))
+
+    def test_no_degrees_of_freedom_is_nan(self):
+        for a, b in ((0.0, 0.5), (-0.5, 1.0), (10.0, 0.0)):
+            assert np.isnan(_corr_pvalue(np.array([0.3]), a, b)).all()
 
     def test_deeper_start_agrees(self):
         # starting the continued fraction shallow forces the depth to double
         # until the convergents agree
-        for a, b in ((10.0, 0.5), (0.5, 10.0)):
+        for a, b in ((10.0, 0.5), (0.5, 10.0), (10.0, 4.5)):
             x = np.linspace(0, (a + 1) / (a + b + 2), 30, endpoint=False)
             shallow = _betacf(a, b, x, 2)
             assert np.abs(shallow / _betacf(a, b, x, 64) - 1).max() < 1e-14
@@ -191,15 +256,16 @@ class TestCorrPValueKernel:
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr("bndp.assoc._CF_MAX_DEPTH", 32)
         with pytest.raises(NumericError, match="did not converge"):
-            _corr_pvalue(np.array([0.3]), 998)
+            _t_pvalue(np.array([0.3]), 998)
 
 
 class TestChi2SfKernel:
-    """_chi2_sf, the Cox screen's likelihood-ratio p-value, against scipy."""
+    """_chi2_sf, the Cox and G tests' p-value, against scipy: k up to 81,
+    the G test's degrees of freedom for two ten-level columns."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("k", [*range(1, 13), 16, 20, 27, 35, 48, 63, 64, 80, 81])
     def test_against_chdtrc(self, k):
-        x = np.concatenate([[0.0], np.logspace(-8, 3.2, 2000)])
+        x = np.concatenate([[0.0], np.logspace(-8, 3.5, 2000)])
         expect = special.chdtrc(k, x)
         got = _chi2_sf(k, x)
         tested = expect >= 1e-300
@@ -736,12 +802,11 @@ def test_multi_target_level_matches_solo_screens(opts):
     X[:, 3] += 0.5 * X[:, 1] - 0.4 * X[:, 2]
     X[:, 5] = 1.5  # constant: its tests are undefined (NaN)
     data = continuous_dataset(X)
-    M, idx = _encoded_matrix(data)
     targets, excluded = [0, 1, 3, 5], {6}
-    _, multi = _screen_level(data, M, idx, targets, excluded, opts)
+    _, multi = screen_level(data, targets, excluded, opts)
     assert len(multi) == len(targets) * 5
     for t in targets:
-        _, solo = _screen_level(data, M, idx, [t], excluded, opts)
+        _, solo = screen_level(data, [t], excluded, opts)
         keys = sorted(solo)
         assert sorted(k for k in multi if k[0] == t) == keys
         np.testing.assert_allclose(
@@ -902,6 +967,147 @@ def test_screening_matches_oracle(seed, opts):
     for k, mask in enumerate(constraints.pp):
         got[data.index_of(reduced.names[k])] = {data.index_of(reduced.names[j]) for j in mask}
     assert got == expect
+
+
+def _k3_case(codes=(0, 1, 2)):
+    """y depends on a three-level K non-monotonically, z on y: K's codes as
+    numbers correlate with neither when the levels are (0, 1, 2)."""
+    rng = np.random.default_rng(49)
+    n = 300
+    k = rng.integers(0, 3, n)
+    y = np.array([0.0, 2.0, 0.0])[k] + rng.standard_normal(n)
+    z = y + rng.standard_normal(n)
+    return Dataset(
+        [
+            Column("K", "categorical", np.array(codes)[k].astype(float), levels=3),
+            Column("y", "continuous", y),
+            Column("z", "continuous", z),
+        ]
+    ), k
+
+
+class TestMixedScreening:
+    """Each pair of mixed columns gets the test of the nested models that
+    its local score compares, and only in directions the parent-kind rule
+    allows."""
+
+    @pytest.mark.parametrize("codes", list(itertools.permutations(range(3))))
+    def test_k3_relabelled_screens_alike(self, codes):
+        data, _ = _k3_case(codes)
+        constraints, reduced = build_constraints(data, ScreenOptions(alpha=1e-5), indegree=2)
+        assert reduced.names == ("K", "y", "z")
+        assert constraints.pp == (0, 0b101, 0b011)  # K has no parent; y and z take K
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bndp.learn(data, ScreenOptions(alpha=1e-5), bndp.ScoreConfig("bic"), 2)
+
+    def test_f_test_against_f_oneway(self):
+        data, k = _k3_case()
+        _, stat = screen_level(data, [1, 2], set(), ScreenOptions(alpha=0.05))
+        assert set(stat) == {(1, 0), (1, 2), (2, 0), (2, 1)}
+        for t in (1, 2):
+            v = data.column(t).values
+            expect = stats.f_oneway(*(v[k == level] for level in range(3))).pvalue
+            assert stat[t, 0] == pytest.approx(expect, rel=1e-12)
+        assert stat[1, 0] == pytest.approx(2.34e-47, rel=1e-2)
+        assert stat[2, 0] == pytest.approx(2.70e-28, rel=1e-2)
+
+    @given(
+        st.integers(2, 10),
+        st.integers(2, 10),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_g_test_against_chi2_contingency(self, l1, l2, seed, strength):
+        rng = np.random.default_rng(seed)
+        n = 400
+        a = rng.integers(0, l1, n)
+        b = np.where(rng.random(n) < strength, a % l2, rng.integers(0, l2, n))
+        table = np.zeros((l1, l2))
+        np.add.at(table, (a, b), 1)
+        assume(table.sum(axis=0).all() and table.sum(axis=1).all())
+        data = Dataset(
+            [
+                Column("a", "categorical", a.astype(float), levels=l1),
+                Column("b", "categorical", b.astype(float), levels=l2),
+            ]
+        )
+        _, stat = screen_level(data, [0, 1], set(), ScreenOptions(alpha=0.05))
+        expect = stats.chi2_contingency(table, correction=False, lambda_="log-likelihood").pvalue
+        assume(expect >= 1e-300)
+        assert stat[0, 1] == pytest.approx(expect, rel=1e-9, abs=1e-14)
+        assert stat[1, 0] == pytest.approx(expect, rel=1e-9, abs=1e-14)
+
+    def test_unobserved_level_counts_no_degree_of_freedom(self):
+        # K declares four levels but uses three: the same tests as a
+        # three-level K, and a one-level column has no test at all
+        data, k = _k3_case()
+        four = Dataset([Column("K", "categorical", k.astype(float), levels=4), *data.columns[1:]])
+        opts = ScreenOptions(alpha=0.05)
+        _, stat = screen_level(data, [1], set(), opts)
+        _, stat4 = screen_level(four, [1], set(), opts)
+        assert stat4[1, 0] == pytest.approx(stat[1, 0], rel=1e-12)
+        pair = Dataset(
+            [
+                Column("a", "categorical", np.zeros(30), levels=2),
+                Column("b", "categorical", np.arange(30.0) % 3, levels=3),
+            ]
+        )
+        _, stat = screen_level(pair, [0, 1], set(), opts)
+        assert np.isnan(stat[0, 1]) and np.isnan(stat[1, 0])
+
+    def test_categorical_target_tests_only_categorical_candidates(self):
+        rng = np.random.default_rng(5)
+        n = 200
+        k = rng.integers(0, 3, n)
+        c = (k + (rng.random(n) < 0.2)) % 2
+        y = k + rng.standard_normal(n)
+        data = Dataset(
+            [
+                Column("K", "categorical", k.astype(float), levels=3),
+                Column("C", "categorical", c.astype(float), levels=2),
+                Column("y", "continuous", y),
+            ]
+        )
+        _, stat = screen_level(data, [0, 2], set(), ScreenOptions(alpha=0.05))
+        assert set(stat) == {(0, 1), (2, 0), (2, 1)}
+        constraints, reduced = build_constraints(data, ScreenOptions(alpha=1e-3), indegree=2)
+        assert reduced.names == ("K", "C", "y")
+        assert constraints.pp == (0b010, 0b001, 0b001)
+        opts = ScreenOptions(mode="phenotype", outcome="K", alpha=1e-3, levels=2)
+        constraints, reduced = build_constraints(data, opts, indegree=2)
+        assert reduced.names == ("K", "C")  # y is not a candidate of K
+        assert constraints.pp == (0b10, 0)
+
+    def test_corr_cutoff_with_three_levels_rejected(self, monkeypatch):
+        import bndp.assoc
+
+        data, _ = _k3_case()
+        calls = []
+        real = bndp.assoc._corr_against
+        monkeypatch.setattr(bndp.assoc, "_corr_against", lambda *a: calls.append(1) or real(*a))
+        for opts in (
+            ScreenOptions(corr_cutoff=0.3),
+            ScreenOptions(mode="phenotype", outcome="y", corr_cutoff=0.3, levels=2),
+        ):
+            with pytest.raises(AssocError, match="'K' is 2 indicator columns.*: use alpha, not corr_cutoff"):
+                build_constraints(data, opts, indegree=2)
+        assert not calls
+        # a binary column is one column: its |r| is the cutoff's statistic
+        binary = Dataset([Column("B", "categorical", (data.column(1).values > 1).astype(float), levels=2), *data.columns[1:]])
+        constraints, _ = build_constraints(binary, ScreenOptions(corr_cutoff=0.3), indegree=2)
+        assert constraints.pp[0] == 0 and constraints.pp[1] & 1
+
+    def test_user_pp_breaking_the_rule_rejected(self):
+        data, _ = _k3_case()
+        with pytest.raises(
+            StructureError,
+            match="continuous column 'y' cannot be a possible parent of categorical column 'K'",
+        ):
+            build_constraints(data, ScreenOptions(user_pp={"K": ["y"]}), indegree=1)
+        constraints, _ = build_constraints(data, ScreenOptions(user_pp={"y": ["K"]}), indegree=1)
+        assert constraints.pp[1] == 0b1
 
 
 # A learn run under alpha in a fresh interpreter: all-pairs correlation tests

@@ -346,6 +346,28 @@ class TestLearnCommand:
         ) == 2
         assert "use --alpha, not --corr-cutoff" in capsys.readouterr().err
 
+    def test_three_level_column_rejects_corr_cutoff_and_continuous_parents(self, tmp_path, capsys):
+        # k, inferred categorical (three integer values), enters scoring as
+        # two indicator columns: no one correlation describes it, and it takes
+        # no continuous parent, from screening or from --pp-file
+        rng = np.random.default_rng(4)
+        k = rng.integers(0, 3, 60)
+        a = np.array([0.0, 2.0, 0.0])[k] + rng.standard_normal(60)
+        csv_path = tmp_path / "k3.csv"
+        csv_path.write_text("a,k\n" + "".join(f"{x!r},{c}\n" for x, c in zip(a.tolist(), k)))
+        assert run("learn", "--data", csv_path, "--out", tmp_path / "o", "--corr-cutoff", 0.3) == 2
+        err = capsys.readouterr().err
+        assert "'k' is 2 indicator columns" in err and "use --alpha, not --corr-cutoff" in err
+        pp = tmp_path / "pp.json"
+        pp.write_text(json.dumps({"k": ["a"]}))
+        assert run("learn", "--data", csv_path, "--out", tmp_path / "o", "--pp-file", pp) == 2
+        err = capsys.readouterr().err
+        assert "continuous column 'a' cannot be a possible parent of categorical column 'k'" in err
+        out = tmp_path / "run"
+        assert run("learn", "--data", csv_path, "--out", out) == 0
+        for net in json.loads((out / "networks.json").read_text())["networks"]:
+            assert net["parents"]["k"] == []
+
     def test_event_free_survival_column_rejected(self, tmp_path, capsys, monkeypatch):
         # a status column with no event (all 0) is an input error that names
         # the column, raised while loading: no screening test runs

@@ -163,8 +163,10 @@ class TestBicCategorical:
                 Column("x", "continuous", np.arange(10.0)),
             ]
         )
-        with pytest.warns(ScoringWarning, match="non-categorical parent 1"):
-            assert bic_categorical(0, 0b10, data) == NEG_INF
+        with pytest.raises(
+            ScoringError, match="continuous column 'x' cannot be a parent of categorical column 'c'"
+        ):
+            bic_categorical(0, 0b10, data)
 
 
 # ------------------------------------------------------------------- bge
@@ -616,10 +618,13 @@ class TestComputeLocalScores:
                 Column("x", "continuous", x),
             ]
         )
-        constraints = ParentConstraints.complete(2, 1)
-        with pytest.warns(ScoringWarning):
-            table = compute_local_scores(data, constraints, ScoreConfig("bic"))
-        assert table.score(0, 0b10) == NEG_INF  # continuous parent unsupported
+        # the parent-kind rule is checked before any score
+        with pytest.raises(ScoringError, match="continuous column 'x' cannot be a parent"):
+            compute_local_scores(data, ParentConstraints.complete(2, 1), ScoreConfig("bic"))
+        pp = (NodeSubset(0), NodeSubset(0b01))  # c -> x only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = compute_local_scores(data, ParentConstraints(pp, 1), ScoreConfig("bic"))
         assert np.isfinite(table.score(1, 0b01))  # categorical regressor fine
 
     def test_multilevel_categorical_parent_ignores_labels(self):
