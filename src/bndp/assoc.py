@@ -14,7 +14,9 @@ rule (:func:`core._may_parent`) allows. The tests:
   observed levels;
 - Cox: a survival outcome, each candidate fitted alone on Cox-BIC's
   standardised design columns, one degree of freedom per column
-  (:func:`cox_screen`).
+  (:func:`cox_screen`). The fits go into the caller's
+  :class:`scoring.CoxFits` record, from which Cox-BIC scores the same
+  single-parent sets and the empty set without refitting them.
 
 Phenotype mode restricts screening to two or three ancestor levels of an
 outcome. Every test passes or fails in one cutoff step, ``_passes``,
@@ -63,7 +65,7 @@ from .core import (
     _may_parent,
 )
 from .numeric import NumericError
-from .scoring import _categorical_ll, _cox_batches, _regressors
+from .scoring import CoxFits, _categorical_ll, _cox_batches, _regressors
 
 # ``cox_fit`` stays a name in this module: the benchmark tracer
 # (benchmarks/tracer.py) wraps ``bndp.assoc.cox_fit`` by name.
@@ -158,20 +160,25 @@ def bh_adjust(p_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def cox_screen(data: Dataset, outcome: int, candidates: list[int]) -> np.ndarray:
+def cox_screen(
+    data: Dataset, outcome: int, candidates: list[int], fits: CoxFits | None = None
+) -> np.ndarray:
     """Likelihood-ratio chi-squared p-value of each candidate's Cox fit.
 
     A candidate is fitted alone on the standardised design columns that
     Cox-BIC gives it (:func:`scoring._cox_batches`), with one degree of
     freedom per column, so relabelling a categorical's levels does not
-    change its test. A constant candidate is not fitted and a failed fit
-    warns, naming the column; either test is undefined (NaN), which
-    :func:`_passes` counts as p = 1 that never passes.
+    change its test. The converged fits and the null likelihood go into
+    ``fits`` when it is given, for :func:`scoring.cox_bic` to reuse. A
+    constant candidate is not fitted and a failed fit warns, naming the
+    column; either test is undefined (NaN), which :func:`_passes` counts
+    as p = 1 that never passes.
     """
     pvals = np.full(len(candidates), np.nan)
     at = {1 << i: k for k, i in enumerate(candidates)}
     fitted = [1 << i for i in candidates if not _constant(data.column(i).values)]
-    for group, width, batch in _cox_batches(data, outcome, fitted):
+    fits = CoxFits() if fits is None else fits
+    for group, width, batch in _cox_batches(data, outcome, fitted, fits):
         lr = 2.0 * (batch.log_likelihood - batch.null_log_likelihood)
         p = _chi2_sf(width, np.maximum(lr, 0.0))
         for b, (mask, exc) in enumerate(zip(group, batch.errors)):
@@ -326,7 +333,7 @@ def _passes(stat: np.ndarray, opts: ScreenOptions) -> np.ndarray:
 
 
 def build_constraints(
-    data: Dataset, opts: ScreenOptions, indegree: int
+    data: Dataset, opts: ScreenOptions, indegree: int, *, cox_fits: CoxFits | None = None
 ) -> tuple[ParentConstraints, Dataset]:
     """Run Algorithm-style screening and reduce the data to the feasible set.
 
@@ -337,7 +344,8 @@ def build_constraints(
     ``corr_cutoff`` raises before any test runs where a test would not
     be on r: on data whose survival column is screened (all-pairs mode or
     as the outcome), and on data with a categorical column of three or
-    more levels.
+    more observed levels. The Cox screening fits go into ``cox_fits``
+    when it is given (:func:`cox_screen`).
     """
     outcome_idx = data.index_of(opts.outcome) if opts.outcome is not None else data.survival_index
     s = data.survival_index
@@ -345,12 +353,13 @@ def build_constraints(
         opts.mode == "all_pairs" or outcome_idx == s
     ):
         raise AssocError("a survival column is screened by Cox tests: use alpha, not corr_cutoff")
-    wide = [c for c in data.columns if c.kind == CATEGORICAL and c.levels > 2]
-    if opts.corr_cutoff is not None and wide:
-        raise AssocError(
-            f"categorical column {wide[0].name!r} is {wide[0].levels - 1} indicator columns, "
-            "which no one correlation describes: use alpha, not corr_cutoff"
-        )
+    if opts.corr_cutoff is not None:
+        for c in data.columns:
+            if c.kind == CATEGORICAL and c.observed_levels > 2:
+                raise AssocError(
+                    f"categorical column {c.name!r} is {c.observed_levels - 1} indicator columns, "
+                    "which no one correlation describes: use alpha, not corr_cutoff"
+                )
     if opts.user_pp is not None:
         pp = _pp_from_user(data, opts.user_pp)
     else:
@@ -365,9 +374,9 @@ def build_constraints(
                     stacklevel=2,
                 )
         if opts.mode == "all_pairs":
-            pp = _screen_all_pairs(data, M, cols, opts, outcome_idx)
+            pp = _screen_all_pairs(data, M, cols, opts, outcome_idx, cox_fits)
         else:
-            pp = _screen_phenotype(data, M, cols, opts)
+            pp = _screen_phenotype(data, M, cols, opts, cox_fits)
 
     members = 0
     for m in pp:
@@ -416,13 +425,15 @@ def _screen_all_pairs(
     cols: dict[int, list[int]],
     opts: ScreenOptions,
     outcome_idx: int | None,
+    cox_fits: CoxFits | None,
 ) -> list[int]:
     """Test every unordered pair of non-survival columns once, as one BH
     family, with the column that may parent the other as the candidate
     (the later one where both may); a passing pair gives each direction
     that the parent-kind rule allows. The survival column's Cox tests
-    form a family of their own. The outcome never becomes a parent.
-    ``M, cols`` are the :func:`_tests` columns."""
+    form a family of their own, their fits recorded in ``cox_fits``. The
+    outcome never becomes a parent. ``M, cols`` are the :func:`_tests`
+    columns."""
     nodes = np.array(list(cols), dtype=int)
     a, b = (nodes[k] for k in np.triu_indices(nodes.size, k=1))
     may = _admissible(data)
@@ -437,7 +448,7 @@ def _screen_all_pairs(
 
     s = data.survival_index
     if s is not None:
-        found, _ = _screen_level(data, M, cols, [s], {s}, opts)
+        found, _ = _screen_level(data, M, cols, [s], {s}, opts, cox_fits)
         pp[s] = found[s]
     return pp
 
@@ -497,7 +508,7 @@ def _tests(
     for i in np.flatnonzero(g).tolist():
         u, v = int(t[i]), int(c[i])
         gain = _categorical_ll(data, u, 1 << v) - _categorical_ll(data, u, 0)
-        df = math.prod(np.unique(data.column(j).values).size - 1 for j in (u, v))
+        df = math.prod(data.column(j).observed_levels - 1 for j in (u, v))
         stat[i] = _chi2_sf(df, np.array([max(2.0 * gain, 0.0)]))[0] if df else np.nan
     return stat
 
@@ -509,15 +520,16 @@ def _screen_level(
     targets: list[int],
     excluded: set[int],
     opts: ScreenOptions,
+    cox_fits: CoxFits | None = None,
 ) -> tuple[dict[int, int], dict[tuple[int, int], float]]:
     """Screen possible parents for each target; one BH family per level.
 
     A target's candidates are the columns outside ``excluded`` that may
     parent it. Returns the kept candidates per target as a bitmask, and
     the statistic of every (target, candidate) test (:func:`_tests` on
-    ``M, cols``, or :func:`cox_screen` for the survival column): the
-    unadjusted p-value under ``alpha``, |r| under ``corr_cutoff``, NaN
-    where undefined.
+    ``M, cols``, or :func:`cox_screen` for the survival column, its fits
+    recorded in ``cox_fits``): the unadjusted p-value under ``alpha``, |r|
+    under ``corr_cutoff``, NaN where undefined.
     """
     allowed = _admissible(data)[targets]
     allowed[:, sorted(excluded)] = False
@@ -528,7 +540,7 @@ def _screen_level(
     cox = t == s
     stat = np.empty(t.size)
     if cox.any():
-        stat[cox] = cox_screen(data, s, c[cox].tolist())
+        stat[cox] = cox_screen(data, s, c[cox].tolist(), cox_fits)
     if not cox.all():
         stat[~cox] = _tests(data, M, cols, t[~cox], c[~cox], opts, [u for u in targets if u != s])
 
@@ -540,13 +552,17 @@ def _screen_level(
 
 
 def _screen_phenotype(
-    data: Dataset, M: np.ndarray, cols: dict[int, list[int]], opts: ScreenOptions
+    data: Dataset,
+    M: np.ndarray,
+    cols: dict[int, list[int]],
+    opts: ScreenOptions,
+    cox_fits: CoxFits | None,
 ) -> list[int]:
     outcome = data.index_of(opts.outcome)
     pp = [0] * data.p
     excluded = {outcome}
 
-    found, stats = _screen_level(data, M, cols, [outcome], excluded, opts)
+    found, stats = _screen_level(data, M, cols, [outcome], excluded, opts, cox_fits)
     level1 = found[outcome]
     if opts.top_k is not None and level1.bit_count() > opts.top_k:
         level1 = _trim_top_k(data, outcome, level1, stats, opts)

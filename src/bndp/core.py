@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -136,6 +137,12 @@ class Column:
                 raise StructureError(f"categorical column {self.name!r} has non-integer codes")
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def observed_levels(self) -> int:
+        """The number of levels that the rows of a categorical column have,
+        which a declared level that no row has does not count in."""
+        return int(np.unique(self.values).size)
+
 
 class Dataset:
     """A column-typed data table with no missing values.
@@ -180,9 +187,8 @@ class Dataset:
         raise StructureError(f"no column named {name!r}")
 
     def numeric_values(self, i: int) -> np.ndarray:
-        """Column as a float regressor. Of a categorical column only a binary
-        one is read this way: its codes 0 and 1 are its level-1 indicator.
-        One of three or more levels enters as indicator columns
+        """Column as a float regressor. A categorical column enters
+        regressions as indicator columns of its observed levels
         (``scoring._regressors``), and nothing reads its codes as numbers."""
         c = self.columns[i]
         if c.kind == SURVIVAL:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .assoc import ScreenOptions, build_constraints
 from .core import Dataset, Network, NodeSubset, ParentConstraints, StructureError
-from .scoring import LocalScoreTable, ScoreConfig, compute_local_scores
+from .scoring import CoxFits, LocalScoreTable, ScoreConfig, compute_local_scores
 
 TIE_EPS = 1e-9
 DEFAULT_MAX_SUBSETS = 2_000_000
@@ -472,8 +472,12 @@ def learn(
     (``level_sizes``, ``level_ms``), the subsets recovery filled, wall
     time per stage, and the warnings raised: every message in order
     (``warnings``) and, per warning category, their count and the first
-    message (``warning_counts``). Arguments out of range are rejected
-    before screening starts.
+    message (``warning_counts``). Screening and scoring share one
+    :class:`scoring.CoxFits` record for the length of the call, so Cox-BIC
+    refits none of screening's models; the report counts the Cox models
+    fitted (``n_cox_models``), their Newton steps (``n_cox_iterations``)
+    and the failed fits (``n_cox_failed``). Arguments out of range are
+    rejected before screening starts.
     """
     if indegree < 1:
         raise StructureError("indegree must be a positive integer")
@@ -481,12 +485,13 @@ def learn(
         if cap < 1:
             raise EngineError(f"the {name} cap must be at least 1, got {cap}")
     report: dict = {}
+    cox = CoxFits()
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         with _stage(report, "screen"):
-            constraints, reduced = build_constraints(data, screen_opts, indegree)
+            constraints, reduced = build_constraints(data, screen_opts, indegree, cox_fits=cox)
         with _stage(report, "local_scores"):
-            local = compute_local_scores(reduced, constraints, score_cfg)
+            local = compute_local_scores(reduced, constraints, score_cfg, cox_fits=cox)
         with _stage(report, "best_parents"):
             bpt = best_parents(local, constraints)
         with _stage(report, "best_sinks"):
@@ -515,6 +520,9 @@ def learn(
             "optimal_score": recovery.networks[0].total_score,
             "truncated": recovery.truncated,
             "covered_subsets": [list(NodeSubset(m)) for m in recovery.covered],
+            "n_cox_models": cox.n_models,
+            "n_cox_iterations": cox.n_iterations,
+            "n_cox_failed": cox.n_failed,
             "warnings": caught,
             "warning_counts": counts,
         }

@@ -12,6 +12,8 @@ Gaussian BIC falls back to the direct least squares of
 survival sink's parent sets on the standardised designs of
 :func:`_cox_batches`, which survival screening
 (:func:`bndp.assoc.cox_screen`) fits too, one degree of freedom per column.
+A :class:`CoxFits` record carries screening's univariate fits and null
+likelihood to Cox-BIC, which fits only the parent sets it lacks.
 :func:`compute_local_scores` is the one dispatch, a loop over the nodes.
 A possible parent that the parent-kind rule (:func:`core._may_parent`)
 excludes raises :class:`ScoringError` before any score.
@@ -94,20 +96,28 @@ class ScoreConfig:
 
 def _regressors(data: Dataset, nodes: Iterable[int]) -> tuple[np.ndarray, dict[int, list[int]]]:
     """The regression columns of ``nodes`` as the rows of one matrix, and
-    each node's rows: an indicator per level but level 0 for a categorical
-    column of three or more levels, so relabelling its levels does not
-    change a fit; any other column as its values."""
+    each node's rows. A categorical column gives an indicator per observed
+    level but its lowest observed one (a constant one, the indicator of its
+    one level), so neither relabelling its levels nor declaring a level that
+    no row has changes a fit; any other column gives its values."""
     rows: dict[int, list[int]] = {}
-    xs: list[np.ndarray] = []
+    kept: dict[int, np.ndarray] = {}
+    width = 0
     for j in nodes:
         c = data.column(j)
-        if c.kind == CATEGORICAL and c.levels > 2:
-            new = [(c.values == level).astype(float) for level in range(1, c.levels)]
+        if c.kind == CATEGORICAL:
+            seen = np.unique(c.values)
+            kept[j] = seen[1:] if seen.size > 1 else seen
+        k = kept[j].size if j in kept else 1
+        rows[j] = list(range(width, width + k))
+        width += k
+    R = np.empty((width, data.n_rows))
+    for j, at in rows.items():
+        if j in kept:
+            R[at[0] : at[-1] + 1] = data.column(j).values == kept[j][:, None]
         else:
-            new = [data.numeric_values(j)]
-        rows[j] = list(range(len(xs), len(xs) + len(new)))
-        xs += new
-    return np.reshape(xs, (len(xs), data.n_rows)), rows
+            R[at[0]] = data.numeric_values(j)
+    return R, rows
 
 
 def _centred(M: np.ndarray) -> np.ndarray:
@@ -185,8 +195,9 @@ def _categorical_ll(data: Dataset, node: int, parents: int) -> float:
 def bic_categorical(node: int, parents: int, data: Dataset) -> float:
     """Multinomial BIC local score for a categorical node.
 
-    Penalty counts (r - 1) * q free parameters, q being the product of
-    the parent level counts (:func:`_categorical_ll` gives the
+    Penalty counts (r - 1) * q free parameters, r being the node's
+    observed level count and q the product of its parents' (a declared
+    level that no row has adds none; :func:`_categorical_ll` gives the
     log-likelihood). A non-categorical parent raises ScoringError.
     """
     col = data.column(node)
@@ -194,7 +205,7 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
         raise ScoringError(f"node {node} is not categorical")
     _check_parents(data, node, parents)
     n = data.n_rows
-    q = math.prod(data.column(j).levels for j in NodeSubset(parents))
+    q = math.prod(data.column(j).observed_levels for j in NodeSubset(parents))
     if q > n:
         warnings.warn(
             f"node {node}: {q} parent configurations exceed {n} rows "
@@ -202,23 +213,64 @@ def bic_categorical(node: int, parents: int, data: Dataset) -> float:
             ScoringWarning,
             stacklevel=2,
         )
-    return _categorical_ll(data, node, parents) - 0.5 * (col.levels - 1) * q * math.log(n)
+    r = col.observed_levels
+    return _categorical_ll(data, node, parents) - 0.5 * (r - 1) * q * math.log(n)
+
+
+class CoxFits:
+    """The Cox fits of one ``learn`` call, so that no model is fitted twice.
+
+    ``fits`` maps (survival column name, parent column names in column
+    order) to a converged fit's partial log-likelihood and design width;
+    the empty parent tuple holds the null likelihood at width 0.
+    :func:`_cox_batches` fills it and counts every model it fits
+    (``n_models``), their Newton steps (``n_iterations``) and the fits
+    that failed (``n_failed``), which are not kept. Survival screening
+    (:func:`bndp.assoc.cox_screen`) fits first, and :func:`cox_bic` then
+    fits only the sets the record lacks. The names stand for the columns
+    of one dataset (a restriction of it keeps them), so a record must not
+    outlive the data it was filled from.
+    """
+
+    def __init__(self) -> None:
+        self.fits: dict[tuple[str, tuple[str, ...]], tuple[float, int]] = {}
+        self.n_models = self.n_iterations = self.n_failed = 0
+
+    @staticmethod
+    def key(names: tuple[str, ...], node: int, mask: int) -> tuple[str, tuple[str, ...]]:
+        """The record's key of ``node``'s parent set ``mask``, ``names``
+        being the dataset's column names."""
+        return names[node], tuple(names[j] for j in NodeSubset(mask))
+
+    def add(
+        self, names: tuple[str, ...], node: int, masks: list[int], width: int, batch: CoxBatch
+    ) -> None:
+        """Record one :func:`cox_fit_batch` result over the sets ``masks``."""
+        self.n_models += len(masks)
+        self.n_iterations += int(batch.iterations.sum())
+        self.fits[self.key(names, node, 0)] = (batch.null_log_likelihood, 0)
+        for mask, ll, exc in zip(masks, batch.log_likelihood.tolist(), batch.errors):
+            if exc is None:
+                self.fits[self.key(names, node, mask)] = (ll, width)
+            else:
+                self.n_failed += 1
 
 
 def _cox_batches(
-    data: Dataset, node: int, masks: list[int]
+    data: Dataset, node: int, masks: list[int], fits: CoxFits
 ) -> Iterator[tuple[list[int], int, CoxBatch]]:
     """Cox fits of the survival ``node`` on each node set in ``masks``, and
     each fit's sets and design width, ``_COX_CHUNK`` sets of a width per
-    :func:`cox_fit_batch`. A set's design is its nodes' :func:`_regressors`
-    columns, each standardised; a constant column (:func:`core._constant`)
-    enters as zeros.
+    :func:`cox_fit_batch`, each recorded in ``fits``. A set's design is its
+    nodes' :func:`_regressors` columns, each standardised; a constant
+    column (:func:`core._constant`) enters as zeros.
     Fits stop after 50 Newton steps or once no coefficient moves by 1e-8.
     """
     col = data.column(node)
     if col.kind != SURVIVAL:
         raise ScoringError(f"column {col.name!r} is not a survival outcome")
     time, status = col.values.T
+    names = data.names
     Z, rows = _regressors(data, {j for mask in masks for j in NodeSubset(mask)})
     varies = ~_constant(Z, axis=1)[:, None]
     sd = Z.std(axis=1, keepdims=True)
@@ -231,31 +283,41 @@ def _cox_batches(
         for start in range(0, len(group), _COX_CHUNK):
             chunk = group[start : start + _COX_CHUNK]
             idx = np.array([i for _, i in chunk], dtype=int).reshape(len(chunk), width)
-            X = Z[idx].transpose(1, 0, 2)
-            yield [mask for mask, _ in chunk], width, cox_fit_batch(time, status, X)
+            batch = cox_fit_batch(time, status, Z[idx].transpose(1, 0, 2))
+            sets = [mask for mask, _ in chunk]
+            fits.add(names, node, sets, width, batch)
+            yield sets, width, batch
 
 
-def cox_bic(node: int, masks: list[int], data: Dataset) -> dict[int, float]:
+def cox_bic(
+    node: int, masks: list[int], data: Dataset, fits: CoxFits | None = None
+) -> dict[int, float]:
     """Cox-BIC scores of the survival sink for each parent set in ``masks``.
 
     A score is the partial log-likelihood at the optimum minus
     (k/2) ln n, k counting the design columns of :func:`_cox_batches`;
-    the empty parent set scores the null partial likelihood. One set's
-    failed fit scores -inf with a warning and leaves the others unchanged.
+    the empty parent set scores the null partial likelihood. The sets
+    that ``fits`` lacks are fitted into it (with no record, every set),
+    and every score is read from it: the empty set's once any fit of
+    ``node`` is recorded. One set's failed fit is not recorded: it scores
+    -inf with a warning and leaves the others unchanged.
     """
-    scores: dict[int, float] = {}
-    for group, width, batch in _cox_batches(data, node, masks):
-        for mask, ll, exc in zip(group, batch.log_likelihood, batch.errors):
-            if exc is None:
-                scores[mask] = float(ll) - 0.5 * width * math.log(data.n_rows)
-            else:
+    fits = CoxFits() if fits is None else fits
+    names = data.names
+    todo = [mask for mask in masks if fits.key(names, node, mask) not in fits.fits]
+    for group, _, batch in _cox_batches(data, node, todo, fits):
+        for mask, exc in zip(group, batch.errors):
+            if exc is not None:
                 warnings.warn(
                     f"Cox fit failed for parents {list(NodeSubset(mask))} of node {node}: {exc}",
                     ScoringWarning,
                     stacklevel=2,
                 )
-                scores[mask] = NEG_INF
-    return {mask: scores[mask] for mask in masks}
+    scores: dict[int, float] = {}
+    for mask in masks:
+        ll, width = fits.fits.get(fits.key(names, node, mask), (NEG_INF, 0))
+        scores[mask] = ll - 0.5 * width * math.log(data.n_rows)
+    return scores
 
 
 class LocalScoreTable:
@@ -365,7 +427,7 @@ class _Gram:
             log_rss = fam - par
             ll = -0.5 * n * (math.log(2.0 * math.pi / n) + log_rss + 1.0)
             direct = np.isneginf(par) | ~(log_rss > floor)
-        # the regressor columns: one a parent, levels - 2 more a categorical one of 3+ levels
+        # the regressor columns: one a parent, L - 2 more one of L >= 3 observed levels
         wide = [(j, len(c) - 1) for j, c in enumerate(self.cols) if len(c) > 1]
         width = m + [sum(e for j, e in wide if mask >> j & 1) for mask in masks]
         values = (ll - 0.5 * (width + 2) * math.log(n)).tolist()  # and the intercept and variance
@@ -375,14 +437,21 @@ class _Gram:
 
 
 def compute_local_scores(
-    data: Dataset, constraints: ParentConstraints, cfg: ScoreConfig
+    data: Dataset,
+    constraints: ParentConstraints,
+    cfg: ScoreConfig,
+    *,
+    cox_fits: CoxFits | None = None,
 ) -> LocalScoreTable:
     """Score every parent subset of every node's possible-parent set.
 
     Enumeration is truncated at the in-degree bound; scoring failures
     become -inf sentinels so downstream search stays total. A
     possible parent that the parent-kind rule (:func:`core._may_parent`)
-    excludes raises ScoringError before any score.
+    excludes raises ScoringError before any score. ``cox_fits``, the
+    record that screening filled on this data (or on data it restricts),
+    spares Cox-BIC the fits it holds (:func:`cox_bic`); without it every
+    parent set is fitted.
     """
     if constraints.n_nodes != data.p:
         raise ScoringError("constraints and data disagree on the node count")
@@ -395,7 +464,7 @@ def compute_local_scores(
     scores: list[dict[int, float]] = []
     for i, kind in enumerate(c.kind for c in data.columns):
         if kind == SURVIVAL:
-            scores.append(cox_bic(i, masks[i], data))
+            scores.append(cox_bic(i, masks[i], data, cox_fits))
         elif kind == CONTINUOUS:
             scores.append(dict(zip(masks[i], gram.scores(i, masks[i], logdet))))
         else:

@@ -1098,6 +1098,9 @@ class TestMixedScreening:
         binary = Dataset([Column("B", "categorical", (data.column(1).values > 1).astype(float), levels=2), *data.columns[1:]])
         constraints, _ = build_constraints(binary, ScreenOptions(corr_cutoff=0.3), indegree=2)
         assert constraints.pp[0] == 0 and constraints.pp[1] & 1
+        # and so is one declared with three levels whose rows have two
+        two = Dataset([Column("B", "categorical", 2.0 * binary.column(0).values, levels=3), *data.columns[1:]])
+        assert build_constraints(two, ScreenOptions(corr_cutoff=0.3), indegree=2)[0] == constraints
 
     def test_user_pp_breaking_the_rule_rejected(self):
         data, _ = _k3_case()

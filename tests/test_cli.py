@@ -111,6 +111,7 @@ class TestLearnCommand:
         counts = report["warning_counts"]
         assert sum(c["count"] for c in counts.values()) == len(report["warnings"])
         assert all(c["first"] in report["warnings"] for c in counts.values())
+        assert (report["n_cox_models"], report["n_cox_iterations"], report["n_cox_failed"]) == (0, 0, 0)
         dot = (out / "network_000.dot").read_text()
         assert dot.startswith("digraph")
 
@@ -853,6 +854,9 @@ class TestCliPaths:
         dot = (out / "network_000.dot").read_text()
         assert '"os_status" [shape=doublecircle];' in dot
         assert dot.count("doublecircle") == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_cox_models"] > 0 and report["n_cox_iterations"] > 0
+        assert report["n_cox_failed"] == 0
 
     def test_search_failure_exit_4(self, learned, tmp_path, capsys):
         code = run(

@@ -26,7 +26,7 @@ from bndp.engine import (
     recover_networks,
 )
 from bndp.scoring import LocalScoreTable, ScoreConfig, compute_local_scores
-from bndp.simulate import simulate_survival
+from bndp.simulate import SimSpec, simulate_dag, simulate_data, simulate_survival
 from oracles import _close, best_subsets_in_pool, enumerate_dags, exhaustive_search
 
 PAPER_PP = ([1, 3], [2, 0], [1], [0])  # 0-indexed worked-example pp sets
@@ -1196,6 +1196,45 @@ class TestLearn:
             }
         }
         assert len(report["warnings"]) == 2
+
+    @staticmethod
+    def _cox_shaped(seed):
+        """The benchmark's ``cox`` recipe: 12 simulated columns (1,000 rows)
+        and a survival column T driven by the first two sinks."""
+        spec = SimSpec(12, 2, 4, 3, 3, n=1000, seed=seed)
+        dag = simulate_dag(spec)
+        data = simulate_data(dag, spec)
+        a, b = [v for v, role in enumerate(dag.roles) if role == "sink"][:2]
+        z = [(x - x.mean()) / x.std() for x in (data.column(a).values, data.column(b).values)]
+        time, status = simulate_survival(0.5 * (z[0] + z[1]), seed=seed)
+        return Dataset(list(data.columns) + [Column("T", "survival", np.column_stack([time, status]))])
+
+    def test_cox_counters(self):
+        # screening fits the 12 candidates; Cox-BIC reuses the null and the
+        # 7 univariate fits of pp[T] and fits only its 21 pairs
+        res = learn(self._cox_shaped(0), ScreenOptions(alpha=1e-5), ScoreConfig("bic"), 2)
+        counts = {k: res.report[k] for k in ("n_cox_models", "n_cox_iterations", "n_cox_failed")}
+        assert counts == {"n_cox_models": 12 + 21, "n_cox_iterations": 126, "n_cox_failed": 0}
+        assert int(res.constraints.pp[res.data.survival_index]).bit_count() == 7
+        x = np.random.default_rng(18).standard_normal((300, 2))
+        report = learn(cont(x + x[:, :1]), ScreenOptions(alpha=0.01), ScoreConfig("bic"), 2).report
+        assert (report["n_cox_models"], report["n_cox_iterations"], report["n_cox_failed"]) == (0, 0, 0)
+
+    def test_cox_fits_do_not_outlive_the_call(self):
+        # learn on A, then on B with the same column names, equals learn on
+        # B alone: no fit of A is read for B
+        args = (ScreenOptions(alpha=1e-5), ScoreConfig("bic"), 2)
+        first, second = self._cox_shaped(0), self._cox_shaped(1)
+        learn(first, *args)
+        after = learn(second, *args)
+        alone = learn(second, *args)
+
+        def comparable(res):
+            report = {k: v for k, v in res.report.items() if k not in ("stage_ms", "level_ms")}
+            return res.networks, report
+
+        assert first.names == second.names
+        assert comparable(after) == comparable(alone)
 
     def test_tied_sinks_recover_in_one_pass(self):
         # 10 independent columns, complete possible parents: every node is a

@@ -8,10 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 import bndp.scoring
+from bndp.assoc import ScreenOptions, ScreeningWarning, build_constraints, cox_screen
 from bndp.core import Column, Dataset, NodeSubset, ParentConstraints
 from bndp.numeric import NumericError, cox_fit
 from bndp.scoring import (
     NEG_INF,
+    CoxFits,
     ScoreConfig,
     ScoringError,
     ScoringWarning,
@@ -506,6 +508,104 @@ class TestCoxBic:
         assert len(solo_messages) == 4  # {g2} and its three pairs
 
 
+def bits(table: dict[int, float]) -> list[tuple[int, str]]:
+    """A score table as (mask, exact float) pairs, in its order."""
+    return [(mask, float(v).hex()) for mask, v in table.items()]
+
+
+class TestCoxFitsRecord:
+    """Cox-BIC reads screening's fits from a :class:`CoxFits` record and
+    fits only the parent sets the record lacks, to the same bits."""
+
+    @staticmethod
+    def _dataset(seed=61):
+        # five continuous columns and a three-level categorical K (a width-2
+        # design); at alpha = 0.05 Cox screening of T keeps all but V4
+        rng = np.random.default_rng(seed)
+        n = 300
+        M = rng.standard_normal((n, 5))
+        M[:, 1] += M[:, 0]
+        M[:, 3] += M[:, 2]
+        k = rng.integers(0, 3, n)
+        eta = 0.8 * M[:, 0] + np.array([0.0, 1.0, -0.5])[k] + 0.5 * M[:, 3]
+        time, status = simulate_survival(eta, seed=seed)
+        cols = [Column(f"V{i}", "continuous", M[:, i].copy()) for i in range(5)]
+        cols.append(Column("K", "categorical", k.astype(float), levels=3))
+        cols.append(Column("T", "survival", np.column_stack([time, status])))
+        return Dataset(cols)
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            ScreenOptions(alpha=0.05),
+            ScreenOptions(mode="phenotype", outcome="T", alpha=0.05, levels=2),
+        ],
+        ids=["all_pairs", "phenotype"],
+    )
+    def test_tables_bit_identical_with_and_without_record(self, opts):
+        data = self._dataset()
+        fits = CoxFits()
+        constraints, reduced = build_constraints(data, opts, 2, cox_fits=fits)
+        s = reduced.survival_index
+        assert set(NodeSubset(constraints.pp[s])) == set(range(6)) - {s}
+        assert fits.fits[("T", ("K",))][1] == 2  # the categorical's width-2 fit
+        screened = dict(fits.fits)
+        assert len(screened) == 1 + 6 and fits.n_models == 6  # the null and 6 candidates
+        cfg = ScoreConfig("bic")
+        with_record = compute_local_scores(reduced, constraints, cfg, cox_fits=fits)
+        alone = compute_local_scores(reduced, constraints, cfg)
+        for i in range(reduced.p):
+            assert bits(with_record.subsets(i)) == bits(alone.subsets(i))
+        # scoring fitted the 10 pairs only, and kept what screening recorded
+        assert fits.n_models == 6 + 10 and fits.n_failed == 0
+        assert all(fits.fits[key] == value for key, value in screened.items())
+
+    def test_reused_sets_are_not_refitted(self, monkeypatch):
+        data = self._dataset()
+        fits = CoxFits()
+        cox_screen(data, 6, list(range(6)), fits)
+        widths = []
+        real_fit = bndp.scoring.cox_fit_batch
+
+        def recording_fit(time, status, X):
+            widths.append(X.shape[0])
+            return real_fit(time, status, X)
+
+        monkeypatch.setattr(bndp.scoring, "cox_fit_batch", recording_fit)
+        masks = [0, 0b1, 0b10000, 0b11]
+        got = cox_bic(6, masks, data, fits)
+        assert widths == [2]  # no null batch, no univariate one: the pair {V0, V1}
+        assert bits(got) == bits(cox_bic(6, masks, data))
+
+    def test_failed_screening_fit_is_refitted(self):
+        # x orders the event times, so its fit diverges in screening and is
+        # not recorded: Cox-BIC fits it again, warns as without a record and
+        # scores it -inf
+        n = 50
+        time = np.arange(1.0, n + 1)
+        x = np.arange(n, dtype=float)
+        y = np.random.default_rng(5).standard_normal(n)
+        data = Dataset(
+            [
+                Column("x", "continuous", x),
+                Column("y", "continuous", y),
+                Column("os", "survival", np.column_stack([time, np.ones(n)])),
+            ]
+        )
+        fits = CoxFits()
+        with pytest.warns(ScreeningWarning, match="Cox screening failed for 'x'"):
+            cox_screen(data, 2, [0, 1], fits)
+        assert ("os", ("x",)) not in fits.fits and fits.n_failed == 1
+        masks = [0, 0b01, 0b10]
+        with pytest.warns(ScoringWarning) as with_record:
+            got = cox_bic(2, masks, data, fits)
+        with pytest.warns(ScoringWarning) as without:
+            want = cox_bic(2, masks, data)
+        assert bits(got) == bits(want) and got[0b01] == NEG_INF
+        assert [str(w.message) for w in with_record] == [str(w.message) for w in without]
+        assert fits.n_models == 2 + 1 and fits.n_failed == 2  # only {x} refitted
+
+
 # ------------------------------------------------------- bulk computation
 
 
@@ -626,6 +726,34 @@ class TestComputeLocalScores:
             warnings.simplefilter("error")
             table = compute_local_scores(data, ParentConstraints(pp, 1), ScoreConfig("bic"))
         assert np.isfinite(table.score(1, 0b01))  # categorical regressor fine
+
+    def test_declared_level_no_row_has_adds_no_parameter(self):
+        # K and J use codes 0-2; declaring a fourth level that no row has
+        # changes no score: not y | K (Gaussian BIC, which counted an
+        # all-zero indicator column, 0.5 ln 300 lower), not J | K
+        # (categorical BIC, whose r and q counted it) and not T | K (Cox-BIC)
+        rng = np.random.default_rng(1)
+        n = 300
+        k = rng.integers(0, 3, n)
+        y = np.array([0.0, 1.0, 0.0])[k] + rng.standard_normal(n)
+        j = (k + (rng.random(n) < 0.3)) % 3
+        time, status = simulate_survival(y, seed=1)
+        pp = (NodeSubset(0b010), NodeSubset(0), NodeSubset(0b010), NodeSubset(0b011))
+        tables = []
+        for levels in (3, 4):
+            data = Dataset(
+                [
+                    Column("y", "continuous", y),
+                    Column("K", "categorical", k.astype(float), levels=levels),
+                    Column("J", "categorical", j.astype(float), levels=levels),
+                    Column("T", "survival", np.column_stack([time, status])),
+                ]
+            )
+            table = compute_local_scores(data, ParentConstraints(pp, 2), ScoreConfig("bic"))
+            tables.append([bits(table.subsets(i)) for i in range(4)])
+            assert bndp.scoring._regressors(data, [1])[0].shape == (2, n)
+        assert tables[0] == tables[1]
+        assert float.fromhex(dict(tables[1][0])[0b010]) == pytest.approx(-413.059, abs=1e-3)
 
     def test_multilevel_categorical_parent_ignores_labels(self):
         # y depends on a 3-level K non-monotonically in its codes: every
